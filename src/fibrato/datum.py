@@ -351,13 +351,20 @@ def datum_from_json(obj) -> GenusGDatum:
         if not isinstance(raw_fibers, list):
             raise ValueError("critical_fibers must be a list")
         fibers = []
-        for entry in raw_fibers:
+        for k, entry in enumerate(raw_fibers):
             if not isinstance(entry, dict) or "label" not in entry:
                 raise ValueError("each critical fiber needs at least a label")
+            germ_texts = entry.get("germs", [])
+            if not isinstance(germ_texts, list):
+                raise ValueError(f"critical_fibers[{k}].germs must be a list")
+            for n, text in enumerate(germ_texts):
+                if not isinstance(text, str):
+                    raise ValueError(f"critical_fibers[{k}].germs[{n}] must be a germ "
+                                     f"string, got {type(text).__name__}")
             fibers.append(
                 CriticalFiber(
                     label=str(entry["label"]),
-                    germs=tuple(entry.get("germs", ())),
+                    germs=tuple(germ_texts),
                     negligible_marker=bool(entry.get("negligible", False)),
                 )
             )

@@ -27,8 +27,12 @@ so conjugate packets of such nodes are returned in bulk as
 ConjugateDirections entries; a *multiple* irrational root that passes the
 singularity test raises RequiresAlgebraicExtension instead of being dropped.
 
-sympy is used only for factoring univariate integer polynomials; all germ
-arithmetic is exact integer dictionary manipulation.
+All germ arithmetic, Taylor shifts by rational roots included, is exact
+integer dictionary manipulation.  sympy is used only for univariate integer
+polynomials: factoring splits off the v^k factor inline, so constants and
+monomials (most restrictions to E) never reach it, and hands what remains to
+sympy's dense factoring over ZZ; the divisibility test for a multiple
+irrational direction also uses sympy.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ from fractions import Fraction
 from math import gcd
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_factor_list
 
 __all__ = [
     "Germ",
@@ -308,24 +314,30 @@ def _divide(support, axis, power):
 
 
 def _shift_second(support, r: Fraction):
-    """Substitute second variable -> second + r and clear denominators."""
+    """Substitute second variable -> second + r, scaled to stay integral.
+
+    With r = p/q in lowest terms and d the top degree in the second variable,
+    the exact shift times q^d maps c*x^i*v^j to
+    c*x^i * sum_t C(j, t) p^(j-t) q^(d-j+t) v^t.  The result is a positive
+    multiple of the exact shift; Germ() divides out the content, so the
+    canonical germ is the same.
+    """
+    if not r:
+        return dict(support)
+    p, q = r.numerator, r.denominator
+    deg = max(j for _, j in support)
+    p_pow, q_pow = [1], [1]
+    for _ in range(deg):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
     acc = {}
     for (i, j), c in support.items():
-        # c * y^i * (v + r)^j expanded by the binomial theorem
-        coeff = Fraction(c)
-        power = [Fraction(1)]
-        for _ in range(j):
-            power.append(power[-1] * r)
         binom = 1
         for t in range(j + 1):
             key = (i, t)
-            acc[key] = acc.get(key, Fraction(0)) + coeff * binom * power[j - t]
+            acc[key] = acc.get(key, 0) + c * binom * p_pow[j - t] * q_pow[deg - j + t]
             binom = binom * (j - t) // (t + 1)
-    acc = {ij: c for ij, c in acc.items() if c}
-    lcm = 1
-    for c in acc.values():
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    return {ij: int(c * lcm) for ij, c in acc.items()}
+    return {ij: c for ij, c in acc.items() if c}
 
 
 def _restriction(support):
@@ -358,18 +370,25 @@ _V = sympy.Symbol("v")
 
 
 def _factor_list(coeffs):
-    """Irreducible integer factors of a nonzero polynomial, deterministic order.
+    """Irreducible integer factors of a polynomial, deterministic order.
 
-    Returns [(coeffs_low_to_high, exponent), ...], dropping the content.
+    Returns [(coeffs_low_to_high, exponent), ...], dropping the content; the
+    zero polynomial and constants have no factors.  The v^k factor is split
+    off inline, so constants and monomials never reach sympy; what remains
+    goes to sympy's dense factoring over ZZ, the routine Poly.factor_list
+    runs, which returns primitive factors with positive leading coefficient.
     """
-    poly = sympy.Poly(list(reversed(coeffs)), _V, domain="ZZ")
-    _, factors = poly.factor_list()
-    out = []
-    for f, e in factors:
-        cs = [int(c) for c in f.all_coeffs()]
-        cs.reverse()
-        out.append((tuple(cs), int(e)))
-    out.sort(key=lambda fe: (len(fe[0]), fe[0]))
+    low, high = 0, len(coeffs)
+    while high > 0 and coeffs[high - 1] == 0:
+        high -= 1
+    while low < high and coeffs[low] == 0:
+        low += 1
+    out = [((0, 1), low)] if low and high else []
+    if high - low > 1:
+        _, factors = dup_factor_list([ZZ(c) for c in reversed(coeffs[low:high])], ZZ)
+        for f, e in factors:
+            out.append((tuple(int(c) for c in reversed(f)), int(e)))
+        out.sort(key=lambda fe: (len(fe[0]), fe[0]))
     return out
 
 
@@ -501,9 +520,6 @@ class TracePoint:
     count: int = 1
     children: list["TracePoint"] = field(default_factory=list)
 
-    def subtree_max_multiplicity(self) -> int:
-        return max([self.multiplicity] + [c.subtree_max_multiplicity() for c in self.children])
-
 
 @dataclass
 class ResolutionTrace:
@@ -550,8 +566,8 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     """
     points: list[TracePoint] = []
     if g.multiplicity >= 2:
-        root = _resolve_tree(g, None, 0, max_depth)
-        _label_tree(root, max_depth)
+        root, _ = _resolve_tree(g, None, 0, max_depth)
+        _label_tree(root, max_depth, {})
         stack = [root]
         while stack:
             node = stack.pop()
@@ -560,30 +576,35 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     return ResolutionTrace(g, points, True)
 
 
-def _resolve_tree(germ: Germ, direction, depth: int, max_depth: int) -> TracePoint:
+def _resolve_tree(germ: Germ, direction, depth: int, max_depth: int) -> tuple[TracePoint, int]:
+    """The subtree of infinitely-near points at germ, and its maximum
+    multiplicity.  Points heading a subtree of multiplicity > 3 are labelled
+    here; the rest wait for _label_tree."""
     if depth > max_depth:
         raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
     m = germ.multiplicity
     node = TracePoint(depth, m, m // 2, "", direction, germ)
+    top = m
     for desc in even_blow_up(germ):
         if desc.germ is None:
             node.children.append(
                 TracePoint(depth + 1, 2, 1, "A1", desc.direction, None, count=desc.count)
             )
         else:
-            node.children.append(_resolve_tree(desc.germ, desc.direction, depth + 1, max_depth))
-    return node
-
-
-def _label_tree(node: TracePoint, max_depth: int):
-    if node.germ is None:
-        return  # conjugate A1 packets come pre-labelled
-    if node.subtree_max_multiplicity() <= 3:
-        node.classification = _ade_label(node.germ, max_depth)
-    else:
+            child, child_top = _resolve_tree(desc.germ, desc.direction, depth + 1, max_depth)
+            node.children.append(child)
+            top = max(top, child_top)
+    if top > 3:
         node.classification = "NonNegligibleInterior"
+    return node, top
+
+
+def _label_tree(node: TracePoint, max_depth: int, memo: dict):
+    """ADE labels for the negligible points, parents before children."""
+    if not node.classification:
+        node.classification = _ade_label(node.germ, max_depth, memo)
     for child in node.children:
-        _label_tree(child, max_depth)
+        _label_tree(child, max_depth, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +625,15 @@ def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
     m = g.multiplicity
     if m <= 1:
         return "Smooth"
-    root = _resolve_tree(g, None, 0, max_depth)
-    if root.subtree_max_multiplicity() > 3:
+    _, top = _resolve_tree(g, None, 0, max_depth)
+    if top > 3:
         return "NonNegligible"
-    return _ade_label(g, max_depth)
+    return _ade_label(g, max_depth, {})
 
 
-def _ade_label(g: Germ, max_depth: int) -> str:
+def _ade_label(g: Germ, max_depth: int, memo: dict) -> str:
     """ADE label of a germ already known to be negligible."""
-    r, delta = _branch_data(g, max_depth)
+    r, delta, _ = _branch_data(g, max_depth, memo)
     mu = 2 * delta - r + 1
     if g.multiplicity == 2:
         return f"A{mu}"
@@ -623,19 +644,28 @@ def _ade_label(g: Germ, max_depth: int) -> str:
     return f"E{mu}"
 
 
-def _branch_data(g: Germ, max_depth: int, depth: int = 0) -> tuple[int, int]:
-    """Branch count and delta invariant via strict-transform recursion.
+def _branch_data(g: Germ, max_depth: int, memo: dict, depth: int = 0) -> tuple[int, int, int]:
+    """Branch count, delta invariant and recursion height via strict-transform
+    recursion.
 
     Each infinitely-near point of multiplicity m contributes m(m-1)/2 to
     delta; branches are counted where the strict transform becomes smooth.
+    The height is how many levels the recursion went below g.  memo maps a
+    germ to its result; an entry is reused only when depth + height <=
+    max_depth, so DepthOverflow fires exactly where the full recursion would
+    raise it.
     """
     if depth > max_depth:
         raise DepthOverflow(f"branch recursion exceeded {max_depth} for {g}")
     m = g.multiplicity
     if m <= 1:
-        return 1, 0
+        return 1, 0, 0
+    hit = memo.get(g)
+    if hit is not None and depth + hit[2] <= max_depth:
+        return hit
     delta = m * (m - 1) // 2
     r = 0
+    height = 0
     strict = _divide(_chart1(g.support), 0, m)
     p = _restriction(strict)
     q0 = None
@@ -643,9 +673,10 @@ def _branch_data(g: Germ, max_depth: int, depth: int = 0) -> tuple[int, int]:
         if len(coeffs) == 2:
             root = Fraction(-coeffs[0], coeffs[1])
             sub = Germ(_shift_second(strict, root))
-            r1, d1 = _branch_data(sub, max_depth, depth + 1)
+            r1, d1, h1 = _branch_data(sub, max_depth, memo, depth + 1)
             r += r1
             delta += d1
+            height = max(height, h1 + 1)
         elif exp == 1:
             r += len(coeffs) - 1  # simple conjugate points: one smooth branch each
         else:
@@ -658,10 +689,12 @@ def _branch_data(g: Germ, max_depth: int, depth: int = 0) -> tuple[int, int]:
             r += len(coeffs) - 1  # smooth but tangent to E
     strict2 = _divide(_chart2(g.support), 1, m)
     if all(i + j > 0 for i, j in strict2):
-        r2, d2 = _branch_data(Germ(strict2), max_depth, depth + 1)
+        r2, d2, h2 = _branch_data(Germ(strict2), max_depth, memo, depth + 1)
         r += r2
         delta += d2
-    return r, delta
+        height = max(height, h2 + 1)
+    memo[g] = (r, delta, height)
+    return r, delta, height
 
 
 def _tangent_line_count(g: Germ) -> int:

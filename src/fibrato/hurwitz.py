@@ -157,13 +157,25 @@ def branch_datum_to_json(b: BranchDatum) -> dict:
 
 
 def branch_datum_from_json(payload: dict) -> BranchDatum:
+    """Inverse of branch_datum_to_json.  Raises ValueError naming the field
+    when a number is not an integer, KeyError for a missing field."""
     version = payload.get("schema_version", 1)
     if version != 1:
         raise ValueError(f"unsupported schema_version {version}")
-    return BranchDatum(
-        payload.get("g_source"),
-        payload["g_target"],
-        payload["m"],
-        payload["d"],
-        tuple(tuple(p) for p in payload["partitions"]),
-    )
+    g_source = payload.get("g_source")
+    if g_source is not None:
+        _require_int("g_source", g_source)
+    g_target, m, d = (_require_int(name, payload[name]) for name in ("g_target", "m", "d"))
+    partitions = payload["partitions"]
+    if not isinstance(partitions, list) or not all(isinstance(p, list) for p in partitions):
+        raise ValueError("partitions must be a list of lists of integers")
+    for k, p in enumerate(partitions):
+        for n, part in enumerate(p):
+            _require_int(f"partitions[{k}][{n}]", part)
+    return BranchDatum(g_source, g_target, m, d, tuple(tuple(p) for p in partitions))
+
+
+def _require_int(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value

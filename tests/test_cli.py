@@ -351,6 +351,28 @@ def test_hurwitz_malformed_partitions_exit_2(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("d", "3", "d"),
+    ("m", 3.0, "m"),
+    ("g_target", None, "g_target"),
+    ("g_source", True, "g_source"),
+    ("partitions", [[3], ["3"], [3]], "partitions[1][0]"),
+    ("partitions", [[3], [1.5, 1.5], [3]], "partitions[1][0]"),
+])
+def test_hurwitz_non_integer_field_is_named(capsys, tmp_path, field, value, name):
+    path = write_json(tmp_path, "b.json", dict(TRIPLE_COVER, **{field: value}))
+    code, _, err = run(capsys, "hurwitz", path)
+    assert code == 2
+    assert f"branch datum: {name} must be an integer" in err
+
+
+def test_hurwitz_partitions_must_be_lists(capsys, tmp_path):
+    path = write_json(tmp_path, "b.json", dict(TRIPLE_COVER, partitions=[3, 3, 3]))
+    code, _, err = run(capsys, "hurwitz", path)
+    assert code == 2
+    assert "partitions must be a list of lists" in err
+
+
 # ---------------------------------------------------------------------------
 # datum
 
@@ -404,6 +426,21 @@ def test_datum_non_hyperbolic_quotient_exits_1(capsys, tmp_path):
     code, out, _ = run(capsys, "datum", path)
     assert code == 1
     assert "speed undefined" in out
+
+
+@pytest.mark.parametrize("germs, message", [
+    ([5], "critical_fibers[0].germs[0] must be a germ string, got int"),
+    (["y^2 - z^4", None], "critical_fibers[0].germs[1] must be a germ string, got NoneType"),
+    ("y^2 - z^4", "critical_fibers[0].germs must be a list"),
+])
+def test_datum_malformed_germ_entry_exits_2(capsys, tmp_path, germs, message):
+    doc = datum_to_json(family("genus2").datum)
+    doc["critical_fibers"][0]["germs"] = germs
+    path = write_json(tmp_path, "d.json", doc)
+    code, _, err = run(capsys, "datum", path)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_datum_reads_stdin_dash(capsys, monkeypatch, tmp_path):

@@ -6,11 +6,14 @@ shares no code with the resolution engine.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from fibrato.germs import (
+    DEFAULT_MAX_DEPTH,
     INFINITY,
     ConjugateDirections,
     DepthOverflow,
@@ -24,6 +27,7 @@ from fibrato.germs import (
     multiplicity,
     parse_germ,
 )
+from fibrato.germs import _branch_data, _factor_list, _shift_second
 from fibrato.oracle import binomial_oracle
 
 
@@ -208,9 +212,24 @@ def test_depth_overflow_on_non_reduced_germ():
 
 
 def test_depth_overflow_respects_cap():
+    g = parse_germ("y^2 - z^40")
     with pytest.raises(DepthOverflow):
-        even_resolve(parse_germ("y^2 - z^40"), max_depth=3)
-    assert len(even_resolve(parse_germ("y^2 - z^40")).points) == 20
+        even_resolve(g, max_depth=3)
+    assert len(even_resolve(g).points) == 20
+    # the exact boundary: the labelling recursion needs one level more
+    with pytest.raises(DepthOverflow, match="branch recursion exceeded 19"):
+        even_resolve(g, max_depth=19)
+    assert even_resolve(g, max_depth=20).points[0].classification == "A39"
+
+
+def test_branch_memo_is_not_reused_past_the_cap():
+    # y^2 - z^38 is the strict transform of y^2 - z^40 at infinity: its entry
+    # fits the cap from depth 0 but not from depth 1.
+    memo = {}
+    assert _branch_data(parse_germ("y^2 - z^38"), 19, memo)[2] == 19
+    with pytest.raises(DepthOverflow):
+        _branch_data(parse_germ("y^2 - z^40"), 19, memo)
+    assert _branch_data(parse_germ("y^2 - z^40"), 20, memo) == (2, 20, 20)
 
 
 def test_requires_algebraic_extension_even_branch():
@@ -361,3 +380,89 @@ def test_blow_up_descendants_are_singular_and_ordered(g):
 @given(germs())
 def test_parse_str_round_trip(g):
     assert parse_germ(str(g)) == g
+
+
+# ---------------------------------------------------------------------------
+# kernel helpers against the routes they replaced
+
+def _sympy_factor_list(coeffs):
+    """Factoring through sympy.Poly, as the kernel did before it split off
+    constants and monomials and called the dense routine directly."""
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("v"), domain="ZZ")
+    _, factors = poly.factor_list()
+    out = []
+    for f, e in factors:
+        cs = [int(c) for c in f.all_coeffs()]
+        cs.reverse()
+        out.append((tuple(cs), int(e)))
+    out.sort(key=lambda fe: (len(fe[0]), fe[0]))
+    return out
+
+
+def _fraction_shift_second(support, r):
+    """Binomial expansion of the shift in Fractions, denominators cleared by
+    their lcm: the exact route the integer shift replaced."""
+    acc = {}
+    for (i, j), c in support.items():
+        binom = 1
+        for t in range(j + 1):
+            acc[(i, t)] = acc.get((i, t), Fraction(0)) + c * binom * r ** (j - t)
+            binom = binom * (j - t) // (t + 1)
+    acc = {ij: c for ij, c in acc.items() if c}
+    lcm = 1
+    for c in acc.values():
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    return {ij: int(c * lcm) for ij, c in acc.items()}
+
+
+@st.composite
+def univariate(draw):
+    """Low-to-high integer coefficients: random, monomial, scaled (so
+    non-primitive and non-monic), padded with high zeros, or 1 - v^n."""
+    kind = draw(st.sampled_from(["random", "monomial", "scaled", "cyclotomic"]))
+    if kind == "monomial":
+        coeffs = [0] * draw(st.integers(0, 6)) + [draw(st.integers(-9, 9).filter(bool))]
+    elif kind == "cyclotomic":
+        coeffs = [1] + [0] * (draw(st.integers(1, 12)) - 1) + [-1]
+    else:
+        coeffs = draw(st.lists(st.integers(-12, 12), min_size=1, max_size=8))
+        if kind == "scaled":
+            coeffs = [c * draw(st.integers(-6, 6).filter(bool)) for c in coeffs]
+    return tuple(coeffs + [0] * draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(univariate())
+@example((0,))
+@example((7,))
+@example((0, 0, 0, 3, 0))
+@example((6, 0, -6))
+@example((-4, 6, 0, 0))
+@example((1, 0, 0, 0, 0, 0, -1))
+def test_factor_list_matches_sympy_poly(coeffs):
+    assert _factor_list(coeffs) == _sympy_factor_list(coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 7)),
+                    st.integers(-9, 9).filter(bool), min_size=1, max_size=6),
+    st.integers(-6, 6),
+    st.integers(1, 7),
+)
+@example({(0, 2): 4, (1, 0): 1}, -3, 2)
+@example({(0, 3): 1, (2, 1): -5}, 1, 1)
+def test_integer_shift_matches_fraction_shift(support, p, q):
+    r = Fraction(p, q)
+    assert Germ(_shift_second(support, r)) == Germ(_fraction_shift_second(support, r))
+
+
+@pytest.mark.parametrize("a", range(2, 11))
+def test_branch_data_milnor_number_of_brieskorn_germs(a):
+    # Milnor (1968): mu(y^a - z^b) = (a - 1)(b - 1), and mu = 2 delta - r + 1.
+    shared = {}
+    for b in range(2, 11):
+        g = parse_germ(f"y^{a} - z^{b}")
+        for memo in ({}, shared):
+            r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH, memo)
+            assert 2 * delta - r + 1 == (a - 1) * (b - 1)
