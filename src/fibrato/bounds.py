@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .fibration import PreconditionViolated
+
 __all__ = [
     "BoundValue",
     "HNProfile",
@@ -58,10 +60,6 @@ __all__ = [
 
 class BadIndexSequence(ValueError):
     """Index sequences must be non-empty, strictly increasing, within 1..n."""
-
-
-class PreconditionViolated(ValueError):
-    """A bound was requested outside its domain of validity."""
 
 
 @dataclass(frozen=True)
@@ -449,7 +447,5 @@ def render_csv(t: Table) -> str:
     lines = ["table,row,g,exact,decimal"]
     for row in t.rows:
         for g, (exact, dec) in zip(t.genera, row.cells):
-            p_q = str(exact.numerator) if exact.denominator == 1 else (
-                f"{exact.numerator}/{exact.denominator}")
-            lines.append(f"{t.which},{row.label},{g},{p_q},{dec}")
+            lines.append(f"{t.which},{row.label},{g},{Fraction(exact)},{dec}")
     return "\n".join(lines)

@@ -20,7 +20,6 @@ audit fails, 2 on malformed input.  The environment variable
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -28,6 +27,7 @@ from fractions import Fraction
 
 from fibrato import __version__
 from fibrato import constructions, datum as datum_mod, fibration, germs, hurwitz
+from fibrato import jsonio
 from fibrato.bounds import decimal3, render_csv, render_markdown, table
 from fibrato.germs import (
     ConjugateDirections,
@@ -37,17 +37,11 @@ from fibrato.germs import (
     RequiresAlgebraicExtension,
     ZeroPolynomial,
 )
+from fibrato.jsonio import InputError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-RECORD_SCHEMA_VERSION = 1
-
-
-class InputError(Exception):
-    """Malformed input (file, JSON, schema, or argument values)."""
-
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -67,142 +61,20 @@ def _max_depth() -> int:
     return value
 
 
-def _exact(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _pretty(x) -> str:
     """Exact value, with a 3-decimal reading appended when it is not an
     integer: 30/7 -> "30/7 (~ 4.286)"."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{_exact(x)} (~ {decimal3(x)})"
+    return str(x) if x.denominator == 1 else f"{x} (~ {decimal3(x)})"
 
 
-def _load_json(path: str):
-    """Read a JSON document from a file, or standard input when path is "-"."""
-    if path == "-":
-        name, text = "<stdin>", sys.stdin.read()
-    else:
-        name = path
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+def _read(path: str, from_json, kind: str):
+    """Load a JSON document and read it; reader errors name the kind."""
+    obj = jsonio.load(path)
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{name}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
-
-
-def _check_schema_version(obj: dict, name: str) -> None:
-    version = obj.get("schema_version", 1)
-    if version != 1:
-        raise InputError(
-            f"field 'schema_version': unsupported {name} version {version!r}"
-            " (expected 1)")
-
-
-def _fraction_field(obj: dict, field: str) -> Fraction:
-    if field not in obj:
-        raise InputError(f"field {field!r} is missing")
-    value = obj[field]
-    if isinstance(value, bool):
-        raise InputError(f"field {field!r} must be an integer or 'p/q' string")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(
-                f"field {field!r}: cannot parse {value!r} as a rational")
-    raise InputError(f"field {field!r} must be an integer or 'p/q' string")
-
-
-def _int_field(obj: dict, field: str) -> int:
-    value = _fraction_field(obj, field)
-    if value.denominator != 1:
-        raise InputError(f"field {field!r} must be an integer")
-    return int(value)
-
-
-def _record_from_json(obj):
-    """Parse an invariant record document into the audit inputs.
-
-    Returns (invariants, nodes, profiles); the latter two are optional in
-    the document and None when absent.
-    """
-    if not isinstance(obj, dict):
-        raise InputError("record document must be a JSON object")
-    _check_schema_version(obj, "record")
-    try:
-        inv = fibration.FibrationInvariants(
-            g=_int_field(obj, "g"),
-            g_C=_int_field(obj, "g_C"),
-            s=_int_field(obj, "s"),
-            chi=_fraction_field(obj, "chi"),
-            omega_sq=_fraction_field(obj, "omega_sq"),
-            delta=_fraction_field(obj, "delta"),
-            hyperelliptic=bool(obj.get("hyperelliptic", False)),
-            semistable=bool(obj.get("semistable", True)),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc))
-
-    nodes = None
-    if obj.get("nodes") is not None:
-        raw = obj["nodes"]
-        if not isinstance(raw, list) or not all(
-                isinstance(m, int) and not isinstance(m, bool) for m in raw):
-            raise InputError("field 'nodes' must be a list of integers")
-        try:
-            nodes = fibration.StableModelNodes(tuple(raw))
-        except ValueError as exc:
-            raise InputError(f"field 'nodes': {exc}")
-
-    profiles = None
-    if obj.get("profiles") is not None:
-        raw = obj["profiles"]
-        if not isinstance(raw, list):
-            raise InputError("field 'profiles' must be a list of objects")
-        profiles = []
-        for idx, entry in enumerate(raw):
-            if not isinstance(entry, dict):
-                raise InputError(f"field 'profiles[{idx}]' must be an object")
-            try:
-                counts = {int(k): int(v)
-                          for k, v in entry.get("delta_counts", {}).items()}
-                profiles.append(fibration.FiberNodeProfile(
-                    g=_int_field(entry, "g"),
-                    g_geo=_int_field(entry, "g_geo"),
-                    l=_int_field(entry, "l"),
-                    delta_counts=counts,
-                ))
-            except (ValueError, AttributeError) as exc:
-                raise InputError(f"field 'profiles[{idx}]': {exc}")
-    return inv, nodes, profiles
-
-
-def _record_to_json(inv: fibration.FibrationInvariants) -> dict:
-    """Serialize invariants in the shape ``audit`` accepts back."""
-    return {
-        "schema_version": RECORD_SCHEMA_VERSION,
-        "g": inv.g,
-        "g_C": inv.g_C,
-        "s": inv.s,
-        "chi": _exact(inv.chi),
-        "omega_sq": _exact(inv.omega_sq),
-        "delta": _exact(inv.delta),
-        "hyperelliptic": inv.hyperelliptic,
-        "semistable": inv.semistable,
-    }
+        return from_json(obj)
+    except InputError as exc:
+        raise InputError(f"{kind}: {exc}") from None
 
 
 def _print_audit_report(report: fibration.AuditReport) -> None:
@@ -210,7 +82,7 @@ def _print_audit_report(report: fibration.AuditReport) -> None:
         line = f"  [{check.status:>7}] {check.check}"
         if check.lhs is not None and check.rhs is not None:
             op = "<" if check.strict else "vs"
-            line += f"  ({_exact(check.lhs)} {op} {_exact(check.rhs)})"
+            line += f"  ({check.lhs} {op} {check.rhs})"
         if check.note:
             line += f"  -- {check.note}"
         print(line)
@@ -221,11 +93,11 @@ def _print_audit_report(report: fibration.AuditReport) -> None:
 # audit
 
 def _cmd_audit(args) -> int:
-    obj = _load_json(args.record)
-    inv, nodes, profiles = _record_from_json(obj)
+    inv, nodes, profiles = _read(args.record, jsonio.audit_input_from_json,
+                                 "record")
     report = fibration.audit(inv, nodes=nodes, profiles=profiles)
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(jsonio.dumps(jsonio.audit_report_to_json(report)))
     else:
         print(f"record: genus-{inv.g} fibration over a genus-{inv.g_C} base, "
               f"{inv.s} critical fibers")
@@ -246,17 +118,15 @@ def _direction_text(direction) -> str:
     if isinstance(direction, ConjugateDirections):
         return ("conjugate directions, min-poly coefficients "
                 f"{list(direction.min_poly)}")
-    return _exact(direction)
+    return str(Fraction(direction))
 
 
 def _direction_json(direction):
     if direction is None:
         return None
-    if direction == germs.INFINITY:
-        return "infinity"
     if isinstance(direction, ConjugateDirections):
         return {"conjugate_min_poly": list(direction.min_poly)}
-    return _exact(direction)
+    return _direction_text(direction)
 
 
 def _trace_point_json(point) -> dict:
@@ -298,16 +168,15 @@ def _cmd_resolve(args) -> int:
     label = datum_mod._overall_label(trace)
     mults = trace.multiplicities()
     if args.json:
-        print(json.dumps({
-            "schema_version": 1,
-            "germ": str(germ),
-            "multiplicities": mults,
-            "classification": label,
-            "terminal_smooth": trace.terminal_smooth,
-            "sum_k_km1": trace.sum_k_km1,
-            "sum_km1_sq": trace.sum_km1_sq,
-            "trace": _trace_point_json(trace.root) if trace.root else None,
-        }, indent=2))
+        print(jsonio.dumps(jsonio.versioned(
+            germ=str(germ),
+            multiplicities=mults,
+            classification=label,
+            terminal_smooth=trace.terminal_smooth,
+            sum_k_km1=trace.sum_k_km1,
+            sum_km1_sq=trace.sum_km1_sq,
+            trace=_trace_point_json(trace.root) if trace.root else None,
+        )))
         return EXIT_OK
 
     print(f"germ: {germ}")
@@ -327,9 +196,9 @@ def _cmd_resolve(args) -> int:
 def _invariants_block(report: datum_mod.DatumInvariantsReport) -> dict:
     inv = report.invariants
     return {
-        "record": _record_to_json(inv),
-        "slope": _exact(report.slope),
-        "speed": _exact(report.speed),
+        "record": jsonio.record_to_json(inv),
+        "slope": str(report.slope),
+        "speed": str(report.speed),
         "sum_k_km1": report.sum_k_km1,
         "sum_km1_sq": report.sum_km1_sq,
     }
@@ -342,7 +211,7 @@ def _cmd_example(args) -> int:
         raise InputError(str(exc))
 
     if args.emit_json:
-        print(json.dumps(datum_mod.datum_to_json(fam.datum), indent=2))
+        print(jsonio.dumps(jsonio.datum_to_json(fam.datum)))
         return EXIT_OK
 
     report = fam.report(max_depth=_max_depth())
@@ -353,24 +222,23 @@ def _cmd_example(args) -> int:
                and report.speed == fam.expected_speed)
 
     if args.json:
-        print(json.dumps({
-            "schema_version": 1,
-            "family": fam.name,
-            "genus": inv.g,
-            "datum": datum_mod.datum_to_json(fam.datum),
-            "computed": _invariants_block(report),
-            "expected": {
-                "chi": _exact(fam.expected_chi),
-                "omega_sq": _exact(fam.expected_omega_sq),
-                "slope": _exact(fam.expected_slope),
-                "speed": _exact(fam.expected_speed),
+        print(jsonio.dumps(jsonio.versioned(
+            family=fam.name,
+            genus=inv.g,
+            datum=jsonio.datum_to_json(fam.datum),
+            computed=_invariants_block(report),
+            expected={
+                "chi": str(Fraction(fam.expected_chi)),
+                "omega_sq": str(Fraction(fam.expected_omega_sq)),
+                "slope": str(Fraction(fam.expected_slope)),
+                "speed": str(Fraction(fam.expected_speed)),
             },
-            "matches": matches,
-            "semistable": {
+            matches=matches,
+            semistable={
                 "passed": report.semistable.passed,
                 "failures": list(report.semistable.failures),
             },
-        }, indent=2))
+        )))
     else:
         d = fam.datum
         print(f"family: {fam.name} (genus {inv.g})")
@@ -401,7 +269,7 @@ def _table_json(t) -> dict:
         "rows": [
             {
                 "label": row.label,
-                "cells": [{"exact": _exact(v), "decimal": d}
+                "cells": [{"exact": str(Fraction(v)), "decimal": d}
                           for (v, d) in row.cells],
             }
             for row in t.rows
@@ -413,8 +281,8 @@ def _cmd_tables(args) -> int:
     which = [1, 2, 3] if args.which == "all" else [int(args.which)]
     tabs = [table(w) for w in which]
     if args.json:
-        print(json.dumps({"schema_version": 1,
-                          "tables": [_table_json(t) for t in tabs]}, indent=2))
+        print(jsonio.dumps(jsonio.versioned(
+            tables=[_table_json(t) for t in tabs])))
         return EXIT_OK
     if args.format == "csv":
         chunks = [render_csv(t) for t in tabs]
@@ -431,13 +299,7 @@ def _cmd_tables(args) -> int:
 # hurwitz
 
 def _cmd_hurwitz(args) -> int:
-    obj = _load_json(args.datum)
-    if not isinstance(obj, dict):
-        raise InputError("branch datum document must be a JSON object")
-    try:
-        b = hurwitz.branch_datum_from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError(f"branch datum: {exc}")
+    b = _read(args.datum, jsonio.branch_datum_from_json, "branch datum")
 
     failure = None
     solved = None
@@ -457,14 +319,13 @@ def _cmd_hurwitz(args) -> int:
         realizability = hurwitz.is_realizable(checked)
 
     if args.json:
-        print(json.dumps({
-            "schema_version": 1,
-            "datum": hurwitz.branch_datum_to_json(b),
-            "compatible": failure is None,
-            "failure": failure,
-            "solved_source_genus": solved,
-            "realizability": realizability,
-        }, indent=2))
+        print(jsonio.dumps(jsonio.versioned(
+            datum=jsonio.branch_datum_to_json(b),
+            compatible=failure is None,
+            failure=failure,
+            solved_source_genus=solved,
+            realizability=realizability,
+        )))
     else:
         parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
                          for part in b.partitions)
@@ -493,9 +354,6 @@ def _print_datum_report(d, report, audit_report) -> None:
     print("validation: ok")
     print("germ traces:")
     for s in report.traces:
-        if s.germ is None:
-            print(f"  {s.fiber_label}: declared negligible fiber")
-            continue
         print(f"  {s.fiber_label}: {s.germ} -> multiplicities "
               f"{list(s.multiplicities)}, {s.classification}")
     print(f"sum k(k-1) = {report.sum_k_km1}, "
@@ -517,22 +375,15 @@ def _print_datum_report(d, report, audit_report) -> None:
 
 
 def _cmd_datum(args) -> int:
-    obj = _load_json(args.datum)
-    if not isinstance(obj, dict):
-        raise InputError("datum document must be a JSON object")
-    try:
-        d = datum_mod.datum_from_json(obj)
-    except ValueError as exc:
-        raise InputError(f"datum: {exc}")
+    d = _read(args.datum, jsonio.datum_from_json, "datum")
 
     violations = datum_mod.validate(d)
     if violations:
         if args.json:
-            print(json.dumps({
-                "schema_version": 1,
-                "datum": datum_mod.datum_to_json(d),
-                "violations": violations,
-            }, indent=2))
+            print(jsonio.dumps(jsonio.versioned(
+                datum=jsonio.datum_to_json(d),
+                violations=violations,
+            )))
         else:
             print("validation: FAILED")
             for v in violations:
@@ -551,26 +402,25 @@ def _cmd_datum(args) -> int:
     ok = report.semistable.passed and audit_report.passed
 
     if args.json:
-        print(json.dumps({
-            "schema_version": 1,
-            "datum": datum_mod.datum_to_json(d),
-            "violations": [],
-            "invariants": _invariants_block(report),
-            "traces": [
+        print(jsonio.dumps(jsonio.versioned(
+            datum=jsonio.datum_to_json(d),
+            violations=[],
+            invariants=_invariants_block(report),
+            traces=[
                 {
                     "fiber": s.fiber_label,
-                    "germ": None if s.germ is None else str(s.germ),
+                    "germ": str(s.germ),
                     "multiplicities": list(s.multiplicities),
                     "classification": s.classification,
                 }
                 for s in report.traces
             ],
-            "semistable": {
+            semistable={
                 "passed": report.semistable.passed,
                 "failures": list(report.semistable.failures),
             },
-            "audit": audit_report.to_json(),
-        }, indent=2))
+            audit=jsonio.audit_report_to_json(audit_report),
+        )))
     else:
         _print_datum_report(d, report, audit_report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -640,26 +490,25 @@ def _cmd_search(args) -> int:
     record = constructions.best_known(g)
 
     if args.json:
-        print(json.dumps({
-            "schema_version": 1,
-            "experimental": True,
-            "genus": g,
-            "grid": {"a_max": a_max, "b_max": b_max, "max_n": args.max_n},
-            "best_known": {"value": _exact(record.value),
-                           "witness": record.witness},
-            "candidates": [
+        print(jsonio.dumps(jsonio.versioned(
+            experimental=True,
+            genus=g,
+            grid={"a_max": a_max, "b_max": b_max, "max_n": args.max_n},
+            best_known={"value": str(Fraction(record.value)),
+                        "witness": record.witness},
+            candidates=[
                 {
                     "germ": text,
                     "n": n,
-                    "speed": _exact(speed),
-                    "slope": _exact(rep.slope),
-                    "chi": _exact(rep.invariants.chi),
+                    "speed": str(speed),
+                    "slope": str(rep.slope),
+                    "chi": str(rep.invariants.chi),
                     "semistable": True,
                 }
                 for (speed, n, text, rep) in top
             ],
-            "rejected": rejected,
-        }, indent=2))
+            rejected=rejected,
+        )))
     else:
         print("experimental search -- results carry no claim beyond the "
               "checks shown")

@@ -37,8 +37,6 @@ from .germs import (
     parse_germ,
 )
 
-SCHEMA_VERSION = 1
-
 
 class InvalidDatum(ValueError):
     """Raised when invariants are requested for a datum that fails validation."""
@@ -309,74 +307,3 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
         semistable=verdict,
     )
 
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-def datum_to_json(d: GenusGDatum) -> dict:
-    """Plain-JSON form of a datum; germs are rendered in the germ grammar."""
-    fibers = []
-    for fib in d.critical_fibers:
-        entry: dict = {"label": fib.label, "germs": [str(g) for g in fib.germs]}
-        if fib.negligible_marker:
-            entry["negligible"] = True
-        fibers.append(entry)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "g": d.g,
-        "g_C": d.g_C,
-        "e": d.e,
-        "n": d.n,
-        "declared_m": d.declared_m,
-        "simple_ramification": d.simple_ramification,
-        "c0_in_branch": d.c0_in_branch,
-        "critical_fibers": fibers,
-    }
-
-
-def datum_from_json(obj) -> GenusGDatum:
-    """Inverse of datum_to_json.
-
-    A missing schema_version is read as version 1; any other version is
-    rejected.  Raises ValueError on malformed input (missing fields, bad germ
-    strings, wrong types).
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("datum JSON must be an object")
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {version!r}")
-    try:
-        raw_fibers = obj["critical_fibers"]
-        if not isinstance(raw_fibers, list):
-            raise ValueError("critical_fibers must be a list")
-        fibers = []
-        for k, entry in enumerate(raw_fibers):
-            if not isinstance(entry, dict) or "label" not in entry:
-                raise ValueError("each critical fiber needs at least a label")
-            germ_texts = entry.get("germs", [])
-            if not isinstance(germ_texts, list):
-                raise ValueError(f"critical_fibers[{k}].germs must be a list")
-            for n, text in enumerate(germ_texts):
-                if not isinstance(text, str):
-                    raise ValueError(f"critical_fibers[{k}].germs[{n}] must be a germ "
-                                     f"string, got {type(text).__name__}")
-            fibers.append(
-                CriticalFiber(
-                    label=str(entry["label"]),
-                    germs=tuple(germ_texts),
-                    negligible_marker=bool(entry.get("negligible", False)),
-                )
-            )
-        return GenusGDatum(
-            g=int(obj["g"]),
-            g_C=int(obj["g_C"]),
-            e=int(obj["e"]),
-            n=int(obj["n"]),
-            critical_fibers=tuple(fibers),
-            declared_m=int(obj.get("declared_m", 0)),
-            simple_ramification=bool(obj.get("simple_ramification", True)),
-            c0_in_branch=bool(obj.get("c0_in_branch", False)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"datum JSON missing field {exc.args[0]!r}") from None

@@ -29,7 +29,6 @@ __all__ = [
     "noether_delta",
     "relative_from_absolute",
     "fiber_delta",
-    "is_compact_type",
     "r_f",
     "delta_f",
     "nu",
@@ -180,11 +179,6 @@ def fiber_delta(g: int, g_geo: int, l: int) -> int:
     return g - g_geo + l - 1
 
 
-def is_compact_type(g: int, g_geo: int) -> bool:
-    """No non-separating nodes: the geometric genus is the full genus."""
-    return g_geo == g
-
-
 def r_f(nodes: StableModelNodes) -> Fraction:
     """Sum of 1/(m_q + 1) over the nodes of the stable model."""
     return sum((Fraction(1, m + 1) for m in nodes.node_indices), Fraction(0))
@@ -237,18 +231,6 @@ class AuditCheck:
     strict: bool = False
     note: str = ""
 
-    def to_json(self) -> dict:
-        out = {
-            "check": self.check,
-            "status": self.status,
-            "lhs": _rat_str(self.lhs),
-            "rhs": _rat_str(self.rhs),
-            "strict": self.strict,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 @dataclass
 class AuditReport:
@@ -261,16 +243,6 @@ class AuditReport:
     @property
     def failures(self) -> list[AuditCheck]:
         return [c for c in self.checks if c.status == "fail"]
-
-    def to_json(self) -> dict:
-        return {"schema_version": 1, "checks": [c.to_json() for c in self.checks]}
-
-
-def _rat_str(x) -> str | None:
-    if x is None:
-        return None
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,

@@ -53,7 +53,6 @@ __all__ = [
     "ResolutionTrace",
     "INFINITY",
     "parse_germ",
-    "multiplicity",
     "even_blow_up",
     "even_resolve",
     "classify",
@@ -147,11 +146,6 @@ class Germ:
 
     def __repr__(self):
         return f"Germ({str(self)!r})"
-
-
-def multiplicity(g: Germ) -> int:
-    """Multiplicity of the germ at the origin (min total degree)."""
-    return g.multiplicity
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,6 @@ __all__ = [
     "solve_source_genus",
     "is_realizable",
     "ramification_genus",
-    "branch_datum_to_json",
-    "branch_datum_from_json",
-    "NonIntegralGenus",
     "NegativeGenus",
     "ParityViolation",
     "IncompatibleDatum",
@@ -43,10 +40,6 @@ UNKNOWN = "Unknown"
 
 class ParityViolation(ValueError):
     """m*d - m_parts is odd: no cover can carry this ramification."""
-
-
-class NonIntegralGenus(ParityViolation):
-    """The solved genus is not an integer (equivalent to a parity failure)."""
 
 
 class NegativeGenus(ValueError):
@@ -107,10 +100,8 @@ def solve_source_genus(g_target: int, m: int, d: int, partitions) -> int:
     probe = BranchDatum(None, g_target, m, d, tuple(partitions))
     if (m * d - probe.total_parts) % 2 != 0:
         raise ParityViolation(f"m*d - parts = {m * d - probe.total_parts} is odd")
-    doubled = 2 - probe.total_parts - d * (2 - 2 * g_target - m)
-    if doubled % 2 != 0:  # unreachable: equivalent to the parity test above
-        raise NonIntegralGenus(f"2*g = {doubled} is odd")
-    g = doubled // 2
+    # The parity test makes 2*g even, so this division is exact.
+    g = (2 - probe.total_parts - d * (2 - 2 * g_target - m)) // 2
     if g < 0:
         raise NegativeGenus(f"solved genus {g} is negative")
     return g
@@ -139,43 +130,3 @@ def is_realizable(b: BranchDatum) -> str:
         return REALIZABLE
     return UNKNOWN
 
-
-# ---------------------------------------------------------------------------
-# JSON round trip
-
-def branch_datum_to_json(b: BranchDatum) -> dict:
-    out = {
-        "schema_version": 1,
-        "g_target": b.g_target,
-        "m": b.m,
-        "d": b.d,
-        "partitions": [list(p) for p in b.partitions],
-    }
-    if b.g_source is not None:
-        out["g_source"] = b.g_source
-    return out
-
-
-def branch_datum_from_json(payload: dict) -> BranchDatum:
-    """Inverse of branch_datum_to_json.  Raises ValueError naming the field
-    when a number is not an integer, KeyError for a missing field."""
-    version = payload.get("schema_version", 1)
-    if version != 1:
-        raise ValueError(f"unsupported schema_version {version}")
-    g_source = payload.get("g_source")
-    if g_source is not None:
-        _require_int("g_source", g_source)
-    g_target, m, d = (_require_int(name, payload[name]) for name in ("g_target", "m", "d"))
-    partitions = payload["partitions"]
-    if not isinstance(partitions, list) or not all(isinstance(p, list) for p in partitions):
-        raise ValueError("partitions must be a list of lists of integers")
-    for k, p in enumerate(partitions):
-        for n, part in enumerate(p):
-            _require_int(f"partitions[{k}][{n}]", part)
-    return BranchDatum(g_source, g_target, m, d, tuple(tuple(p) for p in partitions))
-
-
-def _require_int(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value

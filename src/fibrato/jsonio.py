@@ -1,0 +1,299 @@
+"""The JSON boundary: the schema version, typed field readers, and the
+reader/writer pair of each document (invariant record, cover datum, branch
+datum).
+
+Integers are JSON integers, flags are ``true``/``false``, rationals are
+integers or ``"p/q"`` strings (written as ``str(Fraction(x))``); an optional
+field may be absent or ``null``.  A malformed value raises InputError naming
+its JSON path, such as ``critical_fibers[0].germs[1]``.  The domain modules
+know nothing of JSON: this module imports them, never the reverse.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from fractions import Fraction
+
+from .datum import CriticalFiber, GenusGDatum
+from .fibration import AuditReport, FiberNodeProfile, FibrationInvariants, StableModelNodes
+from .germs import Germ, parse_germ
+from .hurwitz import BranchDatum
+
+SCHEMA_VERSION = 1
+
+
+class InputError(ValueError):
+    """Malformed input: a file, JSON text, schema or field value."""
+
+
+_REQUIRED = object()
+
+
+# ---------------------------------------------------------------------------
+# files and versioned documents
+
+def load(path: str):
+    """Parse the JSON document in a file, or on standard input when path is "-"."""
+    if path == "-":
+        name, text = "<stdin>", sys.stdin.read()
+    else:
+        name = path
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{name}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
+        raise InputError(f"{name}: unreadable JSON: {exc}")
+
+
+def dumps(doc: dict) -> str:
+    """The text of an output document."""
+    return json.dumps(doc, indent=2)
+
+
+def versioned(**fields) -> dict:
+    """An output document: the schema version, then the given fields."""
+    return {"schema_version": SCHEMA_VERSION, **fields}
+
+
+def _read_document(obj) -> dict:
+    obj = _object(obj, "the document")
+    version = _field(obj, "schema_version", _int, default=SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise InputError(
+            f"unsupported schema_version {version} (expected {SCHEMA_VERSION})")
+    return obj
+
+
+# ---------------------------------------------------------------------------
+# typed readers: each takes a JSON value and its path
+
+def _typed(kind: type, what: str):
+    """A reader of one JSON type; ``true`` is not an integer, nor ``2.0``."""
+    def read(value, path: str):
+        if type(value) is not kind:
+            raise InputError(f"{path} must be {what}, got {type(value).__name__}")
+        return value
+    return read
+
+
+_int = _typed(int, "an integer")
+_bool = _typed(bool, "true or false")
+_str = _typed(str, "a string")
+_list = _typed(list, "a list")
+_object = _typed(dict, "an object")
+_rational_text = _typed(str, "an integer or 'p/q' string")
+_germ_text = _typed(str, "a germ string")
+_partition_list = _typed(list, "a list of lists of integers")
+
+
+_P_Q = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _rational(value, path: str) -> Fraction:
+    if type(value) is int:
+        return Fraction(value)
+    text = _rational_text(value, path)
+    try:
+        if _P_Q.fullmatch(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or q = 0
+        pass
+    raise InputError(f"{path}: cannot parse {text!r} as a rational")
+
+
+def _list_of(read):
+    """A reader of JSON arrays whose elements ``read`` reads, each at its own path."""
+    def read_list(value, path: str) -> list:
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(_list(value, path))]
+    return read_list
+
+
+def _field(obj: dict, key: str, read, path: str = "", default=_REQUIRED):
+    """Read ``obj[key]``; an optional field that is absent or null gives the default."""
+    where = f"{path}.{key}" if path else key
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if key not in obj:
+        raise InputError(f"missing field {where!r}")
+    return read(value, where)
+
+
+def _build(cls, path: str, **fields):
+    """Construct a domain object; its own range checks become input errors."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}" if path else str(exc)) from None
+
+
+# ---------------------------------------------------------------------------
+# field tables: (key, reader[, default]), written in table order.  The key is
+# also the attribute of the domain object; a field without a default is required.
+
+def _read_fields(obj: dict, table) -> dict:
+    return {key: _field(obj, key, read, "", *default) for key, read, *default in table}
+
+
+def _write_fields(item, table) -> dict:
+    values = ((key, getattr(item, key)) for key, *_ in table)
+    return {key: str(v) if isinstance(v, Fraction) else v for key, v in values}
+
+
+# ---------------------------------------------------------------------------
+# invariant record
+
+_RECORD = (
+    ("g", _int), ("g_C", _int), ("s", _int),
+    ("chi", _rational), ("omega_sq", _rational), ("delta", _rational),
+    ("hyperelliptic", _bool, False), ("semistable", _bool, True),
+)
+
+
+def record_to_json(inv: FibrationInvariants) -> dict:
+    """The record in the shape ``record_from_json`` reads back."""
+    return versioned(**_write_fields(inv, _RECORD))
+
+
+def record_from_json(obj) -> FibrationInvariants:
+    """The invariants of a record document."""
+    return _build(FibrationInvariants, "", **_read_fields(_read_document(obj), _RECORD))
+
+
+def audit_input_from_json(obj):
+    """The arguments of ``fibration.audit`` in a record document:
+    (invariants, nodes, profiles), the last two None when absent."""
+    inv = record_from_json(obj)
+    nodes = _field(obj, "nodes", _nodes, default=None)
+    profiles = _field(obj, "profiles", _list_of(_profile), default=None)
+    return inv, nodes, profiles
+
+
+def _nodes(value, path: str) -> StableModelNodes:
+    return _build(StableModelNodes, path, node_indices=tuple(_list_of(_int)(value, path)))
+
+
+def _profile(value, path: str) -> FiberNodeProfile:
+    entry = _object(value, path)
+    return _build(
+        FiberNodeProfile, path,
+        g=_field(entry, "g", _int, path),
+        g_geo=_field(entry, "g_geo", _int, path),
+        l=_field(entry, "l", _int, path),
+        delta_counts=_field(entry, "delta_counts", _delta_counts, path, default={}),
+    )
+
+
+def _delta_counts(value, path: str) -> dict[int, int]:
+    """Node counts keyed by the separated genus; JSON keys are digit strings."""
+    counts = {}
+    for key, count in _object(value, path).items():
+        try:
+            index = int(key) if key.isascii() and key.isdigit() else -1
+        except ValueError:  # more digits than int() converts
+            index = -1
+        if index < 0:
+            raise InputError(f"{path}: key {key!r} is not a non-negative integer")
+        counts[index] = _int(count, f"{path}[{key!r}]")
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# audit report
+
+def audit_report_to_json(report: AuditReport) -> dict:
+    checks = []
+    for c in report.checks:
+        entry = {
+            "check": c.check,
+            "status": c.status,
+            "lhs": None if c.lhs is None else str(Fraction(c.lhs)),
+            "rhs": None if c.rhs is None else str(Fraction(c.rhs)),
+            "strict": c.strict,
+        }
+        if c.note:
+            entry["note"] = c.note
+        checks.append(entry)
+    return versioned(checks=checks)
+
+
+# ---------------------------------------------------------------------------
+# cover datum
+
+_DATUM = (
+    ("g", _int), ("g_C", _int), ("e", _int), ("n", _int), ("declared_m", _int, 0),
+    ("simple_ramification", _bool, True), ("c0_in_branch", _bool, False),
+)
+
+
+def datum_to_json(d: GenusGDatum) -> dict:
+    """Plain-JSON form of a datum; germs are rendered in the germ grammar."""
+    fibers = []
+    for fib in d.critical_fibers:
+        entry: dict = {"label": fib.label, "germs": [str(g) for g in fib.germs]}
+        if fib.negligible_marker:
+            entry["negligible"] = True
+        fibers.append(entry)
+    return versioned(**_write_fields(d, _DATUM), critical_fibers=fibers)
+
+
+def datum_from_json(obj) -> GenusGDatum:
+    """Inverse of datum_to_json."""
+    obj = _read_document(obj)
+    fibers = _field(obj, "critical_fibers", _list_of(_fiber))
+    return _build(GenusGDatum, "", **_read_fields(obj, _DATUM), critical_fibers=tuple(fibers))
+
+
+def _fiber(value, path: str) -> CriticalFiber:
+    entry = _object(value, path)
+    return CriticalFiber(
+        label=_field(entry, "label", _str, path),
+        germs=tuple(_field(entry, "germs", _list_of(_germ), path, default=[])),
+        negligible_marker=_field(entry, "negligible", _bool, path, default=False),
+    )
+
+
+def _germ(value, path: str) -> Germ:
+    text = _germ_text(value, path)
+    try:
+        return parse_germ(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, or nested too deep
+        raise InputError(f"{path}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# branch datum
+
+def _partitions(value, path: str) -> list[tuple[int, ...]]:
+    return [tuple(_int(part, f"{path}[{k}][{n}]")
+                  for n, part in enumerate(_partition_list(p, path)))
+            for k, p in enumerate(_partition_list(value, path))]
+
+
+def branch_datum_to_json(b: BranchDatum) -> dict:
+    out = versioned(
+        g_target=b.g_target,
+        m=b.m,
+        d=b.d,
+        partitions=[list(p) for p in b.partitions],
+    )
+    if b.g_source is not None:
+        out["g_source"] = b.g_source
+    return out
+
+
+_BRANCH = (("g_target", _int), ("m", _int), ("d", _int), ("partitions", _partitions),
+           ("g_source", _int, None))
+
+
+def branch_datum_from_json(obj) -> BranchDatum:
+    """Inverse of branch_datum_to_json; a null or absent g_source is unsolved."""
+    return _build(BranchDatum, "", **_read_fields(_read_document(obj), _BRANCH))

@@ -6,6 +6,7 @@ output and the returned exit status (0 pass, 1 check failure, 2 bad input).
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 
@@ -13,7 +14,8 @@ import pytest
 
 from fibrato.cli import main
 from fibrato.constructions import FAMILY_NAMES, family
-from fibrato.datum import CriticalFiber, GenusGDatum, datum_to_json
+from fibrato.datum import CriticalFiber, GenusGDatum
+from fibrato.jsonio import datum_to_json
 
 
 def run(capsys, *argv):
@@ -26,6 +28,17 @@ def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def with_field(doc, path, value):
+    """A copy of doc with the field at path (a tuple of keys) set to value."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +191,16 @@ def test_emit_json_pipes_into_datum_with_identical_invariants(
 
     assert datum_doc["invariants"] == example_doc["computed"]
     assert datum_doc["semistable"]["passed"] is True
+
+
+@pytest.mark.parametrize("name,genus", EXAMPLE_INSTANCES)
+def test_example_record_block_passes_audit(capsys, tmp_path, name, genus):
+    argv = ["example", name, "--json"] + ([] if genus is None else ["--genus", str(genus)])
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)["computed"]["record"]
+    code, out, _ = run(capsys, "audit", write_json(tmp_path, "rec.json", record))
+    assert code == 0
+    assert "audit: pass" in out
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +381,7 @@ def test_hurwitz_malformed_partitions_exit_2(capsys, tmp_path):
     ("g_source", True, "g_source"),
     ("partitions", [[3], ["3"], [3]], "partitions[1][0]"),
     ("partitions", [[3], [1.5, 1.5], [3]], "partitions[1][0]"),
+    ("d", [3], "d"),
 ])
 def test_hurwitz_non_integer_field_is_named(capsys, tmp_path, field, value, name):
     path = write_json(tmp_path, "b.json", dict(TRIPLE_COVER, **{field: value}))
@@ -428,19 +452,71 @@ def test_datum_non_hyperbolic_quotient_exits_1(capsys, tmp_path):
     assert "speed undefined" in out
 
 
-@pytest.mark.parametrize("germs, message", [
-    ([5], "critical_fibers[0].germs[0] must be a germ string, got int"),
-    (["y^2 - z^4", None], "critical_fibers[0].germs[1] must be a germ string, got NoneType"),
-    ("y^2 - z^4", "critical_fibers[0].germs must be a list"),
+GERMS_0 = ("critical_fibers", 0, "germs")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    pytest.param(GERMS_0, [5], "critical_fibers[0].germs[0] must be a germ string, got int",
+                 id="germ-int"),
+    pytest.param(GERMS_0, ["y^2 - z^4", None],
+                 "critical_fibers[0].germs[1] must be a germ string, got NoneType",
+                 id="germ-null"),
+    pytest.param(GERMS_0, "y^2 - z^4", "critical_fibers[0].germs must be a list",
+                 id="germs-str"),
+    pytest.param(("g",), [2], "datum: g must be an integer, got list", id="g-list"),
+    pytest.param(("g",), None, "datum: g must be an integer, got NoneType", id="g-null"),
+    pytest.param(("g",), 2.9, "datum: g must be an integer, got float", id="g-float"),
+    pytest.param(("g",), "3", "datum: g must be an integer, got str", id="g-str"),
+    pytest.param(("n",), True, "datum: n must be an integer, got bool", id="n-bool"),
 ])
-def test_datum_malformed_germ_entry_exits_2(capsys, tmp_path, germs, message):
-    doc = datum_to_json(family("genus2").datum)
-    doc["critical_fibers"][0]["germs"] = germs
+def test_datum_malformed_germ_entry_exits_2(capsys, tmp_path, field, value, message):
+    doc = with_field(datum_to_json(family("genus2").datum), field, value)
     path = write_json(tmp_path, "d.json", doc)
     code, _, err = run(capsys, "datum", path)
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+PROFILED_RECORD = dict(GOOD_RECORD, profiles=[
+    {"g": 3, "g_geo": 2, "l": 1, "delta_counts": {"0": 1}}])
+COUNT_0 = ("profiles", 0, "delta_counts", "0")
+
+
+@pytest.mark.parametrize("command, field, value, message", [
+    ("datum", ("critical_fibers", 0, "negligible"), "false",
+     "datum: critical_fibers[0].negligible must be true or false"),
+    ("datum", ("simple_ramification",), "false",
+     "datum: simple_ramification must be true or false"),
+    ("datum", ("c0_in_branch",), "false", "datum: c0_in_branch must be true or false"),
+    ("audit", ("hyperelliptic",), "false", "record: hyperelliptic must be true or false"),
+    ("audit", ("semistable",), "false", "record: semistable must be true or false"),
+    ("audit", COUNT_0, None, "record: profiles[0].delta_counts['0'] must be an integer"),
+    ("audit", COUNT_0, 1.5, "record: profiles[0].delta_counts['0'] must be an integer"),
+    ("audit", COUNT_0[:-1], {"x": 1},
+     "record: profiles[0].delta_counts: key 'x' is not a non-negative integer"),
+    ("audit", COUNT_0[:-1], {"9" * 5000: 1}, "is not a non-negative integer"),
+    ("datum", GERMS_0, ["(" * 2000 + "y" + ")" * 2000], "datum: critical_fibers[0].germs[0]: "),
+    ("audit", ("chi",), "1.5", "record: chi: cannot parse '1.5' as a rational"),
+], ids=["negligible", "simple_ramification", "c0_in_branch", "hyperelliptic", "semistable",
+        "count-null", "count-float", "count-key", "count-long-key", "germ-deep", "chi-decimal"])
+def test_malformed_field_exits_2_and_is_named(capsys, tmp_path, command, field, value,
+                                              message):
+    doc = {"datum": datum_to_json(family("genus2").datum), "audit": PROFILED_RECORD}[command]
+    path = write_json(tmp_path, "doc.json", with_field(doc, field, value))
+    code, out, err = run(capsys, command, path)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, "[" * 100000], ids=["digits", "nesting"])
+def test_unreadable_json_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "audit", str(path))
+    assert code == 2
+    assert "unreadable JSON" in err
 
 
 def test_datum_reads_stdin_dash(capsys, monkeypatch, tmp_path):

@@ -25,9 +25,10 @@ from fibrato.constructions import (
     odd_genus,
     _quartic_frame,
 )
-from fibrato.datum import datum_from_json, datum_to_json, invariants, validate
+from fibrato.datum import invariants, validate
 from fibrato.fibration import FibrationInvariants, audit, slope, speed
 from fibrato.hurwitz import REALIZABLE, is_compatible, is_realizable, solve_source_genus
+from fibrato.jsonio import datum_from_json, datum_to_json
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ def test_strict_audits_pass_for_all_families():
     for fam in _admissible_instances():
         rep = fam.report()
         report = audit(rep.invariants)
-        assert report.passed, (fam.name, fam.datum.g, [c.to_json() for c in report.failures])
+        assert report.passed, (fam.name, fam.datum.g, report.failures)
 
 
 def test_families_respect_low_base_speed_bound():

@@ -12,13 +12,12 @@ from fibrato.datum import (
     CriticalFiber,
     GenusGDatum,
     InvalidDatum,
-    datum_from_json,
-    datum_to_json,
     invariants,
     semistable_check,
     validate,
 )
 from fibrato.fibration import NonHyperbolicBase, audit
+from fibrato.jsonio import datum_from_json, datum_to_json
 from fibrato.germs import DepthOverflow, parse_germ
 
 
@@ -280,7 +279,7 @@ def test_noether_and_strict_audits_pass(datum):
     inv = rep.invariants
     assert inv.delta == 12 * inv.chi - inv.omega_sq
     report = audit(inv)
-    assert report.passed, [c.to_json() for c in report.failures]
+    assert report.passed, report.failures
     by_name = {c.check: c for c in report.checks}
     assert by_name["noether-identity"].status == "pass"
     assert by_name["arakelov-speed"].status == "pass"

@@ -18,7 +18,6 @@ from fibrato.fibration import (
     canonical_class_bound,
     delta_f,
     fiber_delta,
-    is_compact_type,
     noether_delta,
     nu,
     omega_upper_bound,
@@ -27,6 +26,7 @@ from fibrato.fibration import (
     slope,
     speed,
 )
+from fibrato.jsonio import audit_report_to_json
 
 
 def _inv(g=3, g_C=0, s=5, chi=3, omega_sq=8, delta=28, **kw):
@@ -108,7 +108,8 @@ def test_fiber_delta():
     assert fiber_delta(3, 3, 4) == 3
     assert fiber_delta(5, 0, 1) == 5
     assert fiber_delta(2, 0, 1) == 2
-    assert is_compact_type(3, 3) and not is_compact_type(3, 2)
+    assert (FiberNodeProfile(3, 3, 1, {}).is_compact_type
+            and not FiberNodeProfile(3, 2, 1, {}).is_compact_type)
     with pytest.raises(ValueError):
         fiber_delta(3, 4, 1)
     with pytest.raises(ValueError):
@@ -251,7 +252,7 @@ def test_profile_validation():
 
 
 def test_report_json_shape():
-    payload = audit(_inv()).to_json()
+    payload = audit_report_to_json(audit(_inv()))
     assert payload["schema_version"] == 1
     first = payload["checks"][0]
     assert set(first) >= {"check", "status", "lhs", "rhs", "strict"}

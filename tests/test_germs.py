@@ -24,7 +24,6 @@ from fibrato.germs import (
     classify,
     even_blow_up,
     even_resolve,
-    multiplicity,
     parse_germ,
 )
 from fibrato.germs import _branch_data, _factor_list, _shift_second
@@ -87,9 +86,9 @@ def test_str_round_trip_examples():
 
 
 def test_multiplicity():
-    assert multiplicity(parse_germ("y^2 - z^4")) == 2
-    assert multiplicity(parse_germ("z*(y^3 - z^5)")) == 4
-    assert multiplicity(parse_germ("y - z^3")) == 1
+    assert parse_germ("y^2 - z^4").multiplicity == 2
+    assert parse_germ("z*(y^3 - z^5)").multiplicity == 4
+    assert parse_germ("y - z^3").multiplicity == 1
 
 
 # ---------------------------------------------------------------------------

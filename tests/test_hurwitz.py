@@ -10,13 +10,12 @@ from fibrato.hurwitz import (
     IncompatibleDatum,
     NegativeGenus,
     ParityViolation,
-    branch_datum_from_json,
-    branch_datum_to_json,
     is_compatible,
     is_realizable,
     ramification_genus,
     solve_source_genus,
 )
+from fibrato.jsonio import branch_datum_from_json, branch_datum_to_json
 
 
 def test_validation():

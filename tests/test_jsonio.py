@@ -1,0 +1,107 @@
+"""The JSON boundary: readers never fail with anything but InputError, and
+every writer's output reads back to the same object."""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fibrato.constructions import FAMILY_NAMES, DomainError, family
+from fibrato.jsonio import (
+    InputError,
+    audit_input_from_json,
+    branch_datum_from_json,
+    branch_datum_to_json,
+    datum_from_json,
+    datum_to_json,
+    record_from_json,
+    record_to_json,
+)
+
+READERS = [record_from_json, audit_input_from_json, datum_from_json, branch_datum_from_json]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _valid_documents():
+    fam = family("genus2")
+    record = record_to_json(fam.report().invariants)
+    record["nodes"] = [0, 1, 2]
+    record["profiles"] = [{"g": 2, "g_geo": 1, "l": 1, "delta_counts": {"0": 1}}]
+    return [
+        (audit_input_from_json, record),
+        (record_from_json, record),
+        (datum_from_json, datum_to_json(fam.datum)),
+        (branch_datum_from_json, branch_datum_to_json(fam.branch)),
+    ]
+
+
+VALID = _valid_documents()
+
+
+def _paths(value, prefix=()):
+    """Every key path into a JSON value, the empty path included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replace(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _read_or_input_error(read, doc):
+    try:
+        read(doc)
+    except InputError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(read=st.sampled_from(READERS), value=JSON_VALUES)
+def test_readers_raise_only_input_error_on_any_json(read, value):
+    _read_or_input_error(read, value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_readers_raise_only_input_error_with_one_field_replaced(data, value):
+    read, doc = data.draw(st.sampled_from(VALID))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    _read_or_input_error(read, _replace(doc, path, value))
+
+
+@pytest.mark.parametrize("read, doc", VALID)
+def test_valid_documents_read(read, doc):
+    read(doc)
+
+
+def test_record_round_trip_for_every_family():
+    count = 0
+    for name in FAMILY_NAMES:
+        for g in range(2, 42):
+            try:
+                fam = family(name, g)
+            except DomainError:
+                continue
+            inv = fam.report().invariants
+            assert record_from_json(record_to_json(inv)) == inv, (name, g)
+            count += 1
+    assert count > 50
