@@ -68,6 +68,10 @@ def _pretty(x) -> str:
     return str(x) if x.denominator == 1 else f"{x} (~ {decimal3(x)})"
 
 
+def _slope_text(report: datum_mod.DatumInvariantsReport) -> str:
+    return "undefined (chi = 0)" if report.slope is None else _pretty(report.slope)
+
+
 def _read(path: str, from_json, kind: str):
     """Load a JSON document and read it; reader errors name the kind."""
     obj = jsonio.load(path)
@@ -156,7 +160,8 @@ def _print_trace_tree(point, indent: int = 0) -> None:
 def _cmd_resolve(args) -> int:
     try:
         germ = germs.parse_germ(args.germ)
-    except (GermSyntaxError, ZeroPolynomial) as exc:
+    except (GermSyntaxError, ZeroPolynomial, RecursionError) as exc:
+        # RecursionError: parentheses nested deeper than the recursion limit
         raise InputError(f"germ {args.germ!r}: {exc}")
     try:
         trace = germs.even_resolve(germ, max_depth=_max_depth())
@@ -197,7 +202,7 @@ def _invariants_block(report: datum_mod.DatumInvariantsReport) -> dict:
     inv = report.invariants
     return {
         "record": jsonio.record_to_json(inv),
-        "slope": str(report.slope),
+        "slope": None if report.slope is None else str(report.slope),
         "speed": str(report.speed),
         "sum_k_km1": report.sum_k_km1,
         "sum_km1_sq": report.sum_km1_sq,
@@ -247,7 +252,7 @@ def _cmd_example(args) -> int:
         print(f"chi = {_pretty(inv.chi)}")
         print(f"omega^2 = {_pretty(inv.omega_sq)}")
         print(f"delta = {_pretty(inv.delta)}")
-        print(f"slope = {_pretty(report.slope)}")
+        print(f"slope = {_slope_text(report)}")
         print(f"speed L = {_pretty(report.speed)}")
         print(f"semistable: {'yes' if report.semistable.passed else 'NO'}")
         print("closed-formula check: "
@@ -363,7 +368,7 @@ def _print_datum_report(d, report, audit_report) -> None:
     print(f"chi = {_pretty(inv.chi)}")
     print(f"omega^2 = {_pretty(inv.omega_sq)}")
     print(f"delta = {_pretty(inv.delta)}")
-    print(f"slope = {_pretty(report.slope)}")
+    print(f"slope = {_slope_text(report)}")
     print(f"speed L = {_pretty(report.speed)}")
     if report.semistable.passed:
         print("semistable: yes")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .fibration import FibrationInvariants, noether_delta, slope, speed
 from .germs import (
@@ -40,6 +41,18 @@ from .germs import (
 
 class InvalidDatum(ValueError):
     """Raised when invariants are requested for a datum that fails validation."""
+
+
+#: Entries kept by each of the two process-wide memos below (germ text ->
+#: Germ, and (Germ, max_depth) -> resolution record).
+MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _parsed(text: str) -> Germ:
+    # parse_germ is looked up at call time, so a rebinding of this module's
+    # name is seen on every miss.  Exceptions are not memoized.
+    return parse_germ(text)
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,7 @@ class CriticalFiber:
     negligible_marker: bool = False
 
     def __post_init__(self):
-        parsed = tuple(parse_germ(g) if isinstance(g, str) else g for g in self.germs)
+        parsed = tuple(_parsed(g) if isinstance(g, str) else g for g in self.germs)
         for g in parsed:
             if not isinstance(g, Germ):
                 raise TypeError(f"germ entries must be Germ or str, got {type(g).__name__}")
@@ -151,7 +164,12 @@ def validate(d: GenusGDatum) -> list[str]:
 
 @dataclass(frozen=True)
 class GermTraceSummary:
-    """Resolution record of one germ inside one critical fiber."""
+    """Resolution record of one germ inside one critical fiber.
+
+    ``trace`` is shared with every other summary, in any report of the same
+    process, of an equal germ resolved under the same depth cap: treat it as
+    read-only.
+    """
 
     fiber_label: str
     germ: Germ
@@ -179,6 +197,7 @@ class DatumInvariantsReport:
 
     ``r_dot_gamma`` echoes the declared intersection of the branch divisor
     with a general fiber (always 2g + 2 for a genus-g double cover).
+    ``slope`` is None when chi = 0, where omega^2 / chi is undefined.
     """
 
     datum: GenusGDatum
@@ -187,7 +206,7 @@ class DatumInvariantsReport:
     sum_km1_sq: int
     r_dot_gamma: int
     invariants: FibrationInvariants
-    slope: Fraction
+    slope: Fraction | None
     speed: Fraction
     semistable: SemistableVerdict
 
@@ -224,12 +243,39 @@ def _cluster_offences(germ: Germ, trace: ResolutionTrace) -> list[str]:
     return offences
 
 
-def _verdict(d: GenusGDatum, summaries: tuple[GermTraceSummary, ...]) -> SemistableVerdict:
+@dataclass(frozen=True)
+class _Resolved:
+    """What invariants() needs from one germ's even resolution."""
+
+    trace: ResolutionTrace
+    multiplicities: tuple[int, ...]
+    classification: str
+    sum_k_km1: int
+    sum_km1_sq: int
+    offences: tuple[str, ...]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _resolved(germ: Germ, max_depth: int) -> _Resolved:
+    # even_resolve is looked up at call time, like parse_germ in _parsed.
+    # DepthOverflow and RequiresAlgebraicExtension are not memoized, and the
+    # cap is part of the key, so every cap raises where it always has.
+    trace = even_resolve(germ, max_depth)
+    return _Resolved(
+        trace=trace,
+        multiplicities=tuple(trace.multiplicities()),
+        classification=_overall_label(trace),
+        sum_k_km1=trace.sum_k_km1,
+        sum_km1_sq=trace.sum_km1_sq,
+        offences=tuple(_cluster_offences(germ, trace)),
+    )
+
+
+def _verdict(d: GenusGDatum, offences) -> SemistableVerdict:
     failures: list[str] = []
     if not d.simple_ramification:
         failures.append("declared non-simple ramification")
-    for summary in summaries:
-        failures.extend(_cluster_offences(summary.germ, summary.trace))
+    failures.extend(offences)
     return SemistableVerdict(not failures, tuple(failures))
 
 
@@ -240,11 +286,16 @@ def semistable_check(report: DatumInvariantsReport, d: GenusGDatum) -> Semistabl
     of type A and the datum declares simple ramification; otherwise the
     verdict lists each offending germ with its D/E classification.
     """
-    return _verdict(d, report.traces)
+    return _verdict(d, (offence for s in report.traces
+                        for offence in _cluster_offences(s.germ, s.trace)))
 
 
 def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvariantsReport:
     """Resolve every germ of the datum and compute the fibration invariants.
+
+    Each distinct germ is resolved once per process and depth cap: parsed
+    germs and resolutions are memoized process-wide, up to MEMO_SIZE entries
+    each, so the traces in the report may be shared with other reports.
 
     Raises InvalidDatum when validate() reports violations,
     RequiresAlgebraicExtension / DepthOverflow from germ resolution, and
@@ -255,36 +306,31 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
         raise InvalidDatum("invalid datum: " + "; ".join(problems))
 
     summaries: list[GermTraceSummary] = []
+    offences: list[str] = []
     total_k_km1 = 0
     total_km1_sq = 0
-    # Identical germs repeat many times within a datum (e.g. g+1 copies of the
-    # same double point per fiber); resolve each distinct germ once.
-    cache: dict[Germ, ResolutionTrace] = {}
     for fib in d.critical_fibers:
         for germ in fib.germs:
-            trace = cache.get(germ)
-            if trace is None:
-                trace = even_resolve(germ, max_depth)
-                cache[germ] = trace
+            r = _resolved(germ, max_depth)
             summaries.append(
                 GermTraceSummary(
                     fiber_label=fib.label,
                     germ=germ,
-                    multiplicities=tuple(trace.multiplicities()),
-                    classification=_overall_label(trace),
-                    sum_k_km1=trace.sum_k_km1,
-                    sum_km1_sq=trace.sum_km1_sq,
-                    trace=trace,
+                    multiplicities=r.multiplicities,
+                    classification=r.classification,
+                    sum_k_km1=r.sum_k_km1,
+                    sum_km1_sq=r.sum_km1_sq,
+                    trace=r.trace,
                 )
             )
-            total_k_km1 += trace.sum_k_km1
-            total_km1_sq += trace.sum_km1_sq
+            offences.extend(r.offences)
+            total_k_km1 += r.sum_k_km1
+            total_km1_sq += r.sum_km1_sq
 
     chi = Fraction(d.g * d.n - total_k_km1, 2)
     omega_sq = Fraction((2 * d.g - 2) * d.n - 2 * total_km1_sq - d.declared_m)
     delta = noether_delta(omega_sq, chi)
-    locked = tuple(summaries)
-    verdict = _verdict(d, locked)
+    verdict = _verdict(d, offences)
     inv = FibrationInvariants(
         g=d.g,
         g_C=d.g_C,
@@ -297,13 +343,12 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     )
     return DatumInvariantsReport(
         datum=d,
-        traces=locked,
+        traces=tuple(summaries),
         sum_k_km1=total_k_km1,
         sum_km1_sq=total_km1_sq,
         r_dot_gamma=2 * d.g + 2,
         invariants=inv,
-        slope=slope(inv),
+        slope=slope(inv) if chi else None,
         speed=speed(inv),
         semistable=verdict,
     )
-

@@ -84,6 +84,14 @@ def test_resolve_zero_polynomial_exits_2(capsys):
     assert "error:" in err
 
 
+def test_resolve_deep_nesting_exits_2(capsys):
+    germ = "(" * 2000 + "y" + ")" * 2000
+    code, out, err = run(capsys, "resolve", germ)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: germ '((((")
+
+
 def test_resolve_irrational_point_exits_2(capsys):
     germ = "z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7"
     code, _, err = run(capsys, "resolve", germ)
@@ -452,6 +460,25 @@ def test_datum_non_hyperbolic_quotient_exits_1(capsys, tmp_path):
     assert "speed undefined" in out
 
 
+CHI0_DATUM = {"schema_version": 1, "g": 2, "g_C": 1, "e": 0, "n": 2,
+              "critical_fibers": [{"label": "c", "germs": ["y^4 - z^4", "y^4 - z^4"]},
+                                  {"label": "m", "germs": [], "negligible": True}]}
+
+
+def test_datum_chi_zero_reports_undefined_slope(capsys, tmp_path):
+    path = write_json(tmp_path, "d.json", CHI0_DATUM)
+    code, out, err = run(capsys, "datum", path, "--json")
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["invariants"]["record"]["chi"] == "0"
+    assert doc["invariants"]["slope"] is None
+    code, out, err = run(capsys, "datum", path)
+    assert code in (0, 1)
+    assert "chi = 0\n" in out
+    assert "slope = undefined (chi = 0)" in out
+
+
 GERMS_0 = ("critical_fibers", 0, "germs")
 
 
@@ -567,6 +594,15 @@ def test_search_json_candidates_are_all_checked(capsys):
     assert doc["experimental"] is True
     assert all(c["semistable"] is True for c in doc["candidates"])
     assert doc["best_known"]["value"] == "8/5"
+
+
+def test_search_counts_chi_zero_rejections(capsys):
+    code, out, _ = run(capsys, "search", "--genus", "6", "--max-n", "16",
+                       "--germ-grid", "8x8", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rejected"]["chi <= 0"] > 0
+    assert all(c["chi"] != "0" and c["slope"] != "None" for c in doc["candidates"])
 
 
 def test_search_bad_grid_spec_exits_2(capsys):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibrato import datum as datum_mod
+from fibrato.constructions import FAMILY_NAMES, DomainError, family
 from fibrato.datum import (
     CriticalFiber,
     GenusGDatum,
@@ -18,7 +20,7 @@ from fibrato.datum import (
 )
 from fibrato.fibration import NonHyperbolicBase, audit
 from fibrato.jsonio import datum_from_json, datum_to_json
-from fibrato.germs import DepthOverflow, parse_germ
+from fibrato.germs import DepthOverflow, RequiresAlgebraicExtension, parse_germ
 
 
 def _marker(label="F"):
@@ -214,6 +216,17 @@ def test_depth_cap_propagates():
         invariants(ODD3, max_depth=0)
 
 
+def test_chi_zero_leaves_slope_undefined():
+    d = GenusGDatum(
+        g=2, g_C=1, e=0, n=2,
+        critical_fibers=(CriticalFiber("c", ("y^4 - z^4",) * 2), _marker("m")),
+    )
+    rep = invariants(d)
+    assert rep.invariants.chi == 0
+    assert rep.slope is None
+    assert rep.speed == 0
+
+
 # ---------------------------------------------------------------------------
 # semi-stability check
 
@@ -307,6 +320,123 @@ def test_odd_genus_chi_and_speed_laws():
         assert rep.invariants.chi == 2 * g - 2 * k, g
         assert rep.speed == g - k, g
         assert rep.semistable.passed, g
+
+
+# ---------------------------------------------------------------------------
+# process-wide memos
+
+
+MEMOS = (datum_mod._parsed, datum_mod._resolved)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _fingerprint(rep):
+    inv = rep.invariants
+    return (
+        inv.chi, inv.omega_sq, inv.delta, rep.slope, rep.speed,
+        rep.sum_k_km1, rep.sum_km1_sq,
+        [(s.fiber_label, str(s.germ), s.multiplicities, s.classification,
+          s.sum_k_km1, s.sum_km1_sq) for s in rep.traces],
+        rep.semistable.passed, rep.semistable.failures,
+    )
+
+
+def _family_data():
+    data = []
+    for name in FAMILY_NAMES:
+        for g in range(2, 42):
+            try:
+                data.append(family(name, g).datum)
+            except DomainError:
+                pass
+    return data
+
+
+def _search_data():
+    """The data `fibrato search --genus 6 --max-n 16 --germ-grid 8x8` sweeps,
+    built from germ strings as the CLI builds them."""
+    markers = tuple(_marker(f"marker_{i}") for i in range(1, 4))
+    return [
+        GenusGDatum(g=6, g_C=1, e=0, n=n, critical_fibers=(
+            CriticalFiber("candidate", (f"y^{a} - z^{b}",) * 2),) + markers)
+        for n in range(2, 17, 2) for a in range(2, 9) for b in range(2, 9)
+    ]
+
+
+def _offending_data():
+    """D/E offences of several germs after the ramification failure."""
+    return [GenusGDatum(g=6, g_C=1, e=0, n=4, simple_ramification=False, critical_fibers=(
+        CriticalFiber("a", ("y^7 - z^4", "y^2 - z^3", "z*(y^2 - z^3)")),
+        CriticalFiber("b", ("y^3 - z^4", "y^7 - z^4"))))]
+
+
+def test_memo_gives_the_same_reports_warm_and_cleared():
+    def cold(build):
+        _clear_memos()
+        out = []
+        for d in build():
+            _clear_memos()
+            out.append(_fingerprint(invariants(d)))
+        return out
+
+    def warm(build):
+        for d in build():
+            invariants(d)
+        return [_fingerprint(invariants(d)) for d in build()]
+
+    assert len(_family_data()) == 66
+    for build in (_family_data, _search_data, _offending_data):
+        assert warm(build) == cold(build)
+    assert 0 in [rep[0] for rep in warm(_search_data)]  # chi = 0 gives a report
+    failures = warm(_offending_data)[0][-1]
+    assert failures[0] == "declared non-simple ramification"
+    assert [f.split(";")[0] for f in failures[1:]] == [
+        "germ y^7 - z^4 has a residual singularity of type E6",
+        "germ y^2*z - z^4 has a residual singularity of type D5",
+        "germ y^3 - z^4 has a residual singularity of type E6",
+        "germ y^7 - z^4 has a residual singularity of type E6",
+    ]
+
+
+def test_memo_keeps_each_depth_cap():
+    deep = GenusGDatum(g=2, g_C=1, e=0, n=40, critical_fibers=(
+        CriticalFiber("F", ("y^2 - z^40",)),))
+    assert invariants(deep, max_depth=20).traces[0].classification == "A39"
+    with pytest.raises(DepthOverflow):
+        invariants(deep, max_depth=19)
+    assert invariants(deep, max_depth=20).traces[0].classification == "A39"
+
+
+@pytest.mark.parametrize("germ, max_depth, error", [
+    ("y^2 - z^12", 2, DepthOverflow),
+    ("z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7", 64, RequiresAlgebraicExtension),
+])
+def test_failed_resolution_leaves_no_memo_entry(germ, max_depth, error):
+    _clear_memos()
+    d = _single_germ_datum(3, germ)
+    for _ in range(2):
+        with pytest.raises(error):
+            invariants(d, max_depth=max_depth)
+        assert datum_mod._resolved.cache_info().currsize == 0
+    assert datum_mod._parsed.cache_info().currsize == 1
+
+
+def test_failed_parse_leaves_no_memo_entry():
+    _clear_memos()
+    for text in ("y^^2", "0", "(" * 2000 + "y" + ")" * 2000):
+        with pytest.raises((ValueError, RecursionError)):
+            CriticalFiber("F", (text,))
+        assert datum_mod._parsed.cache_info().currsize == 0
+
+
+def test_memos_are_bounded():
+    for memo in MEMOS:
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < float("inf")
 
 
 # ---------------------------------------------------------------------------
