@@ -145,35 +145,38 @@ def _trace_point_json(point) -> dict:
     }
 
 
-def _print_trace_tree(point, indent: int = 0) -> None:
+def _trace_lines(point, lines: list, indent: int = 0) -> None:
     head = ("  " * indent
             + f"- depth {point.depth}: multiplicity {point.multiplicity} "
             f"(k = {point.k}), {point.classification}")
     if point.count != 1:
         head += f", packet of {point.count}"
     head += f", direction {_direction_text(point.direction)}"
-    print(head)
+    lines.append(head)
     for child in point.children:
-        _print_trace_tree(child, indent + 1)
+        _trace_lines(child, lines, indent + 1)
 
 
 def _cmd_resolve(args) -> int:
+    # The whole output is built before any of it is printed: a germ or trace
+    # nested deeper than the recursion limit (RecursionError) then leaves
+    # nothing half-written.
     try:
         germ = germs.parse_germ(args.germ)
-    except (GermSyntaxError, ZeroPolynomial, RecursionError) as exc:
-        # RecursionError: parentheses nested deeper than the recursion limit
-        raise InputError(f"germ {args.germ!r}: {exc}")
-    try:
         trace = germs.even_resolve(germ, max_depth=_max_depth())
-    except RequiresAlgebraicExtension as exc:
+        text = _resolution_text(germ, trace, args)
+    except (GermSyntaxError, ZeroPolynomial, RequiresAlgebraicExtension, DepthOverflow,
+            RecursionError) as exc:
         raise InputError(f"germ {args.germ!r}: {exc}")
-    except DepthOverflow as exc:
-        raise InputError(f"germ {args.germ!r}: {exc}")
+    print(text)
+    return EXIT_OK
 
+
+def _resolution_text(germ, trace, args) -> str:
     label = datum_mod._overall_label(trace)
     mults = trace.multiplicities()
     if args.json:
-        print(jsonio.dumps(jsonio.versioned(
+        return jsonio.dumps(jsonio.versioned(
             germ=str(germ),
             multiplicities=mults,
             classification=label,
@@ -181,18 +184,19 @@ def _cmd_resolve(args) -> int:
             sum_k_km1=trace.sum_k_km1,
             sum_km1_sq=trace.sum_km1_sq,
             trace=_trace_point_json(trace.root) if trace.root else None,
-        )))
-        return EXIT_OK
+        ))
 
-    print(f"germ: {germ}")
-    print(f"infinitely-near multiplicities: {mults if mults else '(smooth)'}")
-    print(f"classification: {label}")
-    print(f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}")
-    print(f"terminal chart smooth: {'yes' if trace.terminal_smooth else 'no'}")
+    lines = [
+        f"germ: {germ}",
+        f"infinitely-near multiplicities: {mults if mults else '(smooth)'}",
+        f"classification: {label}",
+        f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}",
+        f"terminal chart smooth: {'yes' if trace.terminal_smooth else 'no'}",
+    ]
     if args.trace and trace.root is not None:
-        print("trace:")
-        _print_trace_tree(trace.root)
-    return EXIT_OK
+        lines.append("trace:")
+        _trace_lines(trace.root, lines)
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

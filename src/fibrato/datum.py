@@ -31,6 +31,7 @@ from functools import lru_cache
 from .fibration import FibrationInvariants, noether_delta, slope, speed
 from .germs import (
     DEFAULT_MAX_DEPTH,
+    MEMO_SIZE,
     Germ,
     ResolutionTrace,
     TracePoint,
@@ -43,9 +44,8 @@ class InvalidDatum(ValueError):
     """Raised when invariants are requested for a datum that fails validation."""
 
 
-#: Entries kept by each of the two process-wide memos below (germ text ->
-#: Germ, and (Germ, max_depth) -> resolution record).
-MEMO_SIZE = 4096
+# The two process-wide memos below (germ text -> Germ, and (Germ, max_depth)
+# -> resolution record) each keep up to germs.MEMO_SIZE entries.
 
 
 @lru_cache(maxsize=MEMO_SIZE)

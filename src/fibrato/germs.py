@@ -33,12 +33,23 @@ polynomials: factoring splits off the v^k factor inline, so constants and
 monomials (most restrictions to E) never reach it, and hands what remains to
 sympy's dense factoring over ZZ; the divisibility test for a multiple
 irrational direction also uses sympy.
+
+The three pure per-germ computations are memoized per process, each bounded
+by MEMO_SIZE entries: the even blow-up of a germ, the branch data of the
+strict-transform recursion, and the factor list of a univariate polynomial.
+Infinitely-near germs repeat across inputs (y^a - z^b blows up to
+y^a - z^(b-a)), so each distinct one is blown up, factored and branch-counted
+once.  An exception is never memoized.  even_resolve still builds a fresh
+ResolutionTrace of fresh TracePoints on every call; only the Germ objects
+inside may be shared between traces, and they are read-only.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import sympy
@@ -64,6 +75,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 64
+
+#: Entries kept by each process-wide memo, here and in fibrato.datum.
+MEMO_SIZE = 4096
 
 #: Marker for the tangent direction [0:1] (the chart-2 origin).
 INFINITY = "infinity"
@@ -92,10 +106,11 @@ class Germ:
     """Canonical bivariate integer polynomial, sparse representation.
 
     Invariants: support nonempty; gcd of coefficients 1; the coefficient of
-    the (j, i)-minimal monomial is positive.
+    the (j, i)-minimal monomial is positive.  multiplicity is the minimal
+    total degree over the support.
     """
 
-    __slots__ = ("support",)
+    __slots__ = ("support", "multiplicity", "_hash")
 
     def __init__(self, support):
         items = {(int(i), int(j)): int(c) for (i, j), c in support.items() if c}
@@ -111,17 +126,14 @@ class Germ:
         self.support = {
             ij: c * sign // content for ij, c in sorted(items.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         }
-
-    @property
-    def multiplicity(self) -> int:
-        """Minimal total degree over the support."""
-        return min(i + j for i, j in self.support)
+        self.multiplicity = min(i + j for i, j in items)
+        self._hash = hash(tuple(self.support.items()))  # the memos hash germs often
 
     def __eq__(self, other):
         return isinstance(other, Germ) and self.support == other.support
 
     def __hash__(self):
-        return hash(tuple(self.support.items()))
+        return self._hash
 
     def __str__(self):
         parts = []
@@ -371,7 +383,13 @@ def _factor_list(coeffs):
     off inline, so constants and monomials never reach sympy; what remains
     goes to sympy's dense factoring over ZZ, the routine Poly.factor_list
     runs, which returns primitive factors with positive leading coefficient.
+    Memoized per process by coefficient tuple; each call gets a new list.
     """
+    return list(_factors(tuple(coeffs)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _factors(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     low, high = 0, len(coeffs)
     while high > 0 and coeffs[high - 1] == 0:
         high -= 1
@@ -383,7 +401,7 @@ def _factor_list(coeffs):
         for f, e in factors:
             out.append((tuple(int(c) for c in reversed(f)), int(e)))
         out.sort(key=lambda fe: (len(fe[0]), fe[0]))
-    return out
+    return tuple(out)
 
 
 def _divides(q, p):
@@ -438,7 +456,13 @@ def even_blow_up(g: Germ) -> list[Descendant]:
     is part of the returned descendant germs.  Raises
     RequiresAlgebraicExtension when a certified singular point lies at an
     irrational direction that cannot be packaged as an A1 cluster.
+    Memoized per process; each call gets a new list.
     """
+    return list(_blow_up(g))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _blow_up(g: Germ) -> tuple[Descendant, ...]:
     m = g.multiplicity
     if m < 2:
         raise ValueError("even_blow_up requires multiplicity >= 2")
@@ -489,7 +513,7 @@ def even_blow_up(g: Germ) -> list[Descendant]:
     at_infinity = {(i, j + eps): c for (i, j), c in residual2.items()}
     if min(i + j for i, j in at_infinity) >= 2:
         out.append(Descendant(INFINITY, Germ(at_infinity)))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +581,35 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     when all even transforms are smooth.  Raises DepthOverflow past
     max_depth — all well-formed branch germs resolve in a handful of steps,
     so hitting the cap signals a suspect input such as a non-reduced divisor.
+    It is raised too when the resolution nests deeper than the interpreter's
+    recursion limit allows.
     """
     points: list[TracePoint] = []
     if g.multiplicity >= 2:
-        root, _ = _resolve_tree(g, None, 0, max_depth)
-        _label_tree(root, max_depth, {})
+        with _recursion_as_overflow(g):
+            root, _ = _resolve_tree(g, None, 0, max_depth)
+            _label_tree(root, max_depth, _BRANCH_MEMO)
         stack = [root]
         while stack:
             node = stack.pop()
             points.append(node)
             stack.extend(reversed(node.children))
     return ResolutionTrace(g, points, True)
+
+
+@contextmanager
+def _recursion_as_overflow(g: Germ):
+    """Report a resolution too deep for the interpreter as DepthOverflow.
+
+    The kernel recurses once per infinitely-near point, so a cap above what
+    the recursion limit allows would otherwise end in a RecursionError.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise DepthOverflow(
+            f"resolution of {g} nests deeper than the interpreter's recursion limit"
+        ) from None
 
 
 def _resolve_tree(germ: Germ, direction, depth: int, max_depth: int) -> tuple[TracePoint, int]:
@@ -579,7 +621,7 @@ def _resolve_tree(germ: Germ, direction, depth: int, max_depth: int) -> tuple[Tr
     m = germ.multiplicity
     node = TracePoint(depth, m, m // 2, "", direction, germ)
     top = m
-    for desc in even_blow_up(germ):
+    for desc in _blow_up(germ):
         if desc.germ is None:
             node.children.append(
                 TracePoint(depth + 1, 2, 1, "A1", desc.direction, None, count=desc.count)
@@ -619,10 +661,25 @@ def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
     m = g.multiplicity
     if m <= 1:
         return "Smooth"
-    _, top = _resolve_tree(g, None, 0, max_depth)
-    if top > 3:
-        return "NonNegligible"
-    return _ade_label(g, max_depth, {})
+    with _recursion_as_overflow(g):
+        _, top = _resolve_tree(g, None, 0, max_depth)
+        if top > 3:
+            return "NonNegligible"
+        return _ade_label(g, max_depth, _BRANCH_MEMO)
+
+
+class _BoundedMemo(dict):
+    """A dict that drops its oldest entry rather than grow past MEMO_SIZE."""
+
+    def __setitem__(self, key, value):
+        if len(self) >= MEMO_SIZE and key not in self:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
+
+
+#: germ -> (r, delta, height) from _branch_data, shared by every
+#: even_resolve and classify call; the entries do not depend on the cap.
+_BRANCH_MEMO = _BoundedMemo()
 
 
 def _ade_label(g: Germ, max_depth: int, memo: dict) -> str:

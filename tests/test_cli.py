@@ -9,9 +9,15 @@ from __future__ import annotations
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fibrato
 from fibrato.cli import main
 from fibrato.constructions import FAMILY_NAMES, family
 from fibrato.datum import CriticalFiber, GenusGDatum
@@ -92,6 +98,37 @@ def test_resolve_deep_nesting_exits_2(capsys):
     assert err.startswith("error: germ '((((")
 
 
+def _fresh_process(*argv):
+    """Run the CLI in a new interpreter, so that no memo is warm."""
+    src = os.path.dirname(os.path.dirname(fibrato.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "fibrato.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_resolution_deeper_than_the_recursion_limit_exits_2(capsys, monkeypatch, tmp_path):
+    # the kernel recurses once per infinitely-near point: y^2 - z^2400 has 1,200
+    monkeypatch.setenv("FIBRATO_MAX_DEPTH", "5000")
+    deep = "y^2 - z^2400"
+    code, out, err = run(capsys, "resolve", deep)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: germ '{deep}': resolution of {deep} nests deeper")
+    datum = GenusGDatum(g=2, g_C=1, e=0, n=4, critical_fibers=(CriticalFiber("F", (deep,)),))
+    code, out, err = run(capsys, "datum", write_json(tmp_path, "deep.json", datum_to_json(datum)))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: datum: resolution of {deep} nests deeper")
+    # a trace of 500 points resolves, but is nested too deep to write as JSON
+    code, out, err = run(capsys, "resolve", "y^2 - z^1000", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: germ 'y^2 - z^1000': maximum recursion depth exceeded")
+    # the failed calls left no wrong memo entry behind
+    code, out, err = run(capsys, "resolve", "y^2 - z^1000", "--trace")
+    assert code == 0 and "classification: A999" in out
+    assert (code, out, err) == _fresh_process("resolve", "y^2 - z^1000", "--trace")
+
+
 def test_resolve_irrational_point_exits_2(capsys):
     germ = "z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7"
     code, _, err = run(capsys, "resolve", germ)
@@ -116,6 +153,51 @@ def test_resolve_rejects_bad_depth_env_var(capsys, monkeypatch):
     code, _, err = run(capsys, "resolve", "y^2 - z^2")
     assert code == 2
     assert "FIBRATO_MAX_DEPTH" in err
+
+
+@st.composite
+def _resolve_inputs(draw):
+    """Random terms of the germ grammar, nested a little, plus stray characters."""
+    def factor(depth):
+        if depth < 2 and draw(st.integers(0, 3)) == 0:
+            return "(" + expr(depth + 1) + ")"
+        exp = draw(st.integers(-1, 12))
+        return draw(st.sampled_from("yz")) + (f"^{exp}" if exp >= 0 else "")
+
+    def term(depth):
+        coeff = draw(st.integers(0, 99))
+        head = f"{coeff}{draw(st.sampled_from(['', '*']))}" if coeff else ""
+        return head + "*".join(factor(depth) for _ in range(draw(st.integers(1, 3))))
+
+    def expr(depth):
+        text = draw(st.sampled_from(["", "-"])) + term(depth)
+        for _ in range(draw(st.integers(0, 3))):
+            text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + term(depth)
+        return text
+
+    text = expr(0)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list("yz^*+-()0 x/.\t"))) + text[at:]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resolve_inputs())
+def test_resolve_fuzz_exits_cleanly(text):
+    # memos stay warm from one example to the next, as in a long-lived process
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", out)
+        mp.setattr(sys, "stderr", err)
+        code = main(["resolve", text, "--json"])
+    assert code in (0, 1, 2), text
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        assert doc["germ"] and isinstance(doc["multiplicities"], list)
+    else:
+        # a text with a leading "-" reaches argparse as an option: a usage error
+        assert out.getvalue() == "" and "error: " in err.getvalue(), text
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from fibrato.germs import (
     even_resolve,
     parse_germ,
 )
+from fibrato import datum as datum_mod
+from fibrato import germs as kernel
 from fibrato.germs import _branch_data, _factor_list, _shift_second
 from fibrato.oracle import binomial_oracle
 
@@ -465,3 +467,131 @@ def test_branch_data_milnor_number_of_brieskorn_germs(a):
         for memo in ({}, shared):
             r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH, memo)
             assert 2 * delta - r + 1 == (a - 1) * (b - 1)
+
+
+# ---------------------------------------------------------------------------
+# process-wide kernel memos
+
+def _clear_kernel_memos():
+    kernel._blow_up.cache_clear()
+    kernel._factors.cache_clear()
+    kernel._BRANCH_MEMO.clear()
+
+
+def _point_view(pt):
+    return (pt.depth, pt.multiplicity, pt.k, pt.classification, repr(pt.direction),
+            str(pt.germ), pt.count, len(pt.children))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DepthOverflow, RequiresAlgebraicExtension) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _kernel_view(g):
+    """Everything the kernel says about g, at the default cap and at cap 3."""
+    def resolved(cap):
+        trace = even_resolve(g, cap)
+        return (str(trace.germ), trace.multiplicities(), trace.sum_k_km1, trace.sum_km1_sq,
+                [_point_view(pt) for pt in trace.points])
+    return [(_outcome(resolved, cap), _outcome(classify, g, cap))
+            for cap in (DEFAULT_MAX_DEPTH, 3)]
+
+
+def _grid_germs():
+    return [_binomial_germ(e, f, a, b)
+            for e in (0, 1) for f in (0, 1) for a in range(1, 15) for b in range(1, 15)]
+
+
+def _cold_view(g):
+    _clear_kernel_memos()
+    return _kernel_view(g)
+
+
+def test_kernel_memos_give_the_same_results_warm_and_cleared():
+    grid = _grid_germs()
+    assert len(grid) == 784
+    for g in grid:
+        _kernel_view(g)
+    warm = [_kernel_view(g) for g in grid]
+    assert warm == [_cold_view(g) for g in grid]
+    assert any(view[1][0][0] == "DepthOverflow" for view in warm)  # at cap 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(germs())
+@example(parse_germ("z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7"))
+@example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"))
+def test_kernel_memos_give_the_same_results_on_random_germs(g):
+    warm = _kernel_view(g)
+    assert _kernel_view(g) == warm
+    assert _cold_view(g) == warm
+
+
+def test_kernel_memos_keep_each_depth_cap():
+    g = parse_germ("y^2 - z^40")
+    _clear_kernel_memos()
+    messages = []
+    for fn in (even_resolve, classify):
+        for cap, expect in ((20, "A39"), (19, None), (20, "A39"), (19, None)):
+            if expect is None:
+                with pytest.raises(DepthOverflow) as info:
+                    fn(g, cap)
+                messages.append(str(info.value))
+            else:
+                got = fn(g, cap)
+                label = got if isinstance(got, str) else got.points[0].classification
+                assert label == expect, (fn.__name__, cap)
+    assert messages == ["branch recursion exceeded 19 for 2*z + z^2"] * 4
+
+
+def test_kernel_memos_are_bounded():
+    assert datum_mod.MEMO_SIZE is kernel.MEMO_SIZE
+    for memo in (kernel._blow_up, kernel._factors):
+        assert memo.cache_info().maxsize == kernel.MEMO_SIZE
+    memo = kernel._BoundedMemo()
+    for key in range(kernel.MEMO_SIZE + 5):
+        memo[key] = key
+    assert len(memo) == kernel.MEMO_SIZE
+    assert min(memo) == 5  # the oldest entries went first
+    memo[7] = "again"  # rewriting a kept entry evicts nothing
+    assert len(memo) == kernel.MEMO_SIZE and min(memo) == 5
+
+
+def test_resolving_again_misses_no_kernel_memo(monkeypatch):
+    writes = []
+    set_entry = kernel._BoundedMemo.__setitem__
+    monkeypatch.setattr(kernel._BoundedMemo, "__setitem__",
+                        lambda memo, key, value: (writes.append(key), set_entry(memo, key, value)))
+    for text in ("y^7 - z^4", "z*(y^3 - z^5)", "y^3 - z^3", "(y^2 - z^3)*(y^2 + z^3)"):
+        g = parse_germ(text)
+        _clear_kernel_memos()
+        first = _kernel_view(g)
+        before = (kernel._blow_up.cache_info().misses, kernel._factors.cache_info().misses,
+                  len(writes))
+        assert _kernel_view(g) == first
+        after = (kernel._blow_up.cache_info().misses, kernel._factors.cache_info().misses,
+                 len(writes))
+        assert after == before, text
+        assert before[2] > 0, text  # the first run did fill the branch memo
+
+
+def test_even_blow_up_returns_a_fresh_list():
+    g = parse_germ("y^3 - z^3")
+    first = even_blow_up(g)
+    first.clear()
+    assert [d.count for d in even_blow_up(g)] == [1, 2]
+    factors = _factor_list((0, -1, 0, 1))
+    factors.append("junk")
+    assert _factor_list((0, -1, 0, 1)) == [((-1, 1), 1), ((0, 1), 1), ((1, 1), 1)]
+
+
+def test_each_resolution_builds_fresh_trace_points():
+    g = parse_germ("y^8 - z^4")
+    one, two = even_resolve(g), even_resolve(g)
+    assert one is not two
+    assert not {id(pt) for pt in one.points} & {id(pt) for pt in two.points}
+    one.points[0].classification = "changed"
+    assert even_resolve(g).points[0].classification == "NonNegligibleInterior"
