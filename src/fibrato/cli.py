@@ -145,22 +145,22 @@ def _trace_point_json(point) -> dict:
     }
 
 
-def _trace_lines(point, lines: list, indent: int = 0) -> None:
-    head = ("  " * indent
-            + f"- depth {point.depth}: multiplicity {point.multiplicity} "
-            f"(k = {point.k}), {point.classification}")
-    if point.count != 1:
-        head += f", packet of {point.count}"
-    head += f", direction {_direction_text(point.direction)}"
-    lines.append(head)
-    for child in point.children:
-        _trace_lines(child, lines, indent + 1)
+def _trace_lines(trace, lines: list) -> None:
+    # trace.points is the tree in depth-first order, indented by depth
+    for point in trace.points:
+        head = ("  " * point.depth
+                + f"- depth {point.depth}: multiplicity {point.multiplicity} "
+                f"(k = {point.k}), {point.classification}")
+        if point.count != 1:
+            head += f", packet of {point.count}"
+        head += f", direction {_direction_text(point.direction)}"
+        lines.append(head)
 
 
 def _cmd_resolve(args) -> int:
-    # The whole output is built before any of it is printed: a germ or trace
-    # nested deeper than the recursion limit (RecursionError) then leaves
-    # nothing half-written.
+    # The whole output is built before any of it is printed: a germ text or a
+    # JSON trace nested deeper than the recursion limit (RecursionError) then
+    # leaves nothing half-written.
     try:
         germ = germs.parse_germ(args.germ)
         trace = germs.even_resolve(germ, max_depth=_max_depth())
@@ -195,7 +195,7 @@ def _resolution_text(germ, trace, args) -> str:
     ]
     if args.trace and trace.root is not None:
         lines.append("trace:")
-        _trace_lines(trace.root, lines)
+        _trace_lines(trace, lines)
     return "\n".join(lines)
 
 
@@ -223,7 +223,10 @@ def _cmd_example(args) -> int:
         print(jsonio.dumps(jsonio.datum_to_json(fam.datum)))
         return EXIT_OK
 
-    report = fam.report(max_depth=_max_depth())
+    try:
+        report = fam.report(max_depth=_max_depth())
+    except (RequiresAlgebraicExtension, DepthOverflow) as exc:
+        raise InputError(f"example: {exc}")
     inv = report.invariants
     matches = (inv.chi == fam.expected_chi
                and inv.omega_sq == fam.expected_omega_sq
@@ -541,6 +544,20 @@ def _cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser; with signed_text, an argument that starts with a
+    sign but names no option ("-y^2+z^4") is read as the positional."""
+
+    def __init__(self, *args, signed_text: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.signed_text = signed_text
+
+    def _parse_optional(self, arg_string):
+        if self.signed_text and arg_string[:1] == "-" and arg_string[1:2] not in ("-", "h"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fibrato",
@@ -550,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"fibrato {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command",
-                                required=True)
+                                required=True, parser_class=_SubcommandParser)
 
     p = sub.add_parser("audit",
                        help="run every applicable identity and inequality "
@@ -562,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolve",
                        help="resolve a plane germ by even blow-ups and "
-                            "classify the cluster")
+                            "classify the cluster", signed_text=True)
     p.add_argument("germ", help="germ expression, e.g. \"y^8 - z^4\"")
     p.add_argument("--trace", action="store_true",
                    help="print the full tree of infinitely-near points")

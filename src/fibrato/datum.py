@@ -34,7 +34,6 @@ from .germs import (
     MEMO_SIZE,
     Germ,
     ResolutionTrace,
-    TracePoint,
     even_resolve,
     parse_germ,
 )
@@ -227,19 +226,16 @@ def _cluster_offences(germ: Germ, trace: ResolutionTrace) -> list[str]:
     the cover; D or E heads obstruct semi-stability.
     """
     offences: list[str] = []
-
-    def walk(node: TracePoint):
+    stack = [trace.root] if trace.root is not None else []
+    while stack:
+        node = stack.pop()
         if node.classification == "NonNegligibleInterior":
-            for child in node.children:
-                walk(child)
+            stack.extend(reversed(node.children))
         elif node.classification.startswith(("D", "E")):
             offences.append(
                 f"germ {germ} has a residual singularity of type {node.classification}; "
                 "only type-A clusters keep the fibration semi-stable"
             )
-
-    if trace.root is not None:
-        walk(trace.root)
     return offences
 
 

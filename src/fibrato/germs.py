@@ -34,19 +34,24 @@ monomials (most restrictions to E) never reach it, and hands what remains to
 sympy's dense factoring over ZZ; the divisibility test for a multiple
 irrational direction also uses sympy.
 
-The three pure per-germ computations are memoized per process, each bounded
-by MEMO_SIZE entries: the even blow-up of a germ, the branch data of the
-strict-transform recursion, and the factor list of a univariate polynomial.
-Infinitely-near germs repeat across inputs (y^a - z^b blows up to
-y^a - z^(b-a)), so each distinct one is blown up, factored and branch-counted
-once.  An exception is never memoized.  even_resolve still builds a fresh
-ResolutionTrace of fresh TracePoints on every call; only the Germ objects
-inside may be shared between traces, and they are read-only.
+One chart pass per germ serves both walks over the infinitely-near points:
+it finds the points of the strict transform on E (rational directions with
+their strict germs, irrational factors, the point at infinity), and the even
+blow-up and the branch count both read them.  The kernel keeps two
+process-wide memos, each bounded by MEMO_SIZE entries: that chart record of
+each germ, which also holds the germ's branch entry once computed, and the
+factor list of each univariate polynomial.  Infinitely-near germs repeat
+across inputs (y^a - z^b blows up to y^a - z^(b-a)), so each distinct one is
+charted, factored and branch-counted once.  An exception is never memoized.
+Both walks use explicit stacks, so the depth cap alone bounds their depth.
+even_resolve still builds a fresh ResolutionTrace of fresh TracePoints on
+every call; only the Germ objects inside may be shared between traces, and
+they are read-only.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -169,7 +174,9 @@ def parse_germ(text: str) -> Germ:
     Grammar: expr := term (('+'|'-') term)*;
     term := [integer]['*']? factor ('*' factor)*;
     factor := 'y'['^' integer] | 'z'['^' integer] | '(' expr ')'.
-    Whitespace is insignificant; a leading sign is tolerated.
+    Integers are ASCII digits.  Whitespace is insignificant; a leading sign
+    is tolerated.  The polynomial must vanish at the origin (no constant
+    term once expanded).
     """
     tokens = _tokenize(text)
     pos = 0
@@ -237,27 +244,28 @@ def parse_germ(text: str) -> Germ:
     result = parse_expr()
     if pos != len(tokens):
         raise GermSyntaxError(f"trailing input at token {tokens[pos]!r}")
+    if (0, 0) in result:
+        raise GermSyntaxError("a germ must vanish at the origin")
     return Germ(result)
+
+
+#: One token per match: an ASCII integer, a symbol, or an illegal character;
+#: whitespace matches with all three groups empty.
+_TOKEN = re.compile(r"\s+|([0-9]+)|([yz^*+()-])|(.)", re.DOTALL)
 
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(int(text[i:j]))
-            i = j
-        elif ch in "yz^*+-()":
-            tokens.append(ch)
-            i += 1
-        else:
-            raise GermSyntaxError(f"illegal character {ch!r}")
+    for number, symbol, illegal in _TOKEN.findall(text):
+        if number:
+            try:
+                tokens.append(int(number))
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise GermSyntaxError(f"integer of {len(number)} digits is too long") from None
+        elif symbol:
+            tokens.append(symbol)
+        elif illegal:
+            raise GermSyntaxError(f"illegal character {illegal!r}")
     if not tokens:
         raise GermSyntaxError("empty input")
     return tokens
@@ -286,37 +294,14 @@ def _mul(p, q):
 # ---------------------------------------------------------------------------
 # raw support manipulation for blow-ups
 
-def _chart1(support):
-    """Total transform under z = y*v: (i, j) -> (i + j, j)."""
-    out = {}
-    for (i, j), c in support.items():
-        key = (i + j, j)
-        out[key] = out.get(key, 0) + c
-    return out
+def _chart1(support, m):
+    """Strict transform under z = y*v, divided by y^m: (i, j) -> (i + j - m, j)."""
+    return {(i + j - m, j): c for (i, j), c in support.items()}
 
 
-def _chart2(support):
-    """Total transform under y = u*z: (i, j) -> (i, i + j)."""
-    out = {}
-    for (i, j), c in support.items():
-        key = (i, i + j)
-        out[key] = out.get(key, 0) + c
-    return out
-
-
-def _divide(support, axis, power):
-    """Exact division by (first var)^power or (second var)^power."""
-    out = {}
-    for (i, j), c in support.items():
-        if axis == 0:
-            if i < power:
-                raise ArithmeticError("inexact division in even transform")
-            out[(i - power, j)] = c
-        else:
-            if j < power:
-                raise ArithmeticError("inexact division in even transform")
-            out[(i, j - power)] = c
-    return out
+def _chart2(support, m):
+    """Strict transform under y = u*z, divided by z^m: (i, j) -> (i, i + j - m)."""
+    return {(i, i + j - m): c for (i, j), c in support.items()}
 
 
 def _shift_second(support, r: Fraction):
@@ -416,7 +401,7 @@ def _divides(q, p):
 
 
 # ---------------------------------------------------------------------------
-# one even blow-up
+# the points over the origin: one chart pass per germ
 
 @dataclass(frozen=True)
 class ConjugateDirections:
@@ -448,6 +433,85 @@ class Descendant:
         return self.direction.count if isinstance(self.direction, ConjugateDirections) else 1
 
 
+@dataclass(slots=True)
+class _StrictPoints:
+    """The points of E over the origin of a germ g of multiplicity m >= 2,
+    read off the strict transform in charts 1 and 2 once.
+
+    rational: (root, strict germ at [1 : root]) per rational root of the
+        restriction to E, in factor-list order, the order the branch walk
+        visits them;
+    irrational: (min_poly, exponent, singular) per irrational factor;
+        singular: a multiple factor that divides the y-linear part, so the
+        strict transform is singular at its points;
+    at_infinity: the strict germ at [0 : 1], or None off the origin;
+    even: the non-smooth points of the even transform, which is the strict
+        transform times E^(m mod 2);
+    branch: (r, delta, height) from _branch_data, once computed.
+    """
+
+    rational: tuple
+    irrational: tuple
+    at_infinity: Germ | None
+    even: tuple
+    branch: tuple | None = None
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _strict_points(g: Germ) -> _StrictPoints:
+    m = g.multiplicity
+    strict = _chart1(g.support, m)
+    rational, irrational = [], []
+    for coeffs, exp in _factor_list(_restriction(strict)):
+        if len(coeffs) == 2:
+            root = Fraction(-coeffs[0], coeffs[1])
+            rational.append((root, Germ(_shift_second(strict, root))))
+        else:
+            singular = exp >= 2 and _divides(coeffs, _first_order_part(strict))
+            irrational.append((coeffs, exp, singular))
+    strict2 = _chart2(g.support, m)
+    at_infinity = Germ(strict2) if all(i + j for i, j in strict2) else None
+
+    eps = m % 2  # for odd m, E is a component of the even transform
+    even = [Descendant(root, _times(germ, eps, 0)) for root, germ in sorted(rational)]
+    if eps:  # a simple irrational direction carries a transverse A1 node
+        even += [Descendant(ConjugateDirections(c), None) for c, exp, _ in irrational if exp == 1]
+    if at_infinity is not None:
+        even.append(Descendant(INFINITY, _times(at_infinity, 0, eps)))
+    even = tuple(d for d in even if d.germ is None or d.germ.multiplicity >= 2)
+    return _StrictPoints(tuple(rational), tuple(irrational), at_infinity, even)
+
+
+def _times(g: Germ, i0: int, j0: int) -> Germ:
+    """g times y^i0 z^j0.  A canonical germ times a monomial is canonical,
+    with its terms in the same order, so Germ's normalisation is skipped."""
+    if not (i0 or j0):
+        return g
+    out = Germ.__new__(Germ)
+    out.support = {(i + i0, j + j0): c for (i, j), c in g.support.items()}
+    out.multiplicity = g.multiplicity + i0 + j0
+    out._hash = hash(tuple(out.support.items()))
+    return out
+
+
+def _even_points(g: Germ) -> tuple[Descendant, ...]:
+    """The non-smooth points of the even transform of g, multiplicity >= 2."""
+    pts = _strict_points(g)
+    for coeffs, exp, singular in pts.irrational:
+        if g.multiplicity % 2 and exp >= 2:
+            raise RequiresAlgebraicExtension(
+                f"multiple irrational direction {coeffs} on E for {g}"
+            )
+        # for even m a simple root is a smooth point of the transform
+        # (p' != 0 there); a multiple one is singular when it divides the
+        # y-linear part
+        if singular:
+            raise RequiresAlgebraicExtension(
+                f"singular irrational direction {coeffs} for {g}"
+            )
+    return pts.even
+
+
 def even_blow_up(g: Germ) -> list[Descendant]:
     """One even blow-up at the origin; the non-smooth points of the transform.
 
@@ -458,62 +522,9 @@ def even_blow_up(g: Germ) -> list[Descendant]:
     irrational direction that cannot be packaged as an A1 cluster.
     Memoized per process; each call gets a new list.
     """
-    return list(_blow_up(g))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _blow_up(g: Germ) -> tuple[Descendant, ...]:
-    m = g.multiplicity
-    if m < 2:
+    if g.multiplicity < 2:
         raise ValueError("even_blow_up requires multiplicity >= 2")
-    eps = m % 2
-
-    out = []
-    total1 = _chart1(g.support)
-    residual = _divide(total1, 0, m)  # even transform = y^eps * residual
-    p = _restriction(residual)
-    factors = _factor_list(p)
-
-    rational_roots = []
-    for coeffs, exp in factors:
-        if len(coeffs) == 2:
-            rational_roots.append((Fraction(-coeffs[0], coeffs[1]), exp))
-    rational_roots.sort()
-
-    if eps:
-        # E is a component: every zero of p is a singular point of E + residual.
-        for root, _ in rational_roots:
-            shifted = _shift_second(residual, root)
-            shifted = {(i + 1, j): c for (i, j), c in shifted.items()}
-            out.append(Descendant(root, Germ(shifted)))
-        for coeffs, exp in factors:
-            if len(coeffs) > 2:
-                if exp == 1:
-                    out.append(Descendant(ConjugateDirections(coeffs), None))
-                else:
-                    raise RequiresAlgebraicExtension(
-                        f"multiple irrational direction {coeffs} on E for {g}"
-                    )
-    else:
-        for root, exp in rational_roots:
-            shifted = _shift_second(residual, root)
-            if min(i + j for i, j in shifted) >= 2:
-                out.append(Descendant(root, Germ(shifted)))
-        q0 = _first_order_part(residual)
-        for coeffs, exp in factors:
-            # a simple root is a smooth point of the residual (p' != 0 there);
-            # a multiple one is singular exactly when the y-linear part vanishes
-            if len(coeffs) > 2 and exp >= 2 and _divides(coeffs, q0):
-                raise RequiresAlgebraicExtension(
-                    f"singular irrational direction {coeffs} for {g}"
-                )
-
-    total2 = _chart2(g.support)
-    residual2 = _divide(total2, 1, m)
-    at_infinity = {(i, j + eps): c for (i, j), c in residual2.items()}
-    if min(i + j for i, j in at_infinity) >= 2:
-        out.append(Descendant(INFINITY, Germ(at_infinity)))
-    return tuple(out)
+    return list(_even_points(g))
 
 
 # ---------------------------------------------------------------------------
@@ -581,66 +592,42 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     when all even transforms are smooth.  Raises DepthOverflow past
     max_depth — all well-formed branch germs resolve in a handful of steps,
     so hitting the cap signals a suspect input such as a non-reduced divisor.
-    It is raised too when the resolution nests deeper than the interpreter's
-    recursion limit allows.
     """
-    points: list[TracePoint] = []
-    if g.multiplicity >= 2:
-        with _recursion_as_overflow(g):
-            root, _ = _resolve_tree(g, None, 0, max_depth)
-            _label_tree(root, max_depth, _BRANCH_MEMO)
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            points.append(node)
-            stack.extend(reversed(node.children))
+    points = _resolve_tree(g, max_depth) if g.multiplicity >= 2 else []
+    for pt in points:  # parents before children
+        if not pt.classification:
+            pt.classification = _ade_label(pt.germ, max_depth)
     return ResolutionTrace(g, points, True)
 
 
-@contextmanager
-def _recursion_as_overflow(g: Germ):
-    """Report a resolution too deep for the interpreter as DepthOverflow.
-
-    The kernel recurses once per infinitely-near point, so a cap above what
-    the recursion limit allows would otherwise end in a RecursionError.
-    """
-    try:
-        yield
-    except RecursionError:
-        raise DepthOverflow(
-            f"resolution of {g} nests deeper than the interpreter's recursion limit"
-        ) from None
-
-
-def _resolve_tree(germ: Germ, direction, depth: int, max_depth: int) -> tuple[TracePoint, int]:
-    """The subtree of infinitely-near points at germ, and its maximum
-    multiplicity.  Points heading a subtree of multiplicity > 3 are labelled
-    here; the rest wait for _label_tree."""
-    if depth > max_depth:
-        raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
-    m = germ.multiplicity
-    node = TracePoint(depth, m, m // 2, "", direction, germ)
-    top = m
-    for desc in _blow_up(germ):
-        if desc.germ is None:
-            node.children.append(
-                TracePoint(depth + 1, 2, 1, "A1", desc.direction, None, count=desc.count)
-            )
-        else:
-            child, child_top = _resolve_tree(desc.germ, desc.direction, depth + 1, max_depth)
+def _resolve_tree(g: Germ, max_depth: int) -> list[TracePoint]:
+    """The infinitely-near points of g (multiplicity >= 2) in depth-first
+    order.  Points heading a subtree of multiplicity > 3 are labelled
+    NonNegligibleInterior; the rest are left unlabelled."""
+    m = g.multiplicity
+    points = []
+    stack = [TracePoint(0, m, m // 2, "", None, g)]
+    while stack:
+        node = stack.pop()
+        points.append(node)
+        if node.germ is None:
+            continue  # a packet of A1 nodes
+        if node.depth > max_depth:
+            raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
+        for desc in _even_points(node.germ):
+            if desc.germ is None:
+                child = TracePoint(node.depth + 1, 2, 1, "A1", desc.direction, None,
+                                   count=desc.count)
+            else:
+                m = desc.germ.multiplicity
+                child = TracePoint(node.depth + 1, m, m // 2, "", desc.direction, desc.germ)
             node.children.append(child)
-            top = max(top, child_top)
-    if top > 3:
-        node.classification = "NonNegligibleInterior"
-    return node, top
-
-
-def _label_tree(node: TracePoint, max_depth: int, memo: dict):
-    """ADE labels for the negligible points, parents before children."""
-    if not node.classification:
-        node.classification = _ade_label(node.germ, max_depth, memo)
-    for child in node.children:
-        _label_tree(child, max_depth, memo)
+        stack.extend(reversed(node.children))
+    for node in reversed(points):  # children before parents
+        if node.multiplicity > 3 or any(
+                child.classification == "NonNegligibleInterior" for child in node.children):
+            node.classification = "NonNegligibleInterior"
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -658,33 +645,16 @@ def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
     multiplicity 3 the number of distinct tangent-cone lines separates D
     (>= 2 lines) from E (one line).
     """
-    m = g.multiplicity
-    if m <= 1:
+    if g.multiplicity <= 1:
         return "Smooth"
-    with _recursion_as_overflow(g):
-        _, top = _resolve_tree(g, None, 0, max_depth)
-        if top > 3:
-            return "NonNegligible"
-        return _ade_label(g, max_depth, _BRANCH_MEMO)
+    if _resolve_tree(g, max_depth)[0].classification:
+        return "NonNegligible"
+    return _ade_label(g, max_depth)
 
 
-class _BoundedMemo(dict):
-    """A dict that drops its oldest entry rather than grow past MEMO_SIZE."""
-
-    def __setitem__(self, key, value):
-        if len(self) >= MEMO_SIZE and key not in self:
-            del self[next(iter(self))]
-        super().__setitem__(key, value)
-
-
-#: germ -> (r, delta, height) from _branch_data, shared by every
-#: even_resolve and classify call; the entries do not depend on the cap.
-_BRANCH_MEMO = _BoundedMemo()
-
-
-def _ade_label(g: Germ, max_depth: int, memo: dict) -> str:
+def _ade_label(g: Germ, max_depth: int) -> str:
     """ADE label of a germ already known to be negligible."""
-    r, delta, _ = _branch_data(g, max_depth, memo)
+    r, delta, _ = _branch_data(g, max_depth)
     mu = 2 * delta - r + 1
     if g.multiplicity == 2:
         return f"A{mu}"
@@ -695,57 +665,61 @@ def _ade_label(g: Germ, max_depth: int, memo: dict) -> str:
     return f"E{mu}"
 
 
-def _branch_data(g: Germ, max_depth: int, memo: dict, depth: int = 0) -> tuple[int, int, int]:
-    """Branch count, delta invariant and recursion height via strict-transform
-    recursion.
+def _branch_data(g: Germ, max_depth: int) -> tuple[int, int, int]:
+    """Branch count, delta invariant and height of the strict-transform walk
+    below g.
 
     Each infinitely-near point of multiplicity m contributes m(m-1)/2 to
     delta; branches are counted where the strict transform becomes smooth.
-    The height is how many levels the recursion went below g.  memo maps a
-    germ to its result; an entry is reused only when depth + height <=
-    max_depth, so DepthOverflow fires exactly where the full recursion would
-    raise it.
+    The height is how many levels the walk went below g.  The walk is
+    depth-first with an explicit stack; each point's entry is kept on its
+    _StrictPoints record and reused only when depth + height <= max_depth,
+    so DepthOverflow fires exactly where the full walk would raise it.
     """
-    if depth > max_depth:
-        raise DepthOverflow(f"branch recursion exceeded {max_depth} for {g}")
-    m = g.multiplicity
-    if m <= 1:
-        return 1, 0, 0
-    hit = memo.get(g)
-    if hit is not None and depth + hit[2] <= max_depth:
-        return hit
-    delta = m * (m - 1) // 2
-    r = 0
-    height = 0
-    strict = _divide(_chart1(g.support), 0, m)
-    p = _restriction(strict)
-    q0 = None
-    for coeffs, exp in _factor_list(p):
-        if len(coeffs) == 2:
-            root = Fraction(-coeffs[0], coeffs[1])
-            sub = Germ(_shift_second(strict, root))
-            r1, d1, h1 = _branch_data(sub, max_depth, memo, depth + 1)
-            r += r1
-            delta += d1
-            height = max(height, h1 + 1)
-        elif exp == 1:
-            r += len(coeffs) - 1  # simple conjugate points: one smooth branch each
-        else:
-            if q0 is None:
-                q0 = _first_order_part(strict)
-            if _divides(coeffs, q0):
-                raise RequiresAlgebraicExtension(
-                    f"singular irrational point {coeffs} in strict transform of {g}"
-                )
-            r += len(coeffs) - 1  # smooth but tangent to E
-    strict2 = _divide(_chart2(g.support), 1, m)
-    if all(i + j > 0 for i, j in strict2):
-        r2, d2, h2 = _branch_data(Germ(strict2), max_depth, memo, depth + 1)
-        r += r2
-        delta += d2
-        height = max(height, h2 + 1)
-    memo[g] = (r, delta, height)
-    return r, delta, height
+    stack = []  # (record, sums [r, delta, height], children) per point on the path
+    h = g
+    while True:
+        depth = len(stack)
+        if depth > max_depth:
+            raise DepthOverflow(f"branch recursion exceeded {max_depth} for {h}")
+        m = h.multiplicity
+        entry = (1, 0, 0)
+        if m > 1:
+            rec = _strict_points(h)
+            entry = rec.branch
+            if entry is None or depth + entry[2] > max_depth:
+                sums = [0, m * (m - 1) // 2, 0]
+                stack.append((rec, sums, _strict_children(h, rec, sums)))
+                entry = None
+        while True:  # hand finished entries up until a point has a child left
+            if entry is not None:
+                if not stack:
+                    return entry
+                sums = stack[-1][1]
+                sums[0] += entry[0]
+                sums[1] += entry[1]
+                sums[2] = max(sums[2], entry[2] + 1)
+            rec, sums, children = stack[-1]
+            h = next(children, None)
+            if h is not None:
+                break
+            stack.pop()
+            entry = rec.branch = tuple(sums)
+
+
+def _strict_children(h: Germ, rec: _StrictPoints, sums: list):
+    """The strict germs below h in walk order: the rational directions, then,
+    once their irrational directions are checked and counted, infinity."""
+    for _, sub in rec.rational:
+        yield sub
+    for coeffs, _, singular in rec.irrational:
+        if singular:
+            raise RequiresAlgebraicExtension(
+                f"singular irrational point {coeffs} in strict transform of {h}"
+            )
+        sums[0] += len(coeffs) - 1  # smooth points, one branch each
+    if rec.at_infinity is not None:
+        yield rec.at_infinity
 
 
 def _tangent_line_count(g: Germ) -> int:

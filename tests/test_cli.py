@@ -14,7 +14,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fibrato
@@ -82,6 +82,20 @@ def test_resolve_syntax_error_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err
+    # only ASCII digits make an integer; other digits are illegal characters
+    for text, char in (("y^\u00b2", "'\u00b2'"), ("y^2 - z^\u0663", "'\u0663'")):
+        code, out, err = run(capsys, "resolve", text)
+        assert (code, out) == (2, "")
+        assert f"illegal character {char}" in err, text
+
+
+def test_resolve_reads_a_leading_minus_as_a_sign(capsys):
+    spaced = run(capsys, "resolve", "-y^2 + z^4", "--json")
+    assert spaced[0] == 0
+    assert run(capsys, "resolve", "-y^2+z^4", "--json") == spaced
+    assert run(capsys, "resolve", "--json", "-y^2+z^4") == spaced
+    code, out, _ = run(capsys, "resolve", "-h")
+    assert code == 0 and out.startswith("usage: fibrato resolve")
 
 
 def test_resolve_zero_polynomial_exits_2(capsys):
@@ -109,16 +123,20 @@ def _fresh_process(*argv):
 
 
 def test_resolution_deeper_than_the_recursion_limit_exits_2(capsys, monkeypatch, tmp_path):
-    # the kernel recurses once per infinitely-near point: y^2 - z^2400 has 1,200
+    # the kernel walks with explicit stacks, so only the cap limits the depth:
+    # y^2 - z^2400 has 1,200 points, more than the interpreter's recursion limit
     monkeypatch.setenv("FIBRATO_MAX_DEPTH", "5000")
     deep = "y^2 - z^2400"
-    code, out, err = run(capsys, "resolve", deep)
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: germ '{deep}': resolution of {deep} nests deeper")
-    datum = GenusGDatum(g=2, g_C=1, e=0, n=4, critical_fibers=(CriticalFiber("F", (deep,)),))
-    code, out, err = run(capsys, "datum", write_json(tmp_path, "deep.json", datum_to_json(datum)))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: datum: resolution of {deep} nests deeper")
+    for extra in ([], ["--trace"]):
+        code, out, err = run(capsys, "resolve", deep, *extra)
+        assert (code, err) == (0, "")
+        assert "classification: A2399" in out
+    # y^4 - z^4000 is a chain of 1,000 NonNegligibleInterior points
+    for text in (deep, "y^4 - z^4000"):
+        datum = GenusGDatum(g=2, g_C=1, e=0, n=4, critical_fibers=(CriticalFiber("F", (text,)),))
+        code, out, err = run(capsys, "datum", write_json(tmp_path, "deep.json", datum_to_json(datum)))
+        assert code in (0, 1) and err == ""
+        assert f"F: {text} -> multiplicities" in out
     # a trace of 500 points resolves, but is nested too deep to write as JSON
     code, out, err = run(capsys, "resolve", "y^2 - z^1000", "--json")
     assert (code, out) == (2, "")
@@ -184,6 +202,7 @@ def _resolve_inputs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_resolve_inputs())
+@example("-y^2+z^4")
 def test_resolve_fuzz_exits_cleanly(text):
     # memos stay warm from one example to the next, as in a long-lived process
     out, err = io.StringIO(), io.StringIO()
@@ -196,7 +215,7 @@ def test_resolve_fuzz_exits_cleanly(text):
         doc = json.loads(out.getvalue())
         assert doc["germ"] and isinstance(doc["multiplicities"], list)
     else:
-        # a text with a leading "-" reaches argparse as an option: a usage error
+        # a germ error, or argparse's usage error for a text that starts with "--"
         assert out.getvalue() == "" and "error: " in err.getvalue(), text
 
 
@@ -235,6 +254,32 @@ def test_example_wrong_parity_exits_2(capsys):
     code, _, err = run(capsys, "example", "even_genus", "--genus", "7")
     assert code == 2
     assert "error:" in err
+
+
+def test_example_past_the_depth_cap_exits_2(capsys, monkeypatch):
+    # even_genus(64) needs more blow-ups than the default cap of 64 allows
+    code, out, err = run(capsys, "example", "even_genus", "--genus", "64")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: example: ")
+    monkeypatch.setenv("FIBRATO_MAX_DEPTH", "200")
+    code, out, _ = run(capsys, "example", "even_genus", "--genus", "64")
+    assert code == 0
+    assert "closed-formula check: match" in out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FAMILY_NAMES), st.integers(-3, 70), st.booleans())
+def test_example_exits_cleanly(name, genus, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", out)
+        mp.setattr(sys, "stderr", err)
+        code = main(["example", name, "--genus", str(genus)] + ["--json"] * as_json)
+    assert code in (0, 1, 2), (name, genus)
+    if code == 0 and as_json:
+        assert json.loads(out.getvalue())["genus"] == genus
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_example_json_reports_match(capsys):
@@ -585,6 +630,16 @@ def test_datum_malformed_germ_entry_exits_2(capsys, tmp_path, field, value, mess
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+def test_germ_with_a_constant_term_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "resolve", "y^0 + y^2")
+    assert (code, out) == (2, "")
+    assert "a germ must vanish at the origin" in err
+    doc = with_field(datum_to_json(family("genus2").datum), GERMS_0, ["y^0 + y^2"])
+    code, out, err = run(capsys, "datum", write_json(tmp_path, "d.json", doc))
+    assert (code, out) == (2, "")
+    assert "datum: critical_fibers[0].germs[0]: a germ must vanish at the origin" in err
 
 
 PROFILED_RECORD = dict(GOOD_RECORD, profiles=[

@@ -55,6 +55,22 @@ def test_parse_leading_sign():
     assert parse_germ("-y^2 + z^4") == parse_germ("y^2 - z^4")  # sign normalization
 
 
+def test_parse_rejects_a_constant_term():
+    for text in ("y^0 + y^2", "(y^0 + y)*(y^0 - z)", "z^0"):
+        with pytest.raises(GermSyntaxError, match="vanish at the origin"):
+            parse_germ(text)
+    # the rule reads the expanded polynomial, not the tokens
+    assert parse_germ("y^0*y^2 - (y^0 - y^0) - z^3") == parse_germ("y^2 - z^3")
+
+
+def test_parse_reads_only_ascii_digits():
+    for text, char in (("y^\u00b2", "\u00b2"), ("y^2 - z^\u0663", "\u0663"), ("\uff12*y^2", "\uff12")):
+        with pytest.raises(GermSyntaxError, match=f"illegal character '{char}'"):
+            parse_germ(text)
+    with pytest.raises(GermSyntaxError, match="too long"):
+        parse_germ("9" * 5000 + "*y^2")
+
+
 def test_parse_nested_parentheses():
     g = parse_germ("(y - z)*(y + z)")
     assert g.support == {(2, 0): 1, (0, 2): -1}
@@ -226,11 +242,11 @@ def test_depth_overflow_respects_cap():
 def test_branch_memo_is_not_reused_past_the_cap():
     # y^2 - z^38 is the strict transform of y^2 - z^40 at infinity: its entry
     # fits the cap from depth 0 but not from depth 1.
-    memo = {}
-    assert _branch_data(parse_germ("y^2 - z^38"), 19, memo)[2] == 19
+    _clear_kernel_memos()
+    assert _branch_data(parse_germ("y^2 - z^38"), 19)[2] == 19
     with pytest.raises(DepthOverflow):
-        _branch_data(parse_germ("y^2 - z^40"), 19, memo)
-    assert _branch_data(parse_germ("y^2 - z^40"), 20, memo) == (2, 20, 20)
+        _branch_data(parse_germ("y^2 - z^40"), 19)
+    assert _branch_data(parse_germ("y^2 - z^40"), 20) == (2, 20, 20)
 
 
 def test_requires_algebraic_extension_even_branch():
@@ -461,21 +477,51 @@ def test_integer_shift_matches_fraction_shift(support, p, q):
 @pytest.mark.parametrize("a", range(2, 11))
 def test_branch_data_milnor_number_of_brieskorn_germs(a):
     # Milnor (1968): mu(y^a - z^b) = (a - 1)(b - 1), and mu = 2 delta - r + 1.
-    shared = {}
     for b in range(2, 11):
         g = parse_germ(f"y^{a} - z^{b}")
-        for memo in ({}, shared):
-            r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH, memo)
+        for cold in (True, False):
+            if cold:
+                _clear_kernel_memos()
+            r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH)
             assert 2 * delta - r + 1 == (a - 1) * (b - 1)
+
+
+@st.composite
+def _semi_quasi_homogeneous(draw):
+    """(a, b, germ): y^a - z^b plus up to three terms c*y^i*z^j, c != 0, above
+    its Newton edge (i*b + j*a > a*b)."""
+    a, b = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    support = {(a, 0): 1, (0, b): -1}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, 2 * a))
+        low = max(0, (a * b - i * b) // a + 1)  # the least j above the edge
+        j = draw(st.integers(low, low + b))
+        support[(i, j)] = support.get((i, j), 0) + draw(st.integers(-9, 9).filter(bool))
+    return a, b, Germ(support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_semi_quasi_homogeneous())
+@example((3, 4, parse_germ("y^3 - z^4 + y^2*z^2")))
+@example((4, 6, parse_germ("y^4 - z^6 + 5*y^3*z^2 - y*z^6")))
+def test_milnor_number_of_semi_quasi_homogeneous_germs(abg):
+    # Arnold: a semi-quasi-homogeneous germ has the Milnor number of its
+    # principal part y^a - z^b, mu = (a - 1)(b - 1) = 2 delta - r + 1.
+    a, b, g = abg
+    mu = (a - 1) * (b - 1)
+    r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH)
+    assert 2 * delta - r + 1 == mu, g
+    label = classify(g)
+    if label[0] in "ADE":
+        assert int(label[1:]) == mu, (g, label)
 
 
 # ---------------------------------------------------------------------------
 # process-wide kernel memos
 
 def _clear_kernel_memos():
-    kernel._blow_up.cache_clear()
+    kernel._strict_points.cache_clear()  # the branch entries live on its records
     kernel._factors.cache_clear()
-    kernel._BRANCH_MEMO.clear()
 
 
 def _point_view(pt):
@@ -549,33 +595,43 @@ def test_kernel_memos_keep_each_depth_cap():
 
 def test_kernel_memos_are_bounded():
     assert datum_mod.MEMO_SIZE is kernel.MEMO_SIZE
-    for memo in (kernel._blow_up, kernel._factors):
+    for memo in (kernel._strict_points, kernel._factors):
         assert memo.cache_info().maxsize == kernel.MEMO_SIZE
-    memo = kernel._BoundedMemo()
-    for key in range(kernel.MEMO_SIZE + 5):
-        memo[key] = key
-    assert len(memo) == kernel.MEMO_SIZE
-    assert min(memo) == 5  # the oldest entries went first
-    memo[7] = "again"  # rewriting a kept entry evicts nothing
-    assert len(memo) == kernel.MEMO_SIZE and min(memo) == 5
+    memo = kernel._strict_points
+    _clear_kernel_memos()
+    chain = [parse_germ(f"y^2 - z^{b}") for b in range(3, kernel.MEMO_SIZE + 8)]
+    for g in chain:
+        memo(g)
+    assert memo.cache_info().currsize == kernel.MEMO_SIZE
+    hits, misses = memo.cache_info().hits, memo.cache_info().misses
+    memo(chain[5])  # the oldest entry kept
+    assert memo.cache_info().hits == hits + 1
+    memo(chain[4])  # the oldest entries went first
+    assert memo.cache_info().misses == misses + 1
+    assert memo.cache_info().currsize == kernel.MEMO_SIZE
 
 
 def test_resolving_again_misses_no_kernel_memo(monkeypatch):
-    writes = []
-    set_entry = kernel._BoundedMemo.__setitem__
-    monkeypatch.setattr(kernel._BoundedMemo, "__setitem__",
-                        lambda memo, key, value: (writes.append(key), set_entry(memo, key, value)))
+    writes = []  # branch entries stored on the kernel's records
+    set_slot = kernel._StrictPoints.__setattr__
+
+    def record_write(rec, name, value):
+        if name == "branch" and value is not None:
+            writes.append(value)
+        set_slot(rec, name, value)
+
+    monkeypatch.setattr(kernel._StrictPoints, "__setattr__", record_write)
     for text in ("y^7 - z^4", "z*(y^3 - z^5)", "y^3 - z^3", "(y^2 - z^3)*(y^2 + z^3)"):
         g = parse_germ(text)
         _clear_kernel_memos()
         first = _kernel_view(g)
-        before = (kernel._blow_up.cache_info().misses, kernel._factors.cache_info().misses,
-                  len(writes))
+        before = (kernel._strict_points.cache_info().misses,
+                  kernel._factors.cache_info().misses, len(writes))
         assert _kernel_view(g) == first
-        after = (kernel._blow_up.cache_info().misses, kernel._factors.cache_info().misses,
-                 len(writes))
+        after = (kernel._strict_points.cache_info().misses,
+                 kernel._factors.cache_info().misses, len(writes))
         assert after == before, text
-        assert before[2] > 0, text  # the first run did fill the branch memo
+        assert before[2] > 0, text  # the first run did store branch entries
 
 
 def test_even_blow_up_returns_a_fresh_list():
