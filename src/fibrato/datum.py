@@ -226,7 +226,7 @@ def _cluster_offences(germ: Germ, trace: ResolutionTrace) -> list[str]:
     the cover; D or E heads obstruct semi-stability.
     """
     offences: list[str] = []
-    stack = [trace.root] if trace.root is not None else []
+    stack = trace.points[:1]  # the root, if any
     while stack:
         node = stack.pop()
         if node.classification == "NonNegligibleInterior":

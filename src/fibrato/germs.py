@@ -441,8 +441,8 @@ class _StrictPoints:
     rational: (root, strict germ at [1 : root]) per rational root of the
         restriction to E, in factor-list order, the order the branch walk
         visits them;
-    irrational: (min_poly, exponent, singular) per irrational factor;
-        singular: a multiple factor that divides the y-linear part, so the
+    irrational: (min_poly, exponent, singular) per irrational factor, where
+        singular marks a multiple factor that divides the y-linear part: the
         strict transform is singular at its points;
     at_infinity: the strict germ at [0 : 1], or None off the origin;
     even: the non-smooth points of the even transform, which is the strict
@@ -619,8 +619,8 @@ def _resolve_tree(g: Germ, max_depth: int) -> list[TracePoint]:
                 child = TracePoint(node.depth + 1, 2, 1, "A1", desc.direction, None,
                                    count=desc.count)
             else:
-                m = desc.germ.multiplicity
-                child = TracePoint(node.depth + 1, m, m // 2, "", desc.direction, desc.germ)
+                mult = desc.germ.multiplicity
+                child = TracePoint(node.depth + 1, mult, mult // 2, "", desc.direction, desc.germ)
             node.children.append(child)
         stack.extend(reversed(node.children))
     for node in reversed(points):  # children before parents

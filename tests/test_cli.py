@@ -83,10 +83,12 @@ def test_resolve_syntax_error_exits_2(capsys):
     assert out == ""
     assert "error:" in err
     # only ASCII digits make an integer; other digits are illegal characters
-    for text, char in (("y^\u00b2", "'\u00b2'"), ("y^2 - z^\u0663", "'\u0663'")):
+    for text, message in (("y^\u00b2", "illegal character '\u00b2'"),
+                          ("y^2 - z^\u0663", "illegal character '\u0663'"),
+                          ("9" * 5000 + "*y^2", "integer of 5000 digits is too long")):
         code, out, err = run(capsys, "resolve", text)
         assert (code, out) == (2, "")
-        assert f"illegal character {char}" in err, text
+        assert message in err, text
 
 
 def test_resolve_reads_a_leading_minus_as_a_sign(capsys):
