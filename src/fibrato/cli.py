@@ -145,7 +145,7 @@ def _trace_point_json(point) -> dict:
     }
 
 
-def _trace_lines(trace, lines: list) -> None:
+def _trace_lines(trace):
     # trace.points is the tree in depth-first order, indented by depth
     for point in trace.points:
         head = ("  " * point.depth
@@ -154,7 +154,7 @@ def _trace_lines(trace, lines: list) -> None:
         if point.count != 1:
             head += f", packet of {point.count}"
         head += f", direction {_direction_text(point.direction)}"
-        lines.append(head)
+        yield head
 
 
 def _cmd_resolve(args) -> int:
@@ -195,7 +195,7 @@ def _resolution_text(germ, trace, args) -> str:
     ]
     if args.trace and trace.root is not None:
         lines.append("trace:")
-        _trace_lines(trace, lines)
+        lines.extend(_trace_lines(trace))
     return "\n".join(lines)
 
 
@@ -553,7 +553,8 @@ class _SubcommandParser(argparse.ArgumentParser):
         self.signed_text = signed_text
 
     def _parse_optional(self, arg_string):
-        if self.signed_text and arg_string[:1] == "-" and arg_string[1:2] not in ("-", "h"):
+        if (self.signed_text and arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string not in self._option_string_actions):
             return None
         return super()._parse_optional(arg_string)
 

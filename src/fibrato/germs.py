@@ -472,26 +472,16 @@ def _strict_points(g: Germ) -> _StrictPoints:
     strict2 = _chart2(g.support, m)
     at_infinity = Germ(strict2) if all(i + j for i, j in strict2) else None
 
-    eps = m % 2  # for odd m, E is a component of the even transform
-    even = [Descendant(root, _times(germ, eps, 0)) for root, germ in sorted(rational)]
+    eps = m % 2  # for odd m, E is a component of the even transform: times y or z
+    even = [Descendant(root, Germ({(i + 1, j): c for (i, j), c in germ.support.items()}) if eps else germ)
+            for root, germ in sorted(rational)]
     if eps:  # a simple irrational direction carries a transverse A1 node
         even += [Descendant(ConjugateDirections(c), None) for c, exp, _ in irrational if exp == 1]
     if at_infinity is not None:
-        even.append(Descendant(INFINITY, _times(at_infinity, 0, eps)))
+        even.append(Descendant(INFINITY, Germ({(i, j + 1): c for (i, j), c in at_infinity.support.items()})
+                               if eps else at_infinity))
     even = tuple(d for d in even if d.germ is None or d.germ.multiplicity >= 2)
     return _StrictPoints(tuple(rational), tuple(irrational), at_infinity, even)
-
-
-def _times(g: Germ, i0: int, j0: int) -> Germ:
-    """g times y^i0 z^j0.  A canonical germ times a monomial is canonical,
-    with its terms in the same order, so Germ's normalisation is skipped."""
-    if not (i0 or j0):
-        return g
-    out = Germ.__new__(Germ)
-    out.support = {(i + i0, j + j0): c for (i, j), c in g.support.items()}
-    out.multiplicity = g.multiplicity + i0 + j0
-    out._hash = hash(tuple(out.support.items()))
-    return out
 
 
 def _even_points(g: Germ) -> tuple[Descendant, ...]:
