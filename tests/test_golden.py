@@ -10,7 +10,18 @@ exit code fails the group that shows it:
   genera included, they exit 2);
 * ``kernel-cap3``: ``even_resolve`` and ``classify`` at cap 3 on all 784
   grid germs, with the ``DepthOverflow`` and ``RequiresAlgebraicExtension``
-  texts.
+  texts;
+* ``audit-human``, ``audit-json``: ``audit -`` without and with ``--json`` on
+  hand-built records that reach every branch of ``fibration.audit``: chi
+  positive, zero, negative and non-integral, non-integral omega^2, s = 0
+  (slope 12), a rational base with fewer than five fibers, non-hyperbolic
+  bases, records that are not semi-stable, forged deltas, and stable-model
+  nodes and fiber profiles that pass and fail;
+* ``datum-human``, ``datum-json``: ``datum -`` without and with ``--json`` on
+  the 66 data that
+  ``example <family> --genus g --emit-json`` prints for g = 2..41;
+* ``search-human``, ``search-json``: ``search`` for g = 2..8, max-n 8 and 16,
+  germ grids 4x4 and 8x8.
 
 To see a digest, run this file with ``-k <group>`` and read the assertion.
 """
@@ -19,7 +30,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
+import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +60,12 @@ DIGESTS = {
     "example-mod4_1": "2b8588cd72619e1952240edee5272140b1e4ef56d5844da8e61d501a232c0adc",
     "example-mod6_1": "5cc8dd5f09d4aa51b491fcdd6ad3ea2a9d3d3bea2ee03974fda3ced47c4565f5",
     "kernel-cap3": "a5e0e317f812b92aecc04c14113cd1bdae811473de201ab20009f8d9e5a1d707",
+    "audit-human": "d21abf67d3d19f01920ed60fe1a73f397863e2215b5a82942d5b35d1934bc826",
+    "audit-json": "27fad7253025d1ba763111ceabaaf2b34a868a406910641d913e33551064f1ad",
+    "datum-human": "f8429029f9b3b03f4cfdcc0987d1df74b963450dae17dc26eed80fff0b28f0f1",
+    "datum-json": "a79b543ea3c79444aafe94753569bd7f1eb23c187e412f2083a662ea1957d141",
+    "search-human": "f85845f62c148f3f94d1a22e0f78ef716f118ebf5366597c3b9f555b93063d6d",
+    "search-json": "a7574c557d32038f448603d65e74e5885d9ecd3585abac3eee7c55ea52cb4ca7",
 }
 
 
@@ -53,13 +73,55 @@ def _grid_text(e, f, a, b):
     return "*".join(["y"] * e + ["z"] * f + [f"(y^{a} - z^{b})"])
 
 
-def _cli(argv):
+def _cli(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", io.StringIO(stdin))
         mp.setattr(sys, "stdout", out)
         mp.setattr(sys, "stderr", err)
         code = main(argv)
     return argv, code, out.getvalue(), err.getvalue()
+
+
+# (chi, omega^2) pairs: positive, zero, negative and non-integral chi; slope 12
+# (1, 12) and above 12 (2, 25), slope on the lower bound of genus 2 (3, 6), and
+# omega^2 on the canonical-class bound of genus 2 over (g_C, s) = (1, 2)
+_CHI_OMEGA = (("1", "12"), ("2", "25"), ("3", "6"), ("2", "4"), ("5", "33"), ("7/2", "41/2"),
+              ("1/2", "3/2"), ("0", "0"), ("0", "-4"), ("-3", "-30"), ("-1/2", "5"))
+# (g_C, s): rational bases with s = 0, s < 5 and s >= 5, elliptic bases with
+# s = 0 (non-hyperbolic) and s > 0, and a genus-2 base
+_BASES = ((0, 0), (0, 3), (0, 5), (1, 0), (1, 2), (1, 4), (2, 1))
+_NODES = (None, [], [0], [0, 1, 2, 3], [5] * 9)
+_PROFILES = (
+    None,
+    [],
+    [{"g": 2, "g_geo": 1, "l": 1, "delta_counts": {"0": 1}}],
+    [{"g": 3, "g_geo": 3, "l": 2, "delta_counts": {"1": 1}},
+     {"g": 3, "g_geo": 2, "l": 1, "delta_counts": {"1": 1}},
+     {"g": 2, "g_geo": 0, "l": 2, "delta_counts": {"0": 3}}],
+)
+
+
+def _audit_records():
+    records = []
+    for i, (g, (g_C, s), (chi, omega_sq), forged, semistable) in enumerate(itertools.product(
+            (2, 3, 5), _BASES, _CHI_OMEGA, (False, True), (True, False))):
+        delta = str(12 * Fraction(chi) - Fraction(omega_sq) + forged)
+        record = {"g": g, "g_C": g_C, "s": s, "chi": chi, "omega_sq": omega_sq,
+                  "delta": delta, "hyperelliptic": bool(i % 3), "semistable": semistable}
+        for key, options in (("nodes", _NODES), ("profiles", _PROFILES)):
+            if options[i % len(options)] is not None:
+                record[key] = options[i % len(options)]
+        records.append(json.dumps(record))
+    return records
+
+
+def _example_data():
+    for name in FAMILY_NAMES:
+        for g in range(2, 42):
+            _, code, out, _ = _cli(["example", name, "--genus", str(g), "--emit-json"])
+            if code == 0:
+                yield out
 
 
 def _outcome(fn, *args):
@@ -80,6 +142,16 @@ def _records(group):
                 for a in range(1, 15) for b in range(1, 15) for flag in ("--json", "--trace")]
     if kind == "example":
         return [_cli(["example", name, "--genus", str(g), "--json"]) for g in range(2, 42)]
+    flags = ["--json"] if name == "json" else []
+    if kind == "audit":
+        return [(record, *_cli(["audit", "-", *flags], record)) for record in _audit_records()]
+    if kind == "datum":
+        data = list(_example_data())
+        assert len(data) == 66
+        return [(doc, *_cli(["datum", "-", *flags], doc)) for doc in data]
+    if kind == "search":
+        return [_cli(["search", "--genus", str(g), "--max-n", str(n), "--germ-grid", grid, *flags])
+                for g in range(2, 9) for n in (8, 16) for grid in ("4x4", "8x8")]
     records = []
     for e in (0, 1):
         for f in (0, 1):
