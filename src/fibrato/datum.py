@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .fibration import FibrationInvariants, noether_delta, slope, speed
+from .fibration import FibrationInvariants, base_degree
 from .germs import (
     DEFAULT_MAX_DEPTH,
     MEMO_SIZE,
@@ -105,6 +105,8 @@ class GenusGDatum:
     def __post_init__(self):
         for name in ("g", "g_C", "e", "n", "declared_m"):
             value = getattr(self, name)
+            if type(value) is int:
+                continue
             if not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
@@ -323,17 +325,18 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
             total_k_km1 += r.sum_k_km1
             total_km1_sq += r.sum_km1_sq
 
-    chi = Fraction(d.g * d.n - total_k_km1, 2)
-    omega_sq = Fraction((2 * d.g - 2) * d.n - 2 * total_km1_sq - d.declared_m)
-    delta = noether_delta(omega_sq, chi)
+    # 2*chi and omega^2 are integers; delta = 12*chi - omega^2 = 6*(2*chi) - omega^2
+    two_chi = d.g * d.n - total_k_km1
+    omega_sq = (2 * d.g - 2) * d.n - 2 * total_km1_sq - d.declared_m
+    base = base_degree(d.g_C, d.s)
     verdict = _verdict(d, offences)
     inv = FibrationInvariants(
         g=d.g,
         g_C=d.g_C,
         s=d.s,
-        chi=chi,
-        omega_sq=omega_sq,
-        delta=delta,
+        chi=Fraction(two_chi, 2),
+        omega_sq=Fraction(omega_sq),
+        delta=Fraction(6 * two_chi - omega_sq),
         hyperelliptic=True,
         semistable=verdict.passed,
     )
@@ -344,7 +347,7 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
         sum_km1_sq=total_km1_sq,
         r_dot_gamma=2 * d.g + 2,
         invariants=inv,
-        slope=slope(inv) if chi else None,
-        speed=speed(inv),
+        slope=Fraction(2 * omega_sq, two_chi) if two_chi else None,
+        speed=Fraction(two_chi, base),
         semistable=verdict,
     )

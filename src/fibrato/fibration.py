@@ -26,6 +26,7 @@ __all__ = [
     "AuditReport",
     "slope",
     "speed",
+    "base_degree",
     "noether_delta",
     "relative_from_absolute",
     "fiber_delta",
@@ -81,7 +82,9 @@ class FibrationInvariants:
         if self.g_C < 0 or self.s < 0:
             raise ValueError("base genus and fiber count must be non-negative")
         for name in ("chi", "omega_sq", "delta"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
 
 
 @dataclass(frozen=True)
@@ -136,22 +139,37 @@ class StableModelNodes:
 
 def slope(inv: FibrationInvariants) -> Fraction:
     """omega_sq / chi."""
-    if inv.chi == 0:
+    chi, omega_sq = inv.chi, inv.omega_sq
+    if not chi:
         raise IsotrivialDivisionByZero("slope undefined for chi = 0")
-    return inv.omega_sq / inv.chi
+    return Fraction(omega_sq.numerator * chi.denominator,
+                    omega_sq.denominator * chi.numerator)
+
+
+def base_degree(g_C: int, s: int) -> int:
+    """2*g_C - 2 + s, the divisor of the speed; NonHyperbolicBase unless it
+    is positive."""
+    denom = 2 * g_C - 2 + s
+    if denom <= 0:
+        raise NonHyperbolicBase(f"base orbifold Euler number {-denom} >= 0")
+    return denom
 
 
 def speed(inv: FibrationInvariants) -> Fraction:
     """2*chi / (2*g_C - 2 + s)."""
-    denom = 2 * inv.g_C - 2 + inv.s
-    if denom <= 0:
-        raise NonHyperbolicBase(f"base orbifold Euler number {-denom} >= 0")
-    return 2 * inv.chi / denom
+    denom = base_degree(inv.g_C, inv.s)
+    return Fraction(2 * inv.chi.numerator, inv.chi.denominator * denom)
 
 
 def noether_delta(omega_sq, chi) -> Fraction:
     """The node count forced by the Noether identity: 12*chi - omega_sq."""
-    return 12 * Fraction(chi) - Fraction(omega_sq)
+    if type(chi) is not Fraction:
+        chi = Fraction(chi)
+    if type(omega_sq) is not Fraction:
+        omega_sq = Fraction(omega_sq)
+    return Fraction(12 * chi.numerator * omega_sq.denominator
+                    - omega_sq.numerator * chi.denominator,
+                    chi.denominator * omega_sq.denominator)
 
 
 def relative_from_absolute(c1_sq, c2, g: int, g_C: int):
@@ -245,6 +263,10 @@ class AuditReport:
         return [c for c in self.checks if c.status == "fail"]
 
 
+_FIVE = Fraction(5)
+_TWELVE = Fraction(12)
+
+
 def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
           profiles: list[FiberNodeProfile] | None = None) -> AuditReport:
     """Run every applicable identity and inequality against one record.
@@ -253,49 +275,62 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
     the record does not carry (positive chi for slopes, a hyperbolic base
     and semi-stability for speed bounds, optional nodes and fiber profiles)
     are reported as skipped.
+
+    Every comparison is decided on integer numerators and (positive)
+    denominators; a Fraction is built only where a check reports it.
     """
     report = AuditReport()
     add = report.checks.append
+    g, g_C, s = inv.g, inv.g_C, inv.s
+    chi_n, chi_d = inv.chi.numerator, inv.chi.denominator
+    omega_n, omega_d = inv.omega_sq.numerator, inv.omega_sq.denominator
 
-    forced = noether_delta(inv.omega_sq, inv.chi)
-    add(AuditCheck("noether-identity", _status(inv.delta == forced), inv.delta, forced))
+    forced_n = 12 * chi_n * omega_d - omega_n * chi_d
+    forced_d = chi_d * omega_d
+    add(AuditCheck("noether-identity",
+                   _status(inv.delta.numerator * forced_d == forced_n * inv.delta.denominator),
+                   inv.delta, Fraction(forced_n, forced_d)))
 
-    if inv.chi > 0:
-        lam = slope(inv)
-        lower = Fraction(4 * (inv.g - 1), inv.g)
-        add(AuditCheck("slope-lower", _status(lower <= lam), lower, lam))
-        add(AuditCheck("slope-upper", _status(lam <= Fraction(12)), lam, Fraction(12)))
+    if chi_n > 0:
+        # lambda = omega_sq / chi = lam_n / lam_d with lam_d > 0
+        lam_n, lam_d = omega_n * chi_d, omega_d * chi_n
+        lam = Fraction(lam_n, lam_d)
+        add(AuditCheck("slope-lower", _status(4 * (g - 1) * lam_d <= lam_n * g),
+                       Fraction(4 * (g - 1), g), lam))
+        add(AuditCheck("slope-upper", _status(lam_n <= 12 * lam_d), lam, _TWELVE))
         add(AuditCheck(
             "slope-12-iff-smooth",
-            _status((lam == 12) == (inv.s == 0)),
-            lam, Fraction(12),
-            note=f"s = {inv.s}",
+            _status((lam_n == 12 * lam_d) == (s == 0)),
+            lam, _TWELVE,
+            note=f"s = {s}",
         ))
     else:
-        note = "chi = 0" if inv.chi == 0 else "chi < 0"
+        note = "chi = 0" if chi_n == 0 else "chi < 0"
         for name in ("slope-lower", "slope-upper", "slope-12-iff-smooth"):
             add(AuditCheck(name, "skipped", note=note))
 
-    hyperbolic = 2 * inv.g_C - 2 + inv.s > 0
-    if inv.semistable and hyperbolic:
-        spd = speed(inv)
-        add(AuditCheck("arakelov-speed", _status(spd < inv.g), spd, Fraction(inv.g), strict=True))
-        bound = Fraction(canonical_class_bound(inv.g, inv.g_C, inv.s))
-        add(AuditCheck("canonical-class", _status(inv.omega_sq < bound),
-                       inv.omega_sq, bound, strict=True))
+    denom = 2 * g_C - 2 + s
+    if inv.semistable and denom > 0:
+        # speed = 2*chi / denom < g
+        add(AuditCheck("arakelov-speed", _status(2 * chi_n < g * chi_d * denom),
+                       Fraction(2 * chi_n, chi_d * denom), Fraction(g), strict=True))
+        bound = canonical_class_bound(g, g_C, s)
+        add(AuditCheck("canonical-class", _status(omega_n < bound * omega_d),
+                       inv.omega_sq, Fraction(bound), strict=True))
     else:
         note = "not semi-stable" if not inv.semistable else "non-hyperbolic base"
         add(AuditCheck("arakelov-speed", "skipped", strict=True, note=note))
         add(AuditCheck("canonical-class", "skipped", strict=True, note=note))
 
-    if inv.g_C == 0 and inv.s > 0:
-        add(AuditCheck("five-fibers", _status(inv.s >= 5), Fraction(5), Fraction(inv.s)))
+    if g_C == 0 and s > 0:
+        add(AuditCheck("five-fibers", _status(s >= 5), _FIVE, Fraction(s)))
     else:
         add(AuditCheck("five-fibers", "skipped", note="applies over a rational base with s > 0"))
 
     if nodes is not None:
-        cap = Fraction((3 * inv.g - 3) * inv.s)
-        add(AuditCheck("node-ratio", _status(r_f(nodes) <= cap), r_f(nodes), cap))
+        cap = Fraction((3 * g - 3) * s)
+        ratio = r_f(nodes)
+        add(AuditCheck("node-ratio", _status(ratio <= cap), ratio, cap))
     else:
         add(AuditCheck("node-ratio", "skipped", note="no stable-model nodes supplied"))
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibrato.datum import CriticalFiber, GenusGDatum, invariants
 from fibrato.fibration import (
+    AuditCheck,
     AuditReport,
     FiberNodeProfile,
     FibrationInvariants,
@@ -26,6 +28,7 @@ from fibrato.fibration import (
     slope,
     speed,
 )
+from fibrato.germs import DepthOverflow, RequiresAlgebraicExtension
 from fibrato.jsonio import audit_report_to_json
 
 
@@ -288,3 +291,159 @@ def test_slope_and_speed_base_change_covariance(g, g_C, s, chi, omega, d):
         noether_delta(d * omega, d * chi))
     assert slope(scaled) == slope(rec)
     assert speed(scaled) == speed(rec)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the Fraction route
+#
+# audit() and datum.invariants() decide and build everything from integer
+# numerators and denominators.  The oracles below are the earlier Fraction
+# formulas, kept here verbatim as the independent route.
+
+def _fraction_audit(inv, nodes=None, profiles=None):
+    """audit() as computed with Fraction arithmetic throughout."""
+    checks = []
+    add = checks.append
+
+    def status(ok):
+        return "pass" if ok else "fail"
+
+    forced = 12 * inv.chi - inv.omega_sq
+    add(AuditCheck("noether-identity", status(inv.delta == forced), inv.delta, forced))
+
+    if inv.chi > 0:
+        lam = inv.omega_sq / inv.chi
+        lower = Fraction(4 * (inv.g - 1), inv.g)
+        add(AuditCheck("slope-lower", status(lower <= lam), lower, lam))
+        add(AuditCheck("slope-upper", status(lam <= Fraction(12)), lam, Fraction(12)))
+        add(AuditCheck("slope-12-iff-smooth", status((lam == 12) == (inv.s == 0)),
+                       lam, Fraction(12), note=f"s = {inv.s}"))
+    else:
+        note = "chi = 0" if inv.chi == 0 else "chi < 0"
+        for name in ("slope-lower", "slope-upper", "slope-12-iff-smooth"):
+            add(AuditCheck(name, "skipped", note=note))
+
+    denom = 2 * inv.g_C - 2 + inv.s
+    if inv.semistable and denom > 0:
+        spd = 2 * inv.chi / denom
+        add(AuditCheck("arakelov-speed", status(spd < inv.g), spd, Fraction(inv.g), strict=True))
+        bound = Fraction((2 * inv.g - 2) * denom)
+        add(AuditCheck("canonical-class", status(inv.omega_sq < bound),
+                       inv.omega_sq, bound, strict=True))
+    else:
+        note = "not semi-stable" if not inv.semistable else "non-hyperbolic base"
+        add(AuditCheck("arakelov-speed", "skipped", strict=True, note=note))
+        add(AuditCheck("canonical-class", "skipped", strict=True, note=note))
+
+    if inv.g_C == 0 and inv.s > 0:
+        add(AuditCheck("five-fibers", status(inv.s >= 5), Fraction(5), Fraction(inv.s)))
+    else:
+        add(AuditCheck("five-fibers", "skipped", note="applies over a rational base with s > 0"))
+
+    if nodes is not None:
+        cap = Fraction((3 * inv.g - 3) * inv.s)
+        ratio = sum((Fraction(1, m + 1) for m in nodes.node_indices), Fraction(0))
+        add(AuditCheck("node-ratio", status(ratio <= cap), ratio, cap))
+    else:
+        add(AuditCheck("node-ratio", "skipped", note="no stable-model nodes supplied"))
+
+    if profiles:
+        for idx, prof in enumerate(profiles):
+            expected = prof.g - prof.g_geo + prof.l - 1
+            ok = (prof.total_nodes == expected
+                  and (prof.delta_counts.get(0, 0) == 0) == prof.is_compact_type)
+            add(AuditCheck(f"fiber-profile-{idx}", status(ok),
+                           Fraction(prof.total_nodes), Fraction(expected)))
+    else:
+        add(AuditCheck("fiber-profile", "skipped", note="no fiber profiles supplied"))
+    return checks
+
+
+def _check_fields(check):
+    return (check.check, check.status, check.lhs, check.rhs, check.strict, check.note,
+            type(check.lhs), type(check.rhs))
+
+
+_SMALL_RATIONALS = st.fractions(min_value=-60, max_value=60, max_denominator=6)
+
+
+@st.composite
+def _audit_inputs(draw):
+    """Records of any sign with small denominators, often on a boundary of a
+    check (slope at its lower bound or at 12, speed at g, omega^2 at the
+    canonical-class bound), with optional nodes and fiber profiles."""
+    g = draw(st.integers(2, 8))
+    g_C = draw(st.integers(0, 3))
+    s = draw(st.integers(0, 8))
+    denom = 2 * g_C - 2 + s
+    chi = draw(st.one_of(_SMALL_RATIONALS, st.just(Fraction(g * denom, 2))))
+    omega_sq = draw(st.one_of(
+        _SMALL_RATIONALS,
+        st.just(Fraction(4 * (g - 1), g) * chi),
+        st.just(12 * chi),
+        st.just(Fraction((2 * g - 2) * denom)),
+    ))
+    delta = 12 * chi - omega_sq + draw(st.one_of(st.just(0), _SMALL_RATIONALS))
+    inv = FibrationInvariants(g, g_C, s, chi, omega_sq, delta,
+                              hyperelliptic=draw(st.booleans()),
+                              semistable=draw(st.booleans()))
+    nodes = draw(st.none() | st.lists(st.integers(0, 6), max_size=8).map(
+        lambda ms: StableModelNodes(tuple(ms))))
+    profiles = draw(st.none() | st.lists(_profiles(), max_size=3))
+    return inv, nodes, profiles
+
+
+@st.composite
+def _profiles(draw):
+    g = draw(st.integers(2, 5))
+    g_geo = draw(st.integers(0, g))
+    counts = draw(st.dictionaries(st.integers(0, g // 2), st.integers(0, 4), max_size=3))
+    return FiberNodeProfile(g, g_geo, draw(st.integers(1, 3)), counts)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_audit_inputs())
+def test_audit_matches_the_fraction_route(args):
+    got = [_check_fields(c) for c in audit(*args).checks]
+    want = [_check_fields(c) for c in _fraction_audit(*args)]
+    assert got == want
+
+
+_BINOMIALS = [f"y^{a} - z^{b}" for a in range(2, 9) for b in range(2, 9)]
+
+
+@st.composite
+def _valid_data(draw):
+    g = draw(st.integers(2, 8))
+    fibers = tuple(
+        CriticalFiber(f"F{i}", tuple(draw(st.lists(st.sampled_from(_BINOMIALS),
+                                                   min_size=1, max_size=2))))
+        for i in range(draw(st.integers(1, 3))))
+    markers = tuple(CriticalFiber(f"m{i}", negligible_marker=True)
+                    for i in range(draw(st.integers(0, 3))))
+    return GenusGDatum(g=g, g_C=draw(st.integers(0, 2)), e=0,
+                       n=2 * draw(st.integers(1, 8)), critical_fibers=fibers + markers,
+                       declared_m=draw(st.integers(0, 3)),
+                       simple_ramification=draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_valid_data())
+def test_invariants_match_the_fraction_formulas(d):
+    try:
+        report = invariants(d)
+    except (RequiresAlgebraicExtension, DepthOverflow):
+        return
+    except NonHyperbolicBase:
+        assert 2 * d.g_C - 2 + d.s <= 0
+        return
+    inv = report.invariants
+    chi = Fraction(d.g * d.n - report.sum_k_km1, 2)
+    omega_sq = Fraction((2 * d.g - 2) * d.n - 2 * report.sum_km1_sq - d.declared_m)
+    want = (chi, omega_sq, 12 * chi - omega_sq, omega_sq / chi if chi else None,
+            2 * chi / (2 * d.g_C - 2 + d.s))
+    got = (inv.chi, inv.omega_sq, inv.delta, report.slope, report.speed)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
+    assert [_check_fields(c) for c in audit(inv).checks] == \
+        [_check_fields(c) for c in _fraction_audit(inv)]
