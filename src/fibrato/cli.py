@@ -13,8 +13,10 @@ Subcommands:
 Every subcommand prints a human-readable report by default and a machine
 document under ``--json``.  Numeric output is exact (``p/q``) with 3-decimal
 renderings alongside.  Exit status: 0 on success/pass, 1 when a check or
-audit fails, 2 on malformed input.  The environment variable
-``FIBRATO_MAX_DEPTH`` overrides the resolution depth cap.
+audit fails, 2 on malformed input; when the reader of standard output goes
+away early (``fibrato ... | head -1``) the command stops quietly with 1.
+The environment variable ``FIBRATO_MAX_DEPTH`` overrides the resolution
+depth cap.
 """
 
 from __future__ import annotations
@@ -407,7 +409,15 @@ def _cmd_datum(args) -> int:
     except (RequiresAlgebraicExtension, DepthOverflow) as exc:
         raise InputError(f"datum: {exc}")
     except fibration.NonHyperbolicBase as exc:
-        print(f"speed undefined: {exc}")
+        failure = f"speed undefined: {exc}"
+        if args.json:
+            print(jsonio.dumps(jsonio.versioned(
+                datum=jsonio.datum_to_json(d),
+                violations=[],
+                failure=failure,
+            )))
+        else:
+            print(failure)
         return EXIT_CHECK_FAILED
 
     audit_report = fibration.audit(report.invariants)
@@ -644,7 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -655,6 +665,20 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``fibrato ... | head -1``): stop
+        # quietly.  stdout now points at os.devnull, so the flush at exit
+        # has nothing left to fail on.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
+    return code
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ the fibers (delta) — tied together by the Noether identity
 
 Two derived ratios drive everything downstream: the slope omega_sq/chi and
 the speed 2*chi/(2*g_C - 2 + s), where s counts the singular fibers.  All
-arithmetic is exact (fractions.Fraction); audits report strict inequalities
-as strict and never repair stored data silently.
+arithmetic is exact: the hot paths compute on integer numerators and
+denominators and report every quantity as a fractions.Fraction.  Audits
+report strict inequalities as strict and never repair stored data silently.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line driver.
 
-Every test calls ``fibrato.cli.main`` in-process and inspects the captured
-output and the returned exit status (0 pass, 1 check failure, 2 bad input).
+Most tests call ``fibrato.cli.main`` in-process and inspect the captured
+output and the returned exit status (0 pass, 1 check failure, 2 bad input);
+the process-level ones start the CLI as a child process.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import fibrato
 from fibrato.cli import main
 from fibrato.constructions import FAMILY_NAMES, family
 from fibrato.datum import CriticalFiber, GenusGDatum
-from fibrato.jsonio import datum_to_json
+from fibrato.jsonio import audit_input_from_json, datum_from_json, datum_to_json
+
+from test_jsonio import JSON_VALUES, VALID, _paths, _replace
 
 
 def run(capsys, *argv):
@@ -114,13 +117,17 @@ def test_resolve_deep_nesting_exits_2(capsys):
     assert err.startswith("error: germ '((((")
 
 
+def _child_env(**extra):
+    """The environment of a CLI child process that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(fibrato.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
+
+
 def _fresh_process(*argv):
     """Run the CLI in a new interpreter, so that no memo is warm."""
-    src = os.path.dirname(os.path.dirname(fibrato.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-m", "fibrato.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -219,6 +226,49 @@ def test_resolve_fuzz_exits_cleanly(text):
     else:
         # a germ error, or argparse's usage error for a text that starts with "--"
         assert out.getvalue() == "" and "error: " in err.getvalue(), text
+
+
+def _main_on_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", io.StringIO(text))
+        mp.setattr(sys, "stdout", out)
+        mp.setattr(sys, "stderr", err)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+NON_HYPERBOLIC = datum_to_json(GenusGDatum(g=2, g_C=0, e=0, n=6, critical_fibers=(
+    CriticalFiber("b^-1(0)", (), negligible_marker=True),)))
+_STDIN_DOCS = [("audit", doc) for read, doc in VALID if read is audit_input_from_json] + [
+    ("datum", doc) for read, doc in VALID if read is datum_from_json]
+
+
+@st.composite
+def _stdin_inputs(draw):
+    """A command and its stdin: a valid document with one field replaced by
+    any JSON value, any JSON value alone, or text that may not be JSON."""
+    command, doc = draw(st.sampled_from(_STDIN_DOCS))
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return command, draw(st.text(max_size=20))
+    if kind == 1:
+        return command, json.dumps(draw(JSON_VALUES))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    return command, json.dumps(_replace(doc, path, draw(JSON_VALUES)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stdin_inputs(), st.booleans())
+@example(("datum", json.dumps(NON_HYPERBOLIC)), True)
+def test_audit_and_datum_fuzz_exit_cleanly(command_and_text, as_json):
+    command, text = command_and_text
+    code, out, err = _main_on_stdin([command, "-"] + ["--json"] * as_json, text)
+    assert code in (0, 1, 2), text
+    if code == 2:
+        assert err.startswith("error: "), text
+    elif as_json:
+        assert isinstance(json.loads(out), dict), text
 
 
 # ---------------------------------------------------------------------------
@@ -581,12 +631,15 @@ def test_datum_validation_violation_exits_1(capsys, tmp_path):
 
 
 def test_datum_non_hyperbolic_quotient_exits_1(capsys, tmp_path):
-    d = GenusGDatum(g=2, g_C=0, e=0, n=6, critical_fibers=(
-        CriticalFiber("b^-1(0)", (), negligible_marker=True),))
-    path = write_json(tmp_path, "d.json", datum_to_json(d))
+    path = write_json(tmp_path, "d.json", NON_HYPERBOLIC)
     code, out, _ = run(capsys, "datum", path)
     assert code == 1
     assert "speed undefined" in out
+    code, out, _ = run(capsys, "datum", path, "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["violations"] == []
+    assert doc["failure"] == "speed undefined: base orbifold Euler number 1 >= 0"
 
 
 CHI0_DATUM = {"schema_version": 1, "g": 2, "g_C": 1, "e": 0, "n": 2,
@@ -767,6 +820,27 @@ def test_unknown_command_exits_2(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "fibrato" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, env, keep", [
+    (["resolve", "y^2 - z^4000", "--trace"], {"FIBRATO_MAX_DEPTH": "5000"}, 10),
+    (["example", "even_genus", "--genus", "40", "--json"], {}, 0),
+    (["tables", "1"], {}, 0),
+], ids=["resolve-trace", "example-json", "tables"])
+def test_closed_pipe_exits_quietly(argv, env, keep):
+    # the reader takes `keep` bytes and closes its end, as `| head -c` does;
+    # the deep trace is megabytes, more than any pipe buffer holds
+    child = subprocess.Popen([sys.executable, "-m", "fibrato.cli", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_child_env(**env))
+    head = child.stdout.read(keep)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    code = child.wait(timeout=120)
+    assert len(head) == keep
+    assert err == b""
+    assert code in (0, 1, 2)
 
 
 def test_exit_codes_are_deterministic(capsys, tmp_path):
