@@ -140,11 +140,9 @@ class StableModelNodes:
 
 def slope(inv: FibrationInvariants) -> Fraction:
     """omega_sq / chi."""
-    chi, omega_sq = inv.chi, inv.omega_sq
-    if not chi:
+    if inv.chi == 0:
         raise IsotrivialDivisionByZero("slope undefined for chi = 0")
-    return Fraction(omega_sq.numerator * chi.denominator,
-                    omega_sq.denominator * chi.numerator)
+    return inv.omega_sq / inv.chi
 
 
 def base_degree(g_C: int, s: int) -> int:
@@ -158,8 +156,7 @@ def base_degree(g_C: int, s: int) -> int:
 
 def speed(inv: FibrationInvariants) -> Fraction:
     """2*chi / (2*g_C - 2 + s)."""
-    denom = base_degree(inv.g_C, inv.s)
-    return Fraction(2 * inv.chi.numerator, inv.chi.denominator * denom)
+    return 2 * inv.chi / base_degree(inv.g_C, inv.s)
 
 
 def noether_delta(omega_sq, chi) -> Fraction:
@@ -286,11 +283,11 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
     chi_n, chi_d = inv.chi.numerator, inv.chi.denominator
     omega_n, omega_d = inv.omega_sq.numerator, inv.omega_sq.denominator
 
-    forced_n = 12 * chi_n * omega_d - omega_n * chi_d
-    forced_d = chi_d * omega_d
+    forced = noether_delta(inv.omega_sq, inv.chi)
     add(AuditCheck("noether-identity",
-                   _status(inv.delta.numerator * forced_d == forced_n * inv.delta.denominator),
-                   inv.delta, Fraction(forced_n, forced_d)))
+                   _status(inv.delta.numerator * forced.denominator
+                           == forced.numerator * inv.delta.denominator),
+                   inv.delta, forced))
 
     if chi_n > 0:
         # lambda = omega_sq / chi = lam_n / lam_d with lam_d > 0
