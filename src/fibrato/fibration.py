@@ -274,8 +274,9 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
     and semi-stability for speed bounds, optional nodes and fiber profiles)
     are reported as skipped.
 
-    Every comparison is decided on integer numerators and (positive)
-    denominators; a Fraction is built only where a check reports it.
+    The identities and bounds on the record's own quantities are decided on
+    integer numerators and (positive) denominators; a Fraction is built only
+    where a check reports it.
     """
     report = AuditReport()
     add = report.checks.append
