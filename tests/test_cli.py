@@ -182,6 +182,17 @@ def test_resolve_rejects_bad_depth_env_var(capsys, monkeypatch):
     assert "FIBRATO_MAX_DEPTH" in err
 
 
+def _main_on_stdin(argv, text=""):
+    """main(argv) with text on stdin; hypothesis tests cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdin", io.StringIO(text))
+        mp.setattr(sys, "stdout", out)
+        mp.setattr(sys, "stderr", err)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @st.composite
 def _resolve_inputs(draw):
     """Random terms of the germ grammar, nested a little, plus stray characters."""
@@ -214,28 +225,14 @@ def _resolve_inputs(draw):
 @example("-y^2+z^4")
 def test_resolve_fuzz_exits_cleanly(text):
     # memos stay warm from one example to the next, as in a long-lived process
-    out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stdout", out)
-        mp.setattr(sys, "stderr", err)
-        code = main(["resolve", text, "--json"])
+    code, out, err = _main_on_stdin(["resolve", text, "--json"])
     assert code in (0, 1, 2), text
     if code == 0:
-        doc = json.loads(out.getvalue())
+        doc = json.loads(out)
         assert doc["germ"] and isinstance(doc["multiplicities"], list)
     else:
         # a germ error, or argparse's usage error for a text that starts with "--"
-        assert out.getvalue() == "" and "error: " in err.getvalue(), text
-
-
-def _main_on_stdin(argv, text):
-    out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stdin", io.StringIO(text))
-        mp.setattr(sys, "stdout", out)
-        mp.setattr(sys, "stderr", err)
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+        assert out == "" and "error: " in err, text
 
 
 NON_HYPERBOLIC = datum_to_json(GenusGDatum(g=2, g_C=0, e=0, n=6, critical_fibers=(
