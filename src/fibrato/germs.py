@@ -28,11 +28,15 @@ ConjugateDirections entries; a *multiple* irrational root that passes the
 singularity test raises RequiresAlgebraicExtension instead of being dropped.
 
 All germ arithmetic, Taylor shifts by rational roots included, is exact
-integer dictionary manipulation.  sympy is used only for univariate integer
-polynomials: factoring splits off the v^k factor inline, so constants and
-monomials (most restrictions to E) never reach it, and hands what remains to
-sympy's dense factoring over ZZ; the divisibility test for a multiple
-irrational direction also uses sympy.
+integer dictionary manipulation, and so is most univariate factoring: the
+v^k factor is split off inline, so constants and monomials (most
+restrictions to E) never reach sympy, and a binomial c*(v^n +- 1) (the
+restriction to E of y^a - z^b, among others) splits into cyclotomic
+polynomials, each built from binomials by Mobius inversion.  Only the rest,
+the non-binomials, goes to sympy's dense factoring over ZZ; no restriction
+met by the acceptance grid, the record families or the search sweep is one.
+The divisibility test for a multiple irrational direction is an integer
+pseudo-remainder.
 
 One chart pass per germ serves both walks over the infinitely-near points:
 it finds the points of the strict transform on E (rational directions with
@@ -55,9 +59,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
-import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
@@ -355,20 +358,20 @@ def _first_order_part(support):
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (sympy only here)
-
-_V = sympy.Symbol("v")
-
+# univariate helpers (sympy only for non-binomials)
 
 def _factor_list(coeffs):
     """Irreducible integer factors of a polynomial, deterministic order.
 
     Returns [(coeffs_low_to_high, exponent), ...], dropping the content; the
     zero polynomial and constants have no factors.  The v^k factor is split
-    off inline, so constants and monomials never reach sympy; what remains
-    goes to sympy's dense factoring over ZZ, the routine Poly.factor_list
-    runs, which returns primitive factors with positive leading coefficient.
-    Memoized per process by coefficient tuple; each call gets a new list.
+    off inline, so constants and monomials never reach sympy; a binomial
+    c*(v^n +- 1) that remains splits into cyclotomic polynomials in integers
+    (_cyclotomic_factors).  sympy only sees the rest, the non-binomials: its
+    dense factoring over ZZ, the routine Poly.factor_list runs.  Every
+    factor is primitive with a positive leading coefficient, sorted by
+    (length, coefficients).  Memoized per process by coefficient tuple; each
+    call gets a new list.
     """
     return list(_factors(tuple(coeffs)))
 
@@ -382,22 +385,75 @@ def _factors(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]
         low += 1
     out = [((0, 1), low)] if low and high else []
     if high - low > 1:
-        _, factors = dup_factor_list([ZZ(c) for c in reversed(coeffs[low:high])], ZZ)
-        for f, e in factors:
-            out.append((tuple(int(c) for c in reversed(f)), int(e)))
+        first, last = coeffs[low], coeffs[high - 1]
+        if abs(first) == abs(last) and not any(coeffs[low + 1:high - 1]):
+            out += [(phi, 1) for phi in _cyclotomic_factors(high - low - 1, first == last)]
+        else:
+            _, factors = dup_factor_list([ZZ(c) for c in reversed(coeffs[low:high])], ZZ)
+            for f, e in factors:
+                out.append((tuple(int(c) for c in reversed(f)), int(e)))
         out.sort(key=lambda fe: (len(fe[0]), fe[0]))
     return tuple(out)
 
 
+def _cyclotomic_factors(n: int, plus: bool) -> list[tuple[int, ...]]:
+    """The irreducible factors of v^n + 1 (plus) or v^n - 1, each simple:
+    v^n - 1 is the product of Phi_d over d | n, and v^n + 1 = (v^2n - 1) /
+    (v^n - 1) the product of Phi_d over the d | 2n that do not divide n."""
+    top = 2 * n if plus else n
+    small = [d for d in range(1, isqrt(top) + 1) if top % d == 0]
+    return [_cyclotomic(d) for d in set(small + [top // d for d in small])
+            if not (plus and n % d == 0)]
+
+
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d, low coefficients first.
+
+    Mobius inversion of v^d - 1 = prod_{e | d} Phi_e gives Phi_d as the
+    product of the binomials v^e - 1, e | d, each to the power mu(d/e):
+    e = d / (a product of k distinct primes of d), mu = (-1)^k.  Multiply by
+    the binomials with mu = +1 first, then divide the others out exactly,
+    so every intermediate is an integer polynomial; each step is linear in
+    the degree.
+    """
+    up, down = [d], []
+    rest, p = d, 2
+    while rest > 1:  # over the distinct primes p of d
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            up, down = up + [e // p for e in down], down + [e // p for e in up]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    poly = [1]
+    for e in up:  # times v^e - 1
+        poly = [a - b for a, b in zip([0] * e + poly, poly + [0] * e)]
+    for e in down:  # the quotient q of poly by v^e - 1: poly[i] = q[i - e] - q[i]
+        q = [-c for c in poly[:len(poly) - e]]
+        for i in range(e, len(q)):
+            q[i] += q[i - e]
+        poly = q
+    return tuple(poly)
+
+
 def _divides(q, p):
-    """Whether q divides p over the rationals (p may be the zero tuple)."""
-    if all(c == 0 for c in p):
-        return True
-    rem = sympy.rem(
-        sympy.Poly(list(reversed(p)), _V, domain="QQ"),
-        sympy.Poly(list(reversed(q)), _V, domain="QQ"),
-    )
-    return rem.is_zero if hasattr(rem, "is_zero") else sympy.Poly(rem, _V).is_zero
+    """Whether q divides p over the rationals (p may be the zero tuple);
+    q's last coefficient is nonzero.  The pseudo-remainder of p by q stays
+    in the integers: each step scales the remainder by q's leading
+    coefficient and cancels its top term; q divides p when it vanishes."""
+    r = list(p)
+    lead, dq = q[-1], len(q) - 1
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) <= dq:
+            return not r
+        top = r.pop()
+        shift = len(r) - dq
+        r = [c * lead for c in r]
+        for i in range(dq):
+            r[shift + i] -= top * q[i]
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,10 @@ from fibrato.germs import (
     even_resolve,
     parse_germ,
 )
+from fibrato import constructions
 from fibrato import datum as datum_mod
 from fibrato import germs as kernel
+from fibrato.cli import main
 from fibrato.germs import _branch_data, _factor_list, _shift_second
 from fibrato.oracle import binomial_oracle
 
@@ -450,6 +452,93 @@ def univariate(draw):
 @example((1, 0, 0, 0, 0, 0, -1))
 def test_factor_list_matches_sympy_poly(coeffs):
     assert _factor_list(coeffs) == _sympy_factor_list(coeffs)
+
+
+@st.composite
+def _binomials(draw):
+    """+-c * v^k * (v^n +- 1), n <= 200: content c, low zeros k, high zeros."""
+    n, c = draw(st.integers(1, 200)), draw(st.integers(-9, 9).filter(bool))
+    last = c * draw(st.sampled_from([1, -1]))
+    return tuple([0] * draw(st.integers(0, 3)) + [c] + [0] * (n - 1) + [last]
+                 + [0] * draw(st.integers(0, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_binomials())
+@example((1, -1))
+@example((0, 5, 0, 5, 0))
+@example((-1,) + (0,) * 104 + (1,))  # Phi_105 has the coefficient -2
+@example((2,) + (0,) * 104 + (2,))  # Phi_210(v) = Phi_105(-v)
+@example((0, 0, -3) + (0,) * 199 + (-3, 0))
+def test_binomial_factor_list_matches_sympy_poly(coeffs):
+    # the order counts too: ConjugateDirections.min_poly is printed
+    assert _factor_list(coeffs) == _sympy_factor_list(coeffs)
+
+
+class _Fallback(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise _Fallback(args[0])
+
+
+def test_no_measured_polynomial_reaches_the_sympy_fallback(monkeypatch, capsys):
+    # every restriction the grid, the record families and the search sweep
+    # meet is a constant, a monomial or a binomial; only others reach sympy
+    _clear_kernel_memos()
+    datum_mod._parsed.cache_clear()
+    datum_mod._resolved.cache_clear()
+    monkeypatch.setattr(kernel, "dup_factor_list", _refuse)
+    for g in _grid_germs():
+        _kernel_view(g)
+    for g in range(2, 62):
+        for name in constructions.FAMILY_NAMES:
+            try:
+                fam = constructions.family(name, g)
+            except constructions.DomainError:
+                continue
+            fam.report()
+    for g in range(80, 201, 2):
+        constructions.even_genus(g).report(max_depth=2 * g + 8)
+    assert main(["search", "--genus", "6", "--max-n", "16", "--germ-grid", "8x8"]) == 0
+    capsys.readouterr()
+    with pytest.raises(_Fallback):
+        _factor_list((2, 1, 0, 1))
+
+
+def _sympy_divides(q, p):
+    """Divisibility over QQ through sympy.rem, as the kernel decided it before
+    the integer pseudo-remainder."""
+    v = sympy.Symbol("v")
+    rem = sympy.rem(sympy.Poly(list(reversed(p)), v, domain="QQ"),
+                    sympy.Poly(list(reversed(q)), v, domain="QQ"))
+    return rem.is_zero
+
+
+@st.composite
+def _divisions(draw):
+    """(q, p): q of degree >= 2, rarely monic; p zero, arbitrary or a multiple
+    of q, padded with high zeros."""
+    q = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=4))
+    q.append(draw(st.integers(-6, 6).filter(bool)))
+    kind = draw(st.sampled_from(["zero", "random", "multiple"]))
+    p = [0] if kind == "zero" else draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+    if kind == "multiple":
+        p = [sum(q[i] * p[k - i] for i in range(len(q)) if 0 <= k - i < len(p))
+             for k in range(len(q) + len(p) - 1)]
+    return tuple(q), tuple(p + [0] * draw(st.integers(0, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_divisions())
+@example(((1, 0, 2), (0,)))
+@example(((1, 0, 2), (3, 0, 6, 0)))
+@example(((1, 0, 2), (1, 0, 1)))
+@example(((-1, 2, 3), (0, -2, 4, 6)))
+def test_divides_matches_sympy_rem(qp):
+    q, p = qp
+    assert kernel._divides(q, p) == _sympy_divides(q, p)
 
 
 @settings(max_examples=200, deadline=None)
