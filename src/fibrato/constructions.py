@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .datum import CriticalFiber, DatumInvariantsReport, GenusGDatum, invariants
 from .fibration import FibrationInvariants, noether_delta
-from .germs import DEFAULT_MAX_DEPTH
+from .germs import DEFAULT_MAX_DEPTH, DepthOverflow
 from .hurwitz import BranchDatum
 
 
@@ -110,8 +110,15 @@ class Family:
     expected_omega_sq: Fraction
     expected_slope: Fraction
     notes: str = ""
+    depth: int = 0
 
     def report(self, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvariantsReport:
+        """The datum's invariants.  ``depth``, where a factory sets it, is
+        the depth of the deepest point the datum's even resolutions blow up;
+        past the cap the kernel's DepthOverflow is raised before any
+        resolution starts."""
+        if self.depth > max_depth:
+            raise DepthOverflow.past_cap(max_depth)
         return invariants(self.datum, max_depth)
 
 
@@ -260,7 +267,8 @@ def even_genus(g: int) -> Family:
     non-negligible germs y^{g+1} - z^{g+1} sit in pairs over the two points
     covering 0 and resolve in a single even blow-up each.  The fibers over
     the points covering 1 and infinity carry g+1 singularities of type
-    A_{2g+1} each.
+    A_{2g+1} each: the chain y^2 - z^{2g+2}, y^2 - z^{2g}, ..., y^2 - z^2
+    blows up points down to depth g.
     """
     if g % 2 != 0 or g < 4:
         raise DomainError(f"even_genus requires even g >= 4, got {g}")
@@ -286,6 +294,7 @@ def even_genus(g: int) -> Family:
         expected_speed=Fraction(g * g + 4 * g, 2 * g + 2),
         expected_omega_sq=omega_sq,
         expected_slope=4 - Fraction(24, g * g + 4 * g),
+        depth=g,
     )
 
 

@@ -43,14 +43,17 @@ it finds the points of the strict transform on E (rational directions with
 their strict germs, irrational factors, the point at infinity), and the even
 blow-up and the branch count both read them.  The kernel keeps two
 process-wide memos, each bounded by MEMO_SIZE entries: that chart record of
-each germ, which also holds the germ's branch entry once computed, and the
-factor list of each univariate polynomial.  Infinitely-near germs repeat
-across inputs (y^a - z^b blows up to y^a - z^(b-a)), so each distinct one is
-charted, factored and branch-counted once.  An exception is never memoized.
-Both walks use explicit stacks, so the depth cap alone bounds their depth.
-even_resolve still builds a fresh ResolutionTrace of fresh TracePoints on
-every call; only the Germ objects inside may be shared between traces, and
-they are read-only.
+each germ, which also holds the germ's branch entry and ADE label once
+computed, and the factor list of each univariate polynomial.
+Infinitely-near germs repeat across inputs (y^a - z^b blows up to
+y^a - z^(b-a)), so each distinct one is charted, factored, branch-counted
+and labelled once.  An exception is never memoized.  Both walks use explicit
+stacks, so the depth cap alone bounds their depth.  even_resolve walks the
+records and keeps per point only its depth, its Descendant and its label;
+the multiplicities and the sums are read from those, and a trace builds its
+own tree of fresh TracePoints on the first read of ``points``.  The Germ and
+Descendant objects inside may be shared between traces, and they are
+read-only.
 """
 
 from __future__ import annotations
@@ -106,6 +109,12 @@ class RequiresAlgebraicExtension(Exception):
 class DepthOverflow(Exception):
     """Resolution exceeded the depth cap; the input germ is suspect."""
 
+    @classmethod
+    def past_cap(cls, max_depth: int) -> DepthOverflow:
+        """The overflow of an even resolution that blows up a point deeper
+        than max_depth."""
+        return cls(f"no smooth model within {max_depth} blow-ups")
+
 
 # ---------------------------------------------------------------------------
 # the germ itself
@@ -121,21 +130,31 @@ class Germ:
     __slots__ = ("support", "multiplicity", "_hash")
 
     def __init__(self, support):
-        items = {(int(i), int(j)): int(c) for (i, j), c in support.items() if c}
-        if not items:
+        # one sorted pass over (j, i, c) puts the terms in canonical order
+        terms = sorted([(int(j), int(i), int(c)) for (i, j), c in support.items() if c])
+        if not terms:
             raise ZeroPolynomial("all terms cancel")
-        if any(i < 0 or j < 0 for i, j in items):
+        if terms[0][0] < 0 or min([i for _, i, _ in terms]) < 0:
             raise ValueError("negative exponent in germ support")
-        content = 0
-        for c in items.values():
-            content = gcd(content, abs(c))
-        lead = items[min(items, key=lambda ij: (ij[1], ij[0]))]
-        sign = -1 if lead < 0 else 1
-        self.support = {
-            ij: c * sign // content for ij, c in sorted(items.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        }
-        self.multiplicity = min(i + j for i, j in items)
+        content = gcd(*[c for _, _, c in terms])
+        if terms[0][2] < 0:  # the (j, i)-minimal monomial gets a positive coefficient
+            content = -content
+        if content == 1:
+            self.support = {(i, j): c for j, i, c in terms}
+        else:
+            self.support = {(i, j): c // content for j, i, c in terms}
+        self.multiplicity = min([i + j for j, i, _ in terms])
         self._hash = hash(tuple(self.support.items()))  # the memos hash germs often
+
+    def _times(self, di: int, dj: int) -> Germ:
+        """This germ times y^di * z^dj.  The product of a canonical germ and a
+        monomial is canonical as it stands: the shift keeps the (j, i) order
+        of the terms, their content and the sign of the first."""
+        out = Germ.__new__(Germ)
+        out.support = {(i + di, j + dj): c for (i, j), c in self.support.items()}
+        out.multiplicity = self.multiplicity + di + dj
+        out._hash = hash(tuple(out.support.items()))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Germ) and self.support == other.support
@@ -182,95 +201,94 @@ def parse_germ(text: str) -> Germ:
     term once expanded).
     """
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def parse_expr():
-        nonlocal pos
-        sign = 1
-        if peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-        acc = _scale(parse_term(), sign)
-        while peek() in ("+", "-"):
-            sign = -1 if take() == "-" else 1
-            acc = _add(acc, _scale(parse_term(), sign))
-        return acc
-
-    def parse_term():
-        nonlocal pos
-        tok = peek()
-        if isinstance(tok, int):
-            take()
-            coeff = {(0, 0): tok}
-            if peek() == "*":
-                take()
-            if peek() in ("y", "z", "("):
-                acc = _mul(coeff, parse_factor())
-            else:
-                raise GermSyntaxError("a term needs at least one variable factor")
-        elif tok in ("y", "z", "("):
-            acc = parse_factor()
-        else:
-            raise GermSyntaxError(f"unexpected token {tok!r}")
-        while peek() == "*":
-            take()
-            acc = _mul(acc, parse_factor())
-        return acc
-
-    def parse_factor():
-        nonlocal pos
-        tok = take()
-        if tok == "(":
-            inner = parse_expr()
-            if take() != ")":
-                raise GermSyntaxError("unbalanced parenthesis")
-            return inner
-        if tok in ("y", "z"):
-            exp = 1
-            if peek() == "^":
-                take()
-                e = take()
-                if not isinstance(e, int) or e < 0:
-                    raise GermSyntaxError("exponent must be a non-negative integer")
-                exp = e
-            return {(exp, 0) if tok == "y" else (0, exp): 1}
-        raise GermSyntaxError(f"unexpected token {tok!r}")
-
-    result = parse_expr()
-    if pos != len(tokens):
+    result, pos = _parse_expr(tokens, 0)
+    if tokens[pos] is not None:
         raise GermSyntaxError(f"trailing input at token {tokens[pos]!r}")
     if (0, 0) in result:
         raise GermSyntaxError("a germ must vanish at the origin")
     return Germ(result)
 
 
-#: One token per match: an ASCII integer, a symbol, or an illegal character;
-#: whitespace matches with all three groups empty.
-_TOKEN = re.compile(r"\s+|([0-9]+)|([yz^*+()-])|(.)", re.DOTALL)
+# Each _parse_* reads the tokens from index pos on and returns the polynomial
+# it read with the index after it.  The token list ends with the marker None,
+# which matches no rule, so no read runs past the end.
+
+def _parse_expr(tokens, pos):
+    tok = tokens[pos]
+    if tok == "+" or tok == "-":
+        pos += 1
+    acc, pos = _parse_term(tokens, pos)
+    if tok == "-":
+        acc = _scale(acc, -1)
+    tok = tokens[pos]
+    while tok == "+" or tok == "-":
+        term, pos = _parse_term(tokens, pos + 1)
+        acc = _add(acc, term if tok == "+" else _scale(term, -1))
+        tok = tokens[pos]
+    return acc, pos
+
+
+def _parse_term(tokens, pos):
+    tok = tokens[pos]
+    if type(tok) is int:
+        pos += 1
+        if tokens[pos] == "*":
+            pos += 1
+        if tokens[pos] not in _FACTOR_START:
+            raise GermSyntaxError("a term needs at least one variable factor")
+        acc, pos = _parse_factor(tokens, pos)
+        acc = _mul({(0, 0): tok}, acc)
+    elif tok in _FACTOR_START:
+        acc, pos = _parse_factor(tokens, pos)
+    else:
+        raise GermSyntaxError(f"unexpected token {tok!r}")
+    while tokens[pos] == "*":
+        factor, pos = _parse_factor(tokens, pos + 1)
+        acc = _mul(acc, factor)
+    return acc, pos
+
+
+def _parse_factor(tokens, pos):
+    tok = tokens[pos]
+    pos += 1
+    if tok == "(":
+        inner, pos = _parse_expr(tokens, pos)
+        if tokens[pos] != ")":
+            raise GermSyntaxError("unbalanced parenthesis")
+        return inner, pos + 1
+    if tok == "y" or tok == "z":
+        exp = 1
+        if tokens[pos] == "^":
+            exp = tokens[pos + 1]
+            if type(exp) is not int or exp < 0:
+                raise GermSyntaxError("exponent must be a non-negative integer")
+            pos += 2
+        return {(exp, 0) if tok == "y" else (0, exp): 1}, pos
+    raise GermSyntaxError(f"unexpected token {tok!r}")
+
+
+_FACTOR_START = ("y", "z", "(")
+
+#: One token per match: an ASCII integer, a symbol, or an illegal character.
+_TOKEN = re.compile(r"[0-9]+|[yz^*+()-]|\S")
+_SYMBOLS = frozenset("yz^*+()-")
 
 
 def _tokenize(text):
     tokens = []
-    for number, symbol, illegal in _TOKEN.findall(text):
-        if number:
+    for tok in _TOKEN.findall(text):
+        if tok in _SYMBOLS:
+            tokens.append(tok)
+        elif "0" <= tok[0] <= "9":
             try:
-                tokens.append(int(number))
+                tokens.append(int(tok))
             except ValueError:  # past the interpreter's limit on integer digits
-                raise GermSyntaxError(f"integer of {len(number)} digits is too long") from None
-        elif symbol:
-            tokens.append(symbol)
-        elif illegal:
-            raise GermSyntaxError(f"illegal character {illegal!r}")
+                raise GermSyntaxError(f"integer of {len(tok)} digits is too long") from None
+        else:
+            raise GermSyntaxError(f"illegal character {tok!r}")
     if not tokens:
         raise GermSyntaxError("empty input")
+    tokens.append(None)  # the end marker
     return tokens
 
 
@@ -503,7 +521,9 @@ class _StrictPoints:
     at_infinity: the strict germ at [0 : 1], or None off the origin;
     even: the non-smooth points of the even transform, which is the strict
         transform times E^(m mod 2);
-    branch: (r, delta, height) from _branch_data, once computed.
+    branch: (r, delta, height) from _branch_data, once computed;
+    label: the ADE label from _ade_label, once computed for a negligible g.
+        Both are reused only where height <= the depth cap left.
     """
 
     rational: tuple
@@ -511,6 +531,7 @@ class _StrictPoints:
     at_infinity: Germ | None
     even: tuple
     branch: tuple | None = None
+    label: str | None = None
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -529,13 +550,11 @@ def _strict_points(g: Germ) -> _StrictPoints:
     at_infinity = Germ(strict2) if all(i + j for i, j in strict2) else None
 
     eps = m % 2  # for odd m, E is a component of the even transform: times y or z
-    even = [Descendant(root, Germ({(i + 1, j): c for (i, j), c in germ.support.items()}) if eps else germ)
-            for root, germ in sorted(rational)]
+    even = [Descendant(root, germ._times(1, 0) if eps else germ) for root, germ in sorted(rational)]
     if eps:  # a simple irrational direction carries a transverse A1 node
         even += [Descendant(ConjugateDirections(c), None) for c, exp, _ in irrational if exp == 1]
     if at_infinity is not None:
-        even.append(Descendant(INFINITY, Germ({(i, j + 1): c for (i, j), c in at_infinity.support.items()})
-                               if eps else at_infinity))
+        even.append(Descendant(INFINITY, at_infinity._times(0, 1) if eps else at_infinity))
     even = tuple(d for d in even if d.germ is None or d.germ.multiplicity >= 2)
     return _StrictPoints(tuple(rational), tuple(irrational), at_infinity, even)
 
@@ -596,38 +615,83 @@ class TracePoint:
     children: list["TracePoint"] = field(default_factory=list)
 
 
-@dataclass
 class ResolutionTrace:
     """Even-resolution record: all infinitely-near points of multiplicity >= 2
-    in depth-first order, plus the derived sums the invariant formulas need."""
+    in depth-first order, plus the derived sums the invariant formulas need.
 
-    germ: Germ
-    points: list[TracePoint]
-    terminal_smooth: bool
+    even_resolve keeps each point as its depth, its Descendant on the
+    kernel's record (the root's direction is None) and its label; the sums
+    and the multiplicity sequence are read from those, and the TracePoint
+    tree ``points`` is built on its first read.
+    """
+
+    __slots__ = ("germ", "terminal_smooth", "_nodes", "_labels", "_points")
+
+    def __init__(self, germ: Germ, nodes: list, labels: list):
+        self.germ = germ
+        self.terminal_smooth = True
+        self._nodes = nodes
+        self._labels = labels
+        self._points = None
+
+    @property
+    def points(self) -> list[TracePoint]:
+        if self._points is None:
+            self._points = _trace_points(self._nodes, self._labels)
+        return self._points
 
     @property
     def root(self) -> TracePoint | None:
-        return self.points[0] if self.points else None
+        return self.points[0] if self._nodes else None
 
     def multiplicities(self) -> list[int]:
         """The multiplicity sequence, conjugate packets expanded."""
         out = []
-        for pt in self.points:
-            out.extend([pt.multiplicity] * pt.count)
+        for _, desc in self._nodes:
+            if desc.germ is None:
+                out.extend([2] * desc.direction.count)
+            else:
+                out.append(desc.germ.multiplicity)
         return out
 
     @property
     def sum_k_km1(self) -> int:
         """Sum of k_i*(k_i - 1) over all points, k_i = floor(m_i/2)."""
-        return sum(pt.count * pt.k * (pt.k - 1) for pt in self.points)
+        return sum(m // 2 * (m // 2 - 1) for m in self.multiplicities())
 
     @property
     def sum_km1_sq(self) -> int:
         """Sum of (k_i - 1)^2 over all points."""
-        return sum(pt.count * (pt.k - 1) ** 2 for pt in self.points)
+        return sum((m // 2 - 1) ** 2 for m in self.multiplicities())
 
     def max_multiplicity(self) -> int:
-        return max((pt.multiplicity for pt in self.points), default=0)
+        return max(self.multiplicities(), default=0)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResolutionTrace):
+            return NotImplemented
+        return ((self.germ, self.points, self.terminal_smooth)
+                == (other.germ, other.points, other.terminal_smooth))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"ResolutionTrace(germ={self.germ!r}, points={self.points!r}, "
+                f"terminal_smooth={self.terminal_smooth!r})")
+
+
+def _trace_points(nodes, labels) -> list[TracePoint]:
+    points, path = [], []  # path: the points from the root down to the last one
+    for (depth, desc), label in zip(nodes, labels):
+        germ = desc.germ
+        m = 2 if germ is None else germ.multiplicity
+        point = TracePoint(depth, m, m // 2, label, desc.direction, germ, desc.count)
+        del path[depth:]
+        if path:
+            path[-1].children.append(point)
+        path.append(point)
+        points.append(point)
+    return points
 
 
 def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace:
@@ -639,41 +703,49 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     max_depth — all well-formed branch germs resolve in a handful of steps,
     so hitting the cap signals a suspect input such as a non-reduced divisor.
     """
-    points = _resolve_tree(g, max_depth) if g.multiplicity >= 2 else []
-    for pt in points:  # parents before children
-        if not pt.classification:
-            pt.classification = _ade_label(pt.germ, max_depth)
-    return ResolutionTrace(g, points, True)
+    nodes, labels = [], []
+    if g.multiplicity >= 2:
+        nodes, interior = _even_walk(g, max_depth)
+        for (_, desc), inner in zip(nodes, interior):  # parents before children
+            if inner:
+                labels.append("NonNegligibleInterior")
+            elif desc.germ is None:
+                labels.append("A1")
+            else:
+                labels.append(_ade_label(desc.germ, max_depth))
+    return ResolutionTrace(g, nodes, labels)
 
 
-def _resolve_tree(g: Germ, max_depth: int) -> list[TracePoint]:
+def _even_walk(g: Germ, max_depth: int) -> tuple[list, list[bool]]:
     """The infinitely-near points of g (multiplicity >= 2) in depth-first
-    order.  Points heading a subtree of multiplicity > 3 are labelled
-    NonNegligibleInterior; the rest are left unlabelled."""
-    m = g.multiplicity
-    points = []
-    stack = [TracePoint(0, m, m // 2, "", None, g)]
+    order, as (depth, Descendant) pairs, and per point whether it heads a
+    subtree with a multiplicity > 3 (a NonNegligibleInterior point)."""
+    nodes, interior = [], []
+    path = []  # the indices of the points from the root down to the last one
+    stack = [(0, Descendant(None, g))]
     while stack:
         node = stack.pop()
-        points.append(node)
-        if node.germ is None:
+        depth, desc = node
+        del path[depth:]
+        path.append(len(nodes))
+        nodes.append(node)
+        interior.append(False)
+        germ = desc.germ
+        if germ is None:
             continue  # a packet of A1 nodes
-        if node.depth > max_depth:
-            raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
-        for desc in _even_points(node.germ):
-            if desc.germ is None:
-                child = TracePoint(node.depth + 1, 2, 1, "A1", desc.direction, None,
-                                   count=desc.count)
-            else:
-                mult = desc.germ.multiplicity
-                child = TracePoint(node.depth + 1, mult, mult // 2, "", desc.direction, desc.germ)
-            node.children.append(child)
-        stack.extend(reversed(node.children))
-    for node in reversed(points):  # children before parents
-        if node.multiplicity > 3 or any(
-                child.classification == "NonNegligibleInterior" for child in node.children):
-            node.classification = "NonNegligibleInterior"
-    return points
+        if depth > max_depth:
+            raise DepthOverflow.past_cap(max_depth)
+        if germ.multiplicity > 3:  # interior, and so is every point above it;
+            # marking stops at a marked point, as the points above it are marked
+            for idx in reversed(path):
+                if interior[idx]:
+                    break
+                interior[idx] = True
+        descs = _even_points(germ)
+        if descs:
+            depth += 1
+            stack.extend([(depth, d) for d in reversed(descs)])
+    return nodes, interior
 
 
 # ---------------------------------------------------------------------------
@@ -693,22 +765,31 @@ def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
     """
     if g.multiplicity <= 1:
         return "Smooth"
-    if _resolve_tree(g, max_depth)[0].classification:
+    _, interior = _even_walk(g, max_depth)
+    if interior[0]:
         return "NonNegligible"
     return _ade_label(g, max_depth)
 
 
 def _ade_label(g: Germ, max_depth: int) -> str:
-    """ADE label of a germ already known to be negligible."""
+    """ADE label of a germ already known to be negligible.  Kept on the
+    germ's record and reused under the rule _branch_data applies to the
+    branch entry it rests on."""
+    rec = _strict_points(g)
+    if rec.label is not None and rec.branch[2] <= max_depth:
+        return rec.label
     r, delta, _ = _branch_data(g, max_depth)
     mu = 2 * delta - r + 1
     if g.multiplicity == 2:
-        return f"A{mu}"
-    if _tangent_line_count(g) >= 2:
-        return f"D{mu}"
-    if mu not in (6, 7, 8):
+        label = f"A{mu}"
+    elif _tangent_line_count(g) >= 2:
+        label = f"D{mu}"
+    elif mu in (6, 7, 8):
+        label = f"E{mu}"
+    else:
         raise ArithmeticError(f"unimodal tangent cone with mu={mu} for {g}")
-    return f"E{mu}"
+    rec.label = label
+    return label
 
 
 def _branch_data(g: Germ, max_depth: int) -> tuple[int, int, int]:

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +23,8 @@ import fibrato
 from fibrato.cli import main
 from fibrato.constructions import FAMILY_NAMES, family
 from fibrato.datum import CriticalFiber, GenusGDatum
-from fibrato.jsonio import audit_input_from_json, datum_from_json, datum_to_json
+from fibrato.jsonio import (audit_input_from_json, branch_datum_from_json, datum_from_json,
+                            datum_to_json)
 
 from test_jsonio import JSON_VALUES, VALID, _paths, _replace
 
@@ -239,13 +241,15 @@ NON_HYPERBOLIC = datum_to_json(GenusGDatum(g=2, g_C=0, e=0, n=6, critical_fibers
     CriticalFiber("b^-1(0)", (), negligible_marker=True),)))
 _STDIN_DOCS = [("audit", doc) for read, doc in VALID if read is audit_input_from_json] + [
     ("datum", doc) for read, doc in VALID if read is datum_from_json]
+_HURWITZ_DOCS = [("hurwitz", doc) for read, doc in VALID if read is branch_datum_from_json]
+VALID_BRANCH = _HURWITZ_DOCS[0][1]
 
 
 @st.composite
-def _stdin_inputs(draw):
+def _stdin_inputs(draw, docs=_STDIN_DOCS):
     """A command and its stdin: a valid document with one field replaced by
     any JSON value, any JSON value alone, or text that may not be JSON."""
-    command, doc = draw(st.sampled_from(_STDIN_DOCS))
+    command, doc = draw(st.sampled_from(docs))
     kind = draw(st.integers(0, 5))
     if kind == 0:
         return command, draw(st.text(max_size=20))
@@ -259,6 +263,17 @@ def _stdin_inputs(draw):
 @given(_stdin_inputs(), st.booleans())
 @example(("datum", json.dumps(NON_HYPERBOLIC)), True)
 def test_audit_and_datum_fuzz_exit_cleanly(command_and_text, as_json):
+    _assert_stdin_command_exits_cleanly(command_and_text, as_json)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stdin_inputs(_HURWITZ_DOCS), st.booleans())
+@example(("hurwitz", json.dumps({**VALID_BRANCH, "d": 10 ** 30})), True)
+def test_hurwitz_fuzz_exits_cleanly(command_and_text, as_json):
+    _assert_stdin_command_exits_cleanly(command_and_text, as_json)
+
+
+def _assert_stdin_command_exits_cleanly(command_and_text, as_json):
     command, text = command_and_text
     code, out, err = _main_on_stdin([command, "-"] + ["--json"] * as_json, text)
     assert code in (0, 1, 2), text
@@ -316,19 +331,25 @@ def test_example_past_the_depth_cap_exits_2(capsys, monkeypatch):
     assert "closed-formula check: match" in out
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(FAMILY_NAMES), st.integers(-3, 70), st.booleans())
-def test_example_exits_cleanly(name, genus, as_json):
-    out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stdout", out)
-        mp.setattr(sys, "stderr", err)
-        code = main(["example", name, "--genus", str(genus)] + ["--json"] * as_json)
+# A run that takes longer than this fails the fuzz tests below: the genera
+# drawn reach past the depth cap, where a run must stop early, not stall.
+RUN_BOUND = timedelta(seconds=20)
+
+
+@settings(max_examples=150, deadline=RUN_BOUND)
+@given(st.sampled_from(FAMILY_NAMES), st.integers(-3, 70) | st.integers(-10 ** 4, 10 ** 4),
+       st.sampled_from([[], ["--json"], ["--emit-json"]]))
+@example("even_genus", 100000, [])
+@example("even_genus", 64, ["--json"])
+def test_example_exits_cleanly(name, genus, flags):
+    code, out, err = _main_on_stdin(["example", name, "--genus", str(genus)] + flags)
     assert code in (0, 1, 2), (name, genus)
-    if code == 0 and as_json:
-        assert json.loads(out.getvalue())["genus"] == genus
+    if code == 0 and flags == ["--json"]:
+        assert json.loads(out)["genus"] == genus
+    if code == 0 and flags == ["--emit-json"]:
+        assert datum_from_json(json.loads(out)).g == genus
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert out == "" and err.startswith("error: ")
 
 
 def test_example_json_reports_match(capsys):
@@ -805,6 +826,46 @@ def test_search_genus_below_2_exits_2(capsys):
     code, _, _ = run(capsys, "search", "--genus", "1", "--max-n", "4",
                      "--germ-grid", "3x3")
     assert code == 2
+
+
+@st.composite
+def _search_args(draw):
+    """search arguments: integers in and around each accepted range, huge
+    genera, and grid specs that may not parse."""
+    genus = draw(st.integers(-3, 40) | st.integers(-10 ** 30, 10 ** 30))
+    max_n = draw(st.integers(-2, 66) | st.integers(-10 ** 30, 10 ** 30))
+    a, b = draw(st.integers(0, 18)), draw(st.integers(0, 18))
+    grid = draw(st.sampled_from([f"{a}x{b}", f"{a}x", f"x{b}", f"{a}*{b}", f"{a}x{b}x1",
+                                 f"-{a}x{b}", f"{a} x {b}", ""]))
+    return ["search", "--genus", str(genus), "--max-n", str(max_n), "--germ-grid", grid]
+
+
+@settings(max_examples=100, deadline=RUN_BOUND)
+@given(_search_args(), st.booleans())
+@example(["search", "--genus", "2", "--max-n", "64", "--germ-grid", "16x16"], True)
+def test_search_fuzz_exits_cleanly(argv, as_json):
+    code, out, err = _main_on_stdin(argv + ["--json"] * as_json)
+    assert code in (0, 1, 2), argv
+    if code == 0 and as_json:
+        assert json.loads(out)["genus"] == int(argv[2])
+    if code == 2:
+        assert out == "" and "error: " in err, argv
+
+
+_TABLES_WORDS = ["1", "2", "3", "all", "0", "4", "-1", "x", "--format", "md", "csv", "tsv",
+                 "--json", "--format=csv", "--bogus", ""]
+
+
+@settings(max_examples=150, deadline=RUN_BOUND)
+@given(st.lists(st.sampled_from(_TABLES_WORDS), max_size=5))
+@example(["3", "--format", "csv", "--json"])
+def test_tables_fuzz_exits_cleanly(words):
+    code, out, err = _main_on_stdin(["tables"] + words)
+    assert code in (0, 1, 2), words
+    if code == 0 and "--json" in words:
+        assert [t["table"] for t in json.loads(out)["tables"]]
+    if code == 2:
+        assert out == "" and "error: " in err, words
 
 
 # ---------------------------------------------------------------------------

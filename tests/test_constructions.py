@@ -27,6 +27,7 @@ from fibrato.constructions import (
 )
 from fibrato.datum import invariants, validate
 from fibrato.fibration import FibrationInvariants, audit, slope, speed
+from fibrato.germs import DepthOverflow
 from fibrato.hurwitz import REALIZABLE, is_compatible, is_realizable, solve_source_genus
 from fibrato.jsonio import datum_from_json, datum_to_json
 
@@ -135,6 +136,32 @@ def test_even_genus_smallest():
     assert rep.invariants.omega_sq == 52
     assert rep.slope == Fraction(13, 4)
     assert rep.speed == Fraction(16, 5)
+
+
+def _report_or_overflow(report, cap):
+    try:
+        return report(cap).invariants
+    except DepthOverflow as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 8, 11])
+def test_even_genus_fails_fast_exactly_where_the_kernel_overflows(cap):
+    # the A_{2g+1} chain blows up points down to depth g: past the cap the
+    # family raises the kernel's own text without resolving anything
+    for g in range(4, 2 * cap + 6, 2):
+        fam = even_genus(g)
+        got = _report_or_overflow(fam.report, cap)
+        assert got == _report_or_overflow(lambda c: invariants(fam.datum, c), cap), (g, cap)
+        if g > cap:
+            assert got == f"no smooth model within {cap} blow-ups"
+
+
+def test_even_genus_past_the_cap_resolves_nothing(monkeypatch):
+    fam = even_genus(100000)
+    monkeypatch.setattr("fibrato.datum.even_resolve", None)  # any call would fail
+    with pytest.raises(DepthOverflow, match="no smooth model within 64 blow-ups"):
+        fam.report()
 
 
 def test_even_genus_six():

@@ -5,12 +5,13 @@ chart or produced by the exponent-only oracle in fibrato.oracle, which
 shares no code with the resolution engine.
 """
 
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fibrato.germs import (
     DEFAULT_MAX_DEPTH,
@@ -725,6 +726,17 @@ def test_even_blow_up_returns_a_fresh_list():
     assert _factor_list((0, -1, 0, 1)) == [((-1, 1), 1), ((0, 1), 1), ((1, 1), 1)]
 
 
+def test_traces_compare_by_germ_and_points():
+    g = parse_germ("y^7 - z^4")
+    one, two = even_resolve(g), even_resolve(g, 10)
+    assert one == two and one is not two
+    assert one != even_resolve(parse_germ("y^6 - z^4"))
+    assert repr(one) == (f"ResolutionTrace(germ={g!r}, points={one.points!r}, "
+                         "terminal_smooth=True)")
+    two.points[1].classification = "changed"
+    assert one != two
+
+
 def test_each_resolution_builds_fresh_trace_points():
     g = parse_germ("y^8 - z^4")
     one, two = even_resolve(g), even_resolve(g)
@@ -732,3 +744,390 @@ def test_each_resolution_builds_fresh_trace_points():
     assert not {id(pt) for pt in one.points} & {id(pt) for pt in two.points}
     one.points[0].classification = "changed"
     assert even_resolve(g).points[0].classification == "NonNegligibleInterior"
+
+
+# ---------------------------------------------------------------------------
+# labels kept on the kernel's records, against the walk-and-label route
+
+def _fresh_label(g, max_depth):
+    """The ADE label computed anew from the branch data, as _ade_label did
+    before it kept labels on the records."""
+    r, delta, _ = _branch_data(g, max_depth)
+    mu = 2 * delta - r + 1
+    if g.multiplicity == 2:
+        return f"A{mu}"
+    if kernel._tangent_line_count(g) >= 2:
+        return f"D{mu}"
+    if mu not in (6, 7, 8):
+        raise ArithmeticError(f"unimodal tangent cone with mu={mu} for {g}")
+    return f"E{mu}"
+
+
+def _walked_tree(g, max_depth):
+    """A tree of fresh TracePoints over even_blow_up, interior points marked,
+    the rest unlabelled: the walk even_resolve made before it kept points
+    as records."""
+    m = g.multiplicity
+    points = []
+    stack = [kernel.TracePoint(0, m, m // 2, "", None, g)]
+    while stack:
+        node = stack.pop()
+        points.append(node)
+        if node.germ is None:
+            continue
+        if node.depth > max_depth:
+            raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
+        for desc in even_blow_up(node.germ):
+            if desc.germ is None:
+                child = kernel.TracePoint(node.depth + 1, 2, 1, "A1", desc.direction, None,
+                                          count=desc.count)
+            else:
+                mult = desc.germ.multiplicity
+                child = kernel.TracePoint(node.depth + 1, mult, mult // 2, "", desc.direction,
+                                          desc.germ)
+            node.children.append(child)
+        stack.extend(reversed(node.children))
+    for node in reversed(points):
+        if node.multiplicity > 3 or any(
+                child.classification == "NonNegligibleInterior" for child in node.children):
+            node.classification = "NonNegligibleInterior"
+    return points
+
+
+def _walk_and_label(g, max_depth):
+    """(points, classification) by the walk-and-label route."""
+    def resolved():
+        points = _walked_tree(g, max_depth) if g.multiplicity >= 2 else []
+        for pt in points:
+            if not pt.classification:
+                pt.classification = _fresh_label(pt.germ, max_depth)
+        mults = [m for pt in points for m in [pt.multiplicity] * pt.count]
+        return (mults, sum(pt.count * pt.k * (pt.k - 1) for pt in points),
+                sum(pt.count * (pt.k - 1) ** 2 for pt in points),
+                [_point_view(pt) for pt in points])
+
+    def classified():
+        if g.multiplicity <= 1:
+            return "Smooth"
+        if _walked_tree(g, max_depth)[0].classification:
+            return "NonNegligible"
+        return _fresh_label(g, max_depth)
+    return _failure_or(resolved), _failure_or(classified)
+
+
+def _kernel_route(g, max_depth):
+    def resolved():
+        trace = even_resolve(g, max_depth)
+        assert trace.root is (trace.points[0] if trace.points else None)
+        return (trace.multiplicities(), trace.sum_k_km1, trace.sum_km1_sq,
+                [_point_view(pt) for pt in trace.points])
+    return _failure_or(resolved), _failure_or(classify, g, max_depth)
+
+
+def _failure_or(fn, *args):
+    try:
+        return fn(*args)
+    except (DepthOverflow, RequiresAlgebraicExtension, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+LABEL_CAPS = (1, 2, 3, 5, 8, 64)
+
+
+def test_label_memo_matches_the_walk_and_label_route_on_the_grid():
+    grid = _grid_germs()
+    want = {(g, cap): _walk_and_label(g, cap) for cap in LABEL_CAPS for g in grid}
+    _clear_kernel_memos()
+    for cap in LABEL_CAPS + LABEL_CAPS[::-1]:  # warmed by other germs and caps
+        for g in grid:
+            assert _kernel_route(g, cap) == want[g, cap], (str(g), cap)
+    for cap in LABEL_CAPS:
+        for g in grid:
+            _clear_kernel_memos()
+            assert _kernel_route(g, cap) == want[g, cap], (str(g), cap)
+    assert {view[0][0] for view in want.values() if isinstance(view[0][0], str)} == {
+        "DepthOverflow"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(germs(), st.integers(1, 70), st.integers(1, 70), st.sampled_from(["cold", "warm", "cap"]))
+@example(parse_germ("y^2 - z^40"), 19, 20, "cap")
+@example(parse_germ("y^2 - z^40"), 20, 19, "cap")
+@example(parse_germ("z*(y^2 - z^30)"), 15, 16, "cap")
+@example(parse_germ("y^3 - z^5"), 1, 70, "cap")
+@example(parse_germ("y^7 - z^4"), 2, 1, "cold")
+@example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"), 64, 1, "warm")
+def test_label_memo_matches_the_walk_and_label_route_on_random_germs(g, cap, other, state):
+    # memos cleared, warm from earlier examples, or warmed on g at another cap
+    want = _walk_and_label(g, cap)
+    if state == "cold":
+        _clear_kernel_memos()
+    elif state == "cap":
+        _kernel_route(g, other)
+    assert _kernel_route(g, cap) == want
+
+
+# ---------------------------------------------------------------------------
+# Kouchnirenko's Newton number as a second oracle for mu
+
+def _newton_vertices(support):
+    """Vertices of the Newton boundary from the y = 0 axis point (0, b) to
+    the z = 0 axis point (a, 0): the lower convex hull of the support."""
+    hull = []
+    for p in sorted(support):
+        while len(hull) >= 2:
+            (i0, j0), (i1, j1) = hull[-2], hull[-1]
+            if (i1 - i0) * (p[1] - j0) - (j1 - j0) * (p[0] - i0) > 0:
+                break
+            hull.pop()
+        hull.append(p)
+    return hull[:next(k for k, (_, j) in enumerate(hull) if j == 0) + 1]
+
+
+def _edge_polynomials(support, vertices):
+    """Per compact edge, the coefficients c_0..c_L of the terms on it, read
+    as a polynomial in one variable (the edge's primitive step)."""
+    for (i0, j0), (i1, j1) in zip(vertices, vertices[1:]):
+        steps = gcd(i1 - i0, j0 - j1)
+        di, dj = (i1 - i0) // steps, (j0 - j1) // steps
+        yield [support.get((i0 + t * di, j0 - t * dj), 0) for t in range(steps + 1)]
+
+
+def _newton_number(vertices):
+    """2V - a - b + 1, V the area under the Newton boundary (Kouchnirenko)."""
+    twice_area = sum((i1 - i0) * (j0 + j1) for (i0, j0), (i1, j1) in zip(vertices, vertices[1:]))
+    return twice_area - vertices[-1][0] - vertices[0][1] + 1
+
+
+@st.composite
+def _convenient_germs(draw):
+    """y^a + c*z^b plus up to four terms above the axes; the support meets
+    both axes, so the germ is convenient."""
+    a, b = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    support = {(a, 0): draw(st.integers(1, 5)), (0, b): draw(st.integers(-5, 5).filter(bool))}
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        if i + j >= 2 and (i, j) not in support:
+            support[(i, j)] = draw(st.integers(-6, 6).filter(bool))
+    return Germ(support)
+
+
+def _squarefree(coeffs):
+    s = sympy.Symbol("s")
+    poly = sympy.Poly(list(reversed(coeffs)), s)
+    return sympy.degree(sympy.gcd(poly, poly.diff(s)), s) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_convenient_germs())
+@example(parse_germ("y^3 - z^4 + y^2*z^2"))
+@example(parse_germ("y^4 + y^2*z^2 + z^4"))
+@example(parse_germ("y^2*z + y*z^3 + y^5 + z^6"))
+def test_milnor_number_matches_the_newton_number(g):
+    # Kouchnirenko (1976): a convenient germ that is nondegenerate for its
+    # Newton boundary (every edge polynomial squarefree) has mu = 2V - a - b + 1
+    support = g.support
+    vertices = _newton_vertices(support)
+    assume(all(_squarefree(cs) for cs in _edge_polynomials(support, vertices)))
+    try:
+        r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH)
+    except RequiresAlgebraicExtension:
+        assume(False)  # no rational model: the kernel gives no mu to check
+    mu = 2 * delta - r + 1
+    assert mu == _newton_number(vertices), (g, vertices)
+    label = classify(g)
+    if label[0] in "ADE":
+        assert int(label[1:]) == mu, (g, label)
+
+
+def test_newton_boundary_of_known_germs():
+    g = parse_germ("y^2*z + y*z^3 + y^5 + z^6")
+    assert _newton_vertices(g.support) == [(0, 6), (1, 3), (2, 1), (5, 0)]
+    assert _newton_number(_newton_vertices(parse_germ("y^3 - z^4").support)) == 6
+
+
+# ---------------------------------------------------------------------------
+# the parser and the constructor against the routes they replaced
+
+_OLD_TOKEN = re.compile(r"\s+|([0-9]+)|([yz^*+()-])|(.)", re.DOTALL)
+
+
+def _closure_parse(text):
+    """parse_germ as it was, with peek/take closures: the expanded
+    polynomial, before Germ()."""
+    tokens = []
+    for number, symbol, illegal in _OLD_TOKEN.findall(text):
+        if number:
+            try:
+                tokens.append(int(number))
+            except ValueError:
+                raise GermSyntaxError(f"integer of {len(number)} digits is too long") from None
+        elif symbol:
+            tokens.append(symbol)
+        elif illegal:
+            raise GermSyntaxError(f"illegal character {illegal!r}")
+    if not tokens:
+        raise GermSyntaxError("empty input")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take():
+        nonlocal pos
+        tok = peek()
+        pos += 1
+        return tok
+
+    def parse_expr():
+        sign = 1
+        if peek() in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+        acc = kernel._scale(parse_term(), sign)
+        while peek() in ("+", "-"):
+            sign = -1 if take() == "-" else 1
+            acc = kernel._add(acc, kernel._scale(parse_term(), sign))
+        return acc
+
+    def parse_term():
+        tok = peek()
+        if isinstance(tok, int):
+            take()
+            coeff = {(0, 0): tok}
+            if peek() == "*":
+                take()
+            if peek() in ("y", "z", "("):
+                acc = kernel._mul(coeff, parse_factor())
+            else:
+                raise GermSyntaxError("a term needs at least one variable factor")
+        elif tok in ("y", "z", "("):
+            acc = parse_factor()
+        else:
+            raise GermSyntaxError(f"unexpected token {tok!r}")
+        while peek() == "*":
+            take()
+            acc = kernel._mul(acc, parse_factor())
+        return acc
+
+    def parse_factor():
+        tok = take()
+        if tok == "(":
+            inner = parse_expr()
+            if take() != ")":
+                raise GermSyntaxError("unbalanced parenthesis")
+            return inner
+        if tok in ("y", "z"):
+            exp = 1
+            if peek() == "^":
+                take()
+                e = take()
+                if not isinstance(e, int) or e < 0:
+                    raise GermSyntaxError("exponent must be a non-negative integer")
+                exp = e
+            return {(exp, 0) if tok == "y" else (0, exp): 1}
+        raise GermSyntaxError(f"unexpected token {tok!r}")
+
+    result = parse_expr()
+    if pos != len(tokens):
+        raise GermSyntaxError(f"trailing input at token {tokens[pos]!r}")
+    if (0, 0) in result:
+        raise GermSyntaxError("a germ must vanish at the origin")
+    return result
+
+
+def _sorted_canonical(support):
+    """Germ.__init__ as it was: (support in canonical order, multiplicity,
+    hash), normalised in separate passes."""
+    items = {(int(i), int(j)): int(c) for (i, j), c in support.items() if c}
+    if not items:
+        raise ZeroPolynomial("all terms cancel")
+    if any(i < 0 or j < 0 for i, j in items):
+        raise ValueError("negative exponent in germ support")
+    content = 0
+    for c in items.values():
+        content = gcd(content, abs(c))
+    lead = items[min(items, key=lambda ij: (ij[1], ij[0]))]
+    sign = -1 if lead < 0 else 1
+    canonical = {ij: c * sign // content
+                 for ij, c in sorted(items.items(), key=lambda kv: (kv[0][1], kv[0][0]))}
+    return (list(canonical.items()), min(i + j for i, j in items),
+            hash(tuple(canonical.items())))
+
+
+def _germ_view(g):
+    return list(g.support.items()), g.multiplicity, hash(g)
+
+
+def _raised(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValueError as exc:  # GermSyntaxError and ZeroPolynomial among them
+        return type(exc).__name__, str(exc)
+    except RecursionError:  # its text names the frame where the limit was hit
+        return "RecursionError", None
+
+
+@st.composite
+def _germ_texts(draw):
+    """Texts over the germ alphabet: well-formed terms with stray symbols
+    spliced in, or any run of grammar characters, digits and junk."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="yz^*+-() 0123456789x.\t", max_size=24))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(st.sampled_from(["", "2", "3*", "0", "12*"]))
+        factors = [draw(st.sampled_from(["y", "z", "y^2", "z^3", "y^0", "(y - z)", "(y^2 + z)",
+                                          "(z^2 - y)", "y^", "(y"]))
+                   for _ in range(draw(st.integers(1, 3)))]
+        terms.append(coeff + "*".join(factors))
+    text = draw(st.sampled_from(["", "-", "+"])) + terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from([" + ", " - ", "-", "+"])) + term
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list("yz^*+-()0 x"))) + text[at:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(_germ_texts())
+@example("")
+@example("   ")
+@example("y +")
+@example("y^")
+@example("(y^2")
+@example("y^2)")
+@example("y z")
+@example("2 3")
+@example("y^0 + y^2")
+@example("y^2 - y^2")
+@example("9" * 5000 + "*y")
+@example("(" * 2000 + "y" + ")" * 2000)
+def test_parser_matches_the_closure_parser(text):
+    got = _raised(parse_germ, text)
+    want = _raised(_closure_parse, text)
+    if want[0] == "ok":
+        want = _raised(Germ, want[1])
+    assert got == want, text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
+                       st.integers(-12, 12), max_size=6),
+       st.integers(1, 6))
+@example({}, 1)
+@example({(0, 3): 0, (2, 0): 0}, 1)
+@example({(0, 3): -4, (2, 0): 6}, 1)
+@example({(1, -1): 1, (2, 0): 1}, 1)
+def test_constructor_matches_the_sorted_canonical_form(support, content):
+    support = {ij: c * content for ij, c in support.items()}
+    got = _raised(lambda: _germ_view(Germ(support)))
+    assert got == _raised(_sorted_canonical, support)
+
+
+@settings(max_examples=300, deadline=None)
+@given(germs(), st.integers(0, 2), st.integers(0, 2))
+def test_monomial_times_canonical_germ_needs_no_normalising(g, di, dj):
+    shifted = {(i + di, j + dj): c for (i, j), c in g.support.items()}
+    assert _germ_view(g._times(di, dj)) == _germ_view(Germ(shifted))
+    assert g._times(di, dj) == Germ(shifted)
