@@ -70,8 +70,19 @@ def _pretty(x) -> str:
     return str(x) if x.denominator == 1 else f"{x} (~ {decimal3(x)})"
 
 
-def _slope_text(report: datum_mod.DatumInvariantsReport) -> str:
-    return "undefined (chi = 0)" if report.slope is None else _pretty(report.slope)
+def _print_invariants(report: datum_mod.DatumInvariantsReport) -> None:
+    """The lines chi, omega^2, delta, slope and speed L of a datum report."""
+    inv = report.invariants
+    slope = "undefined (chi = 0)" if report.slope is None else _pretty(report.slope)
+    print(f"chi = {_pretty(inv.chi)}")
+    print(f"omega^2 = {_pretty(inv.omega_sq)}")
+    print(f"delta = {_pretty(inv.delta)}")
+    print(f"slope = {slope}")
+    print(f"speed L = {_pretty(report.speed)}")
+
+
+def _semistable_json(verdict: datum_mod.SemistableVerdict) -> dict:
+    return {"passed": verdict.passed, "failures": list(verdict.failures)}
 
 
 def _read(path: str, from_json, kind: str):
@@ -175,7 +186,7 @@ def _cmd_resolve(args) -> int:
 
 
 def _resolution_text(germ, trace, args) -> str:
-    label = datum_mod._overall_label(trace)
+    label = trace.classification
     mults = trace.multiplicities()
     if args.json:
         return jsonio.dumps(jsonio.versioned(
@@ -195,7 +206,7 @@ def _resolution_text(germ, trace, args) -> str:
         f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}",
         f"terminal chart smooth: {'yes' if trace.terminal_smooth else 'no'}",
     ]
-    if args.trace and trace.root is not None:
+    if args.trace and mults:
         lines.append("trace:")
         lines.extend(_trace_lines(trace))
     return "\n".join(lines)
@@ -248,21 +259,14 @@ def _cmd_example(args) -> int:
                 "speed": str(Fraction(fam.expected_speed)),
             },
             matches=matches,
-            semistable={
-                "passed": report.semistable.passed,
-                "failures": list(report.semistable.failures),
-            },
+            semistable=_semistable_json(report.semistable),
         )))
     else:
         d = fam.datum
         print(f"family: {fam.name} (genus {inv.g})")
         print(f"base: genus {d.g_C}; branch bidegree e = {d.e}, n = {d.n}; "
               f"{d.s} critical fibers")
-        print(f"chi = {_pretty(inv.chi)}")
-        print(f"omega^2 = {_pretty(inv.omega_sq)}")
-        print(f"delta = {_pretty(inv.delta)}")
-        print(f"slope = {_slope_text(report)}")
-        print(f"speed L = {_pretty(report.speed)}")
+        _print_invariants(report)
         print(f"semistable: {'yes' if report.semistable.passed else 'NO'}")
         print("closed-formula check: "
               + ("match" if matches else "MISMATCH against expected values"))
@@ -373,12 +377,7 @@ def _print_datum_report(d, report, audit_report) -> None:
     print(f"sum k(k-1) = {report.sum_k_km1}, "
           f"sum (k-1)^2 = {report.sum_km1_sq}, "
           f"branch degree on a fiber = {report.r_dot_gamma}")
-    inv = report.invariants
-    print(f"chi = {_pretty(inv.chi)}")
-    print(f"omega^2 = {_pretty(inv.omega_sq)}")
-    print(f"delta = {_pretty(inv.delta)}")
-    print(f"slope = {_slope_text(report)}")
-    print(f"speed L = {_pretty(report.speed)}")
+    _print_invariants(report)
     if report.semistable.passed:
         print("semistable: yes")
     else:
@@ -437,10 +436,7 @@ def _cmd_datum(args) -> int:
                 }
                 for s in report.traces
             ],
-            semistable={
-                "passed": report.semistable.passed,
-                "failures": list(report.semistable.failures),
-            },
+            semistable=_semistable_json(report.semistable),
             audit=jsonio.audit_report_to_json(audit_report),
         )))
     else:

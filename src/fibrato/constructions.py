@@ -189,37 +189,45 @@ def mod4_0(g: int) -> Family:
     )
 
 
-def mod4_1(g: int) -> Family:
-    """Speed g - floor(g/4) for g = 1 mod 4, over a rational base.
+def _cyclic_frame(g: int, d: int) -> tuple[GenusGDatum, BranchDatum]:
+    """Datum over the degree-d base cover z -> z^d of a rational curve,
+    totally ramified over 0 and infinity, with its branch datum.
 
-    The base cover is z -> z^4, totally ramified over 0 and infinity, so the
-    four fibers over the preimages of 1 are critical with only fiber nodes
-    (the branch divisor is smooth there) and enter as negligible markers;
-    s = 1 + 1 + 4 = 6.
+    Two germs y^{g+1} - z^d sit over b^-1(0) and g+1 germs y^2 - z^d over
+    b^-1(inf).  The d fibers over the preimages of 1 are critical with only
+    fiber nodes (the branch divisor is smooth there) and enter as negligible
+    markers; s = 1 + 1 + d.  Used by mod4_1 (d = 4) and mod6_1 (d = 6).
     """
-    if g % 4 != 1 or g < 5:
-        raise DomainError(f"mod4_1 requires g = 1 mod 4 with g >= 5, got {g}")
-    k = g // 4
-    chi = Fraction(2 * g - 2 * k)
-    omega_sq = Fraction(8 * g - 8 - 4 * k)
     markers = tuple(
-        CriticalFiber(f"b^-1(1)_{i}", (), negligible_marker=True) for i in range(1, 5)
+        CriticalFiber(f"b^-1(1)_{i}", (), negligible_marker=True) for i in range(1, d + 1)
     )
     datum = GenusGDatum(
         g=g,
         g_C=0,
         e=0,
-        n=4,
+        n=d,
         critical_fibers=(
-            CriticalFiber("b^-1(0)", (f"y^{g + 1} - z^4",) * 2),
-            CriticalFiber("b^-1(inf)", ("y^2 - z^4",) * (g + 1)),
+            CriticalFiber("b^-1(0)", (f"y^{g + 1} - z^{d}",) * 2),
+            CriticalFiber("b^-1(inf)", (f"y^2 - z^{d}",) * (g + 1)),
         )
         + markers,
     )
+    return datum, BranchDatum(0, 0, 2, d, ((d,), (d,)))
+
+
+def mod4_1(g: int) -> Family:
+    """Speed g - floor(g/4) for g = 1 mod 4, over a rational base via the
+    degree-4 cover z -> z^4; s = 1 + 1 + 4 = 6."""
+    if g % 4 != 1 or g < 5:
+        raise DomainError(f"mod4_1 requires g = 1 mod 4 with g >= 5, got {g}")
+    k = g // 4
+    chi = Fraction(2 * g - 2 * k)
+    omega_sq = Fraction(8 * g - 8 - 4 * k)
+    datum, branch = _cyclic_frame(g, 4)
     return Family(
         name="mod4_1",
         datum=datum,
-        branch=BranchDatum(0, 0, 2, 4, ((4,), (4,))),
+        branch=branch,
         expected_chi=chi,
         expected_speed=Fraction(g - k),
         expected_omega_sq=omega_sq,
@@ -235,24 +243,11 @@ def mod6_1(g: int) -> Family:
     j = g // 6
     chi = Fraction(3 * g - 6 * j)
     omega_sq = Fraction(12 * g - 12 - 16 * j)
-    markers = tuple(
-        CriticalFiber(f"b^-1(1)_{i}", (), negligible_marker=True) for i in range(1, 7)
-    )
-    datum = GenusGDatum(
-        g=g,
-        g_C=0,
-        e=0,
-        n=6,
-        critical_fibers=(
-            CriticalFiber("b^-1(0)", (f"y^{g + 1} - z^6",) * 2),
-            CriticalFiber("b^-1(inf)", ("y^2 - z^6",) * (g + 1)),
-        )
-        + markers,
-    )
+    datum, branch = _cyclic_frame(g, 6)
     return Family(
         name="mod6_1",
         datum=datum,
-        branch=BranchDatum(0, 0, 2, 6, ((6,), (6,))),
+        branch=branch,
         expected_chi=chi,
         expected_speed=Fraction(g - 2 * j),
         expected_omega_sq=omega_sq,

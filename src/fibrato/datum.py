@@ -212,33 +212,15 @@ class DatumInvariantsReport:
     semistable: SemistableVerdict
 
 
-def _overall_label(trace: ResolutionTrace) -> str:
-    if trace.root is None:
-        return "Smooth"
-    if trace.root.classification == "NonNegligibleInterior":
-        return "NonNegligible"
-    return trace.root.classification
-
-
 def _cluster_offences(germ: Germ, trace: ResolutionTrace) -> list[str]:
     """Names of D/E-type negligible clusters in the resolution tree.
 
-    A cluster head is a point whose whole subtree is negligible but whose
-    parent (if any) is not.  Heads labelled A* are harmless double points of
-    the cover; D or E heads obstruct semi-stability.
+    Cluster heads labelled A* are harmless double points of the cover; D or
+    E heads obstruct semi-stability.
     """
-    offences: list[str] = []
-    stack = trace.points[:1]  # the root, if any
-    while stack:
-        node = stack.pop()
-        if node.classification == "NonNegligibleInterior":
-            stack.extend(reversed(node.children))
-        elif node.classification.startswith(("D", "E")):
-            offences.append(
-                f"germ {germ} has a residual singularity of type {node.classification}; "
-                "only type-A clusters keep the fibration semi-stable"
-            )
-    return offences
+    return [f"germ {germ} has a residual singularity of type {label}; "
+            "only type-A clusters keep the fibration semi-stable"
+            for label in trace.clusters() if label.startswith(("D", "E"))]
 
 
 @dataclass(frozen=True)
@@ -247,7 +229,6 @@ class _Resolved:
 
     trace: ResolutionTrace
     multiplicities: tuple[int, ...]
-    classification: str
     sum_k_km1: int
     sum_km1_sq: int
     offences: tuple[str, ...]
@@ -262,7 +243,6 @@ def _resolved(germ: Germ, max_depth: int) -> _Resolved:
     return _Resolved(
         trace=trace,
         multiplicities=tuple(trace.multiplicities()),
-        classification=_overall_label(trace),
         sum_k_km1=trace.sum_k_km1,
         sum_km1_sq=trace.sum_km1_sq,
         offences=tuple(_cluster_offences(germ, trace)),
@@ -315,7 +295,7 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
                     fiber_label=fib.label,
                     germ=germ,
                     multiplicities=r.multiplicities,
-                    classification=r.classification,
+                    classification=r.trace.classification,
                     sum_k_km1=r.sum_k_km1,
                     sum_km1_sq=r.sum_km1_sq,
                     trace=r.trace,

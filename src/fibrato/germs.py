@@ -49,11 +49,12 @@ Infinitely-near germs repeat across inputs (y^a - z^b blows up to
 y^a - z^(b-a)), so each distinct one is charted, factored, branch-counted
 and labelled once.  An exception is never memoized.  Both walks use explicit
 stacks, so the depth cap alone bounds their depth.  even_resolve walks the
-records and keeps per point only its depth, its Descendant and its label;
-the multiplicities and the sums are read from those, and a trace builds its
-own tree of fresh TracePoints on the first read of ``points``.  The Germ and
-Descendant objects inside may be shared between traces, and they are
-read-only.
+records and keeps per point only its depth, its Descendant and its label.
+The multiplicities, the sums, the germ's classification and its cluster
+heads are read from those flat records, so the datum path never builds a
+tree; only a reader of ``points`` or ``root`` makes a trace build its own
+tree of fresh TracePoints.  The Germ and Descendant objects inside may be
+shared between traces, and they are read-only.
 """
 
 from __future__ import annotations
@@ -145,16 +146,6 @@ class Germ:
             self.support = {(i, j): c // content for j, i, c in terms}
         self.multiplicity = min([i + j for j, i, _ in terms])
         self._hash = hash(tuple(self.support.items()))  # the memos hash germs often
-
-    def _times(self, di: int, dj: int) -> Germ:
-        """This germ times y^di * z^dj.  The product of a canonical germ and a
-        monomial is canonical as it stands: the shift keeps the (j, i) order
-        of the terms, their content and the sign of the first."""
-        out = Germ.__new__(Germ)
-        out.support = {(i + di, j + dj): c for (i, j), c in self.support.items()}
-        out.multiplicity = self.multiplicity + di + dj
-        out._hash = hash(tuple(out.support.items()))
-        return out
 
     def __eq__(self, other):
         return isinstance(other, Germ) and self.support == other.support
@@ -550,11 +541,18 @@ def _strict_points(g: Germ) -> _StrictPoints:
     at_infinity = Germ(strict2) if all(i + j for i, j in strict2) else None
 
     eps = m % 2  # for odd m, E is a component of the even transform: times y or z
-    even = [Descendant(root, germ._times(1, 0) if eps else germ) for root, germ in sorted(rational)]
+    even = []
+    for root, germ in sorted(rational):
+        if eps:
+            germ = Germ({(i + 1, j): c for (i, j), c in germ.support.items()})
+        even.append(Descendant(root, germ))
     if eps:  # a simple irrational direction carries a transverse A1 node
         even += [Descendant(ConjugateDirections(c), None) for c, exp, _ in irrational if exp == 1]
     if at_infinity is not None:
-        even.append(Descendant(INFINITY, at_infinity._times(0, 1) if eps else at_infinity))
+        germ = at_infinity
+        if eps:
+            germ = Germ({(i, j + 1): c for (i, j), c in germ.support.items()})
+        even.append(Descendant(INFINITY, germ))
     even = tuple(d for d in even if d.germ is None or d.germ.multiplicity >= 2)
     return _StrictPoints(tuple(rational), tuple(irrational), at_infinity, even)
 
@@ -620,9 +618,10 @@ class ResolutionTrace:
     in depth-first order, plus the derived sums the invariant formulas need.
 
     even_resolve keeps each point as its depth, its Descendant on the
-    kernel's record (the root's direction is None) and its label; the sums
-    and the multiplicity sequence are read from those, and the TracePoint
-    tree ``points`` is built on its first read.
+    kernel's record (the root's direction is None) and its label; the sums,
+    the multiplicity sequence, the germ's classification and its cluster
+    heads are read from those, and the TracePoint tree ``points`` is built
+    on its first read.
     """
 
     __slots__ = ("germ", "terminal_smooth", "_nodes", "_labels", "_points")
@@ -644,6 +643,29 @@ class ResolutionTrace:
     def root(self) -> TracePoint | None:
         return self.points[0] if self._nodes else None
 
+    @property
+    def classification(self) -> str:
+        """"Smooth" for a germ of multiplicity <= 1, "NonNegligible" when the
+        root is a NonNegligibleInterior point, otherwise the root's ADE label."""
+        if not self._labels:
+            return "Smooth"
+        label = self._labels[0]
+        return "NonNegligible" if label == "NonNegligibleInterior" else label
+
+    def clusters(self) -> list[str]:
+        """The labels of the cluster heads in depth-first order.  A cluster
+        head is a point that is not NonNegligibleInterior and is the root or
+        a child of a NonNegligibleInterior point; its subtree is negligible."""
+        heads = []
+        interior = []  # per depth on the path to the last point: is it interior
+        for (depth, _), label in zip(self._nodes, self._labels):
+            inner = label == "NonNegligibleInterior"
+            if not inner and (depth == 0 or interior[depth - 1]):
+                heads.append(label)
+            del interior[depth:]
+            interior.append(inner)
+        return heads
+
     def multiplicities(self) -> list[int]:
         """The multiplicity sequence, conjugate packets expanded."""
         out = []
@@ -663,9 +685,6 @@ class ResolutionTrace:
     def sum_km1_sq(self) -> int:
         """Sum of (k_i - 1)^2 over all points."""
         return sum((m // 2 - 1) ** 2 for m in self.multiplicities())
-
-    def max_multiplicity(self) -> int:
-        return max(self.multiplicities(), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, ResolutionTrace):

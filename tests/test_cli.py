@@ -20,8 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fibrato
+from fibrato import datum as datum_mod, germs as germs_mod
 from fibrato.cli import main
-from fibrato.constructions import FAMILY_NAMES, family
+from fibrato.constructions import FAMILY_NAMES, DomainError, even_genus, family
 from fibrato.datum import CriticalFiber, GenusGDatum
 from fibrato.jsonio import (audit_input_from_json, branch_datum_from_json, datum_from_json,
                             datum_to_json)
@@ -772,7 +773,7 @@ def test_datum_schema_version_rejected(capsys, tmp_path):
     path = write_json(tmp_path, "d.json", doc)
     code, _, err = run(capsys, "datum", path)
     assert code == 2
-    assert "error:" in err
+    assert err == "error: datum: unsupported schema_version 99 (expected 1)\n"
 
 
 def test_datum_missing_field_context(capsys, tmp_path):
@@ -919,3 +920,38 @@ def test_every_family_name_is_reachable(capsys):
             [] if genus is None else ["--genus", str(genus)])
         assert main(argv) == 0
         capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# only readers of the TracePoint tree build it
+
+def test_datum_path_builds_no_trace_tree(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a TracePoint tree was built")
+
+    monkeypatch.setattr(germs_mod, "_trace_points", refuse)
+    datum_mod._resolved.cache_clear()  # a remembered trace may hold its tree already
+    with pytest.raises(AssertionError):
+        run(capsys, "resolve", "y^8 - z^4", "--trace")
+
+    for name in FAMILY_NAMES:
+        for genus in range(2, 62):
+            try:
+                fam = family(name, genus)
+            except DomainError:
+                continue
+            fam.report()
+    for genus in range(80, 201, 2):
+        even_genus(genus).report(max_depth=2 * genus + 8)
+    assert run(capsys, "search", "--genus", "6", "--max-n", "16", "--germ-grid", "8x8")[0] == 0
+
+    datum_mod._resolved.cache_clear()
+    for name in FAMILY_NAMES:
+        for genus in range(2, 14):
+            code, emitted, _ = run(capsys, "example", name, "--genus", str(genus), "--emit-json")
+            if code:
+                continue
+            for flags in ([], ["--json"]):
+                assert run(capsys, "example", name, "--genus", str(genus), *flags)[0] in (0, 1)
+                monkeypatch.setattr("sys.stdin", io.StringIO(emitted))
+                assert run(capsys, "datum", "-", *flags)[0] in (0, 1)

@@ -868,6 +868,82 @@ def test_label_memo_matches_the_walk_and_label_route_on_random_germs(g, cap, oth
 
 
 # ---------------------------------------------------------------------------
+# classification and cluster heads from the flat records, against the tree
+
+def _tree_label(trace):
+    """The germ's label read off the root TracePoint, as datum did before
+    traces reported their own."""
+    if trace.root is None:
+        return "Smooth"
+    if trace.root.classification == "NonNegligibleInterior":
+        return "NonNegligible"
+    return trace.root.classification
+
+
+def _tree_cluster_heads(trace):
+    """The labels of the cluster heads by a walk down the TracePoint tree
+    through the NonNegligibleInterior points, as datum made it."""
+    heads = []
+    stack = trace.points[:1]  # the root, if any
+    while stack:
+        node = stack.pop()
+        if node.classification == "NonNegligibleInterior":
+            stack.extend(reversed(node.children))
+        else:
+            heads.append(node.classification)
+    return heads
+
+
+def _tree_offences(germ, trace):
+    return [f"germ {germ} has a residual singularity of type {label}; "
+            "only type-A clusters keep the fibration semi-stable"
+            for label in _tree_cluster_heads(trace) if label.startswith(("D", "E"))]
+
+
+def _flat_matches_tree(g, cap):
+    """Compare the flat answers of g's trace at cap with the tree routes;
+    the cluster heads, or None when the resolution raises."""
+    try:
+        trace = even_resolve(g, cap)
+    except (DepthOverflow, RequiresAlgebraicExtension):
+        return None
+    label, heads = trace.classification, trace.clusters()
+    offences = datum_mod._cluster_offences(g, trace)
+    assert trace._points is None  # the flat answers built no tree
+    assert label == _tree_label(trace), (str(g), cap)
+    assert heads == _tree_cluster_heads(trace), (str(g), cap)
+    assert offences == _tree_offences(g, trace), (str(g), cap)
+    try:
+        assert classify(g, cap) == label, (str(g), cap)
+    except (DepthOverflow, RequiresAlgebraicExtension):
+        pass
+    return heads
+
+
+def test_trace_classification_and_clusters_match_the_tree_on_the_grid():
+    seen = []
+    for cap in LABEL_CAPS:
+        for g in _grid_germs():
+            heads = _flat_matches_tree(g, cap)
+            if heads is not None:
+                seen.append(heads)
+    labels = {label[0] for heads in seen for label in heads}
+    assert labels == {"A", "D", "E"}
+    assert any(len(heads) > 1 for heads in seen)
+    assert any(heads == [] for heads in seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(germs(), st.integers(1, 70))
+@example(parse_germ("y^3 - z^4"), 64)
+@example(parse_germ("y^7 - z^4"), 64)
+@example(parse_germ("z*(y^4 - z^3)"), 64)
+@example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"), 64)
+def test_trace_classification_and_clusters_match_the_tree_on_random_germs(g, cap):
+    _flat_matches_tree(g, cap)
+
+
+# ---------------------------------------------------------------------------
 # Kouchnirenko's Newton number as a second oracle for mu
 
 def _newton_vertices(support):
@@ -1124,10 +1200,3 @@ def test_constructor_matches_the_sorted_canonical_form(support, content):
     got = _raised(lambda: _germ_view(Germ(support)))
     assert got == _raised(_sorted_canonical, support)
 
-
-@settings(max_examples=300, deadline=None)
-@given(germs(), st.integers(0, 2), st.integers(0, 2))
-def test_monomial_times_canonical_germ_needs_no_normalising(g, di, dj):
-    shifted = {(i + di, j + dj): c for (i, j), c in g.support.items()}
-    assert _germ_view(g._times(di, dj)) == _germ_view(Germ(shifted))
-    assert g._times(di, dj) == Germ(shifted)

@@ -8,6 +8,8 @@ exit code fails the group that shows it:
   196 grid germs y^e z^f (y^a - z^b), a, b in 1..14;
 * ``example-<family>``: ``example <family> --json`` at g = 2..41 (invalid
   genera included, they exit 2);
+* ``example-human``: ``example <family> --genus g`` without ``--json`` for
+  every family at g = 2..41;
 * ``kernel-cap3``: ``even_resolve`` and ``classify`` at cap 3 on all 784
   grid germs, with the ``DepthOverflow`` and ``RequiresAlgebraicExtension``
   texts;
@@ -59,6 +61,7 @@ DIGESTS = {
     "example-mod4_0": "cabe55a2117bc4fdcbb125355aa18065009c8f1ab1bb373514198b6cd81bd122",
     "example-mod4_1": "2b8588cd72619e1952240edee5272140b1e4ef56d5844da8e61d501a232c0adc",
     "example-mod6_1": "5cc8dd5f09d4aa51b491fcdd6ad3ea2a9d3d3bea2ee03974fda3ced47c4565f5",
+    "example-human": "5f9fb20904ac6986aabed78de68c8125699b7f92959a449f69e48d7daccc38a4",
     "kernel-cap3": "a5e0e317f812b92aecc04c14113cd1bdae811473de201ab20009f8d9e5a1d707",
     "audit-human": "d21abf67d3d19f01920ed60fe1a73f397863e2215b5a82942d5b35d1934bc826",
     "audit-json": "27fad7253025d1ba763111ceabaaf2b34a868a406910641d913e33551064f1ad",
@@ -140,6 +143,9 @@ def _records(group):
         e, f = int(name[1]), int(name[3])
         return [_cli(["resolve", _grid_text(e, f, a, b), flag])
                 for a in range(1, 15) for b in range(1, 15) for flag in ("--json", "--trace")]
+    if group == "example-human":
+        return [_cli(["example", family, "--genus", str(g)])
+                for family in FAMILY_NAMES for g in range(2, 42)]
     if kind == "example":
         return [_cli(["example", name, "--genus", str(g), "--json"]) for g in range(2, 42)]
     flags = ["--json"] if name == "json" else []
