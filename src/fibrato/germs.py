@@ -49,12 +49,13 @@ Infinitely-near germs repeat across inputs (y^a - z^b blows up to
 y^a - z^(b-a)), so each distinct one is charted, factored, branch-counted
 and labelled once.  An exception is never memoized.  Both walks use explicit
 stacks, so the depth cap alone bounds their depth.  even_resolve walks the
-records and keeps per point only its depth, its Descendant and its label.
-The multiplicities, the sums, the germ's classification and its cluster
-heads are read from those flat records, so the datum path never builds a
-tree; only a reader of ``points`` or ``root`` makes a trace build its own
-tree of fresh TracePoints.  The Germ and Descendant objects inside may be
-shared between traces, and they are read-only.
+records and keeps per point only its depth, its Descendant and its label;
+the pass that labels the points also takes the multiplicity sequence and
+the two sums the invariant formulas need.  The germ's classification and
+its cluster heads are read from the flat records, so the datum path never
+builds a tree; only a reader of ``points`` or ``root`` makes a trace build
+its own tree of fresh TracePoints.  The Germ and Descendant objects inside
+may be shared between traces, and they are read-only.
 """
 
 from __future__ import annotations
@@ -618,17 +619,22 @@ class ResolutionTrace:
     in depth-first order, plus the derived sums the invariant formulas need.
 
     even_resolve keeps each point as its depth, its Descendant on the
-    kernel's record (the root's direction is None) and its label; the sums,
-    the multiplicity sequence, the germ's classification and its cluster
-    heads are read from those, and the TracePoint tree ``points`` is built
-    on its first read.
+    kernel's record (the root's direction is None) and its label, and takes
+    the multiplicity sequence and the sums in the pass that labels the
+    points: sum_k_km1 is the sum of k_i*(k_i - 1) and sum_km1_sq the sum of
+    (k_i - 1)^2 over all points, k_i = floor(m_i/2).  The germ's
+    classification and its cluster heads are read from the flat records,
+    and the TracePoint tree ``points`` is built on its first read.
     """
 
-    __slots__ = ("germ", "terminal_smooth", "_nodes", "_labels", "_points")
+    __slots__ = ("germ", "sum_k_km1", "sum_km1_sq", "_mults", "_nodes", "_labels", "_points")
 
-    def __init__(self, germ: Germ, nodes: list, labels: list):
+    def __init__(self, germ: Germ, nodes: list, labels: list, mults: tuple[int, ...],
+                 sum_k_km1: int, sum_km1_sq: int):
         self.germ = germ
-        self.terminal_smooth = True
+        self.sum_k_km1 = sum_k_km1
+        self.sum_km1_sq = sum_km1_sq
+        self._mults = mults
         self._nodes = nodes
         self._labels = labels
         self._points = None
@@ -667,36 +673,19 @@ class ResolutionTrace:
         return heads
 
     def multiplicities(self) -> list[int]:
-        """The multiplicity sequence, conjugate packets expanded."""
-        out = []
-        for _, desc in self._nodes:
-            if desc.germ is None:
-                out.extend([2] * desc.direction.count)
-            else:
-                out.append(desc.germ.multiplicity)
-        return out
-
-    @property
-    def sum_k_km1(self) -> int:
-        """Sum of k_i*(k_i - 1) over all points, k_i = floor(m_i/2)."""
-        return sum(m // 2 * (m // 2 - 1) for m in self.multiplicities())
-
-    @property
-    def sum_km1_sq(self) -> int:
-        """Sum of (k_i - 1)^2 over all points."""
-        return sum((m // 2 - 1) ** 2 for m in self.multiplicities())
+        """The multiplicity sequence, conjugate packets expanded; a new list
+        on each call."""
+        return list(self._mults)
 
     def __eq__(self, other):
         if not isinstance(other, ResolutionTrace):
             return NotImplemented
-        return ((self.germ, self.points, self.terminal_smooth)
-                == (other.germ, other.points, other.terminal_smooth))
+        return (self.germ, self.points) == (other.germ, other.points)
 
     __hash__ = None
 
     def __repr__(self):
-        return (f"ResolutionTrace(germ={self.germ!r}, points={self.points!r}, "
-                f"terminal_smooth={self.terminal_smooth!r})")
+        return f"ResolutionTrace(germ={self.germ!r}, points={self.points!r})"
 
 
 def _trace_points(nodes, labels) -> list[TracePoint]:
@@ -722,17 +711,26 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     max_depth — all well-formed branch germs resolve in a handful of steps,
     so hitting the cap signals a suspect input such as a non-reduced divisor.
     """
-    nodes, labels = [], []
+    nodes, labels, mults = [], [], []
+    sum_k_km1 = sum_km1_sq = 0
     if g.multiplicity >= 2:
         nodes, interior = _even_walk(g, max_depth)
         for (_, desc), inner in zip(nodes, interior):  # parents before children
-            if inner:
-                labels.append("NonNegligibleInterior")
-            elif desc.germ is None:
+            germ = desc.germ
+            if germ is None:  # a packet of A1 nodes, k = 1 each: no sum changes
                 labels.append("A1")
+                mults += [2] * desc.direction.count
+                continue
+            m = germ.multiplicity
+            mults.append(m)
+            if inner:  # m > 3 only here; elsewhere k = 1 adds 0 to the sums
+                labels.append("NonNegligibleInterior")
+                k = m // 2
+                sum_k_km1 += k * (k - 1)
+                sum_km1_sq += (k - 1) ** 2
             else:
-                labels.append(_ade_label(desc.germ, max_depth))
-    return ResolutionTrace(g, nodes, labels)
+                labels.append(_ade_label(germ, max_depth))
+    return ResolutionTrace(g, nodes, labels, tuple(mults), sum_k_km1, sum_km1_sq)
 
 
 def _even_walk(g: Germ, max_depth: int) -> tuple[list, list[bool]]:
@@ -780,14 +778,10 @@ def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
     computed from coordinate-free data: delta invariant and branch count
     give the Milnor number mu = 2*delta - r + 1 (the ADE index), and for
     multiplicity 3 the number of distinct tangent-cone lines separates D
-    (>= 2 lines) from E (one line).
+    (>= 2 lines) from E (one line).  This is the classification of the
+    germ's even resolution, and it raises what even_resolve raises.
     """
-    if g.multiplicity <= 1:
-        return "Smooth"
-    _, interior = _even_walk(g, max_depth)
-    if interior[0]:
-        return "NonNegligible"
-    return _ade_label(g, max_depth)
+    return even_resolve(g, max_depth).classification
 
 
 def _ade_label(g: Germ, max_depth: int) -> str:

@@ -13,6 +13,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from datetime import timedelta
 
 import pytest
@@ -783,6 +784,37 @@ def test_datum_missing_field_context(capsys, tmp_path):
     code, _, err = run(capsys, "datum", path)
     assert code == 2
     assert "'n'" in err
+
+
+# ---------------------------------------------------------------------------
+# inputs too large to allocate
+
+# Exponents and genera far past what any list can hold fail at once: 10^13
+# with MemoryError, 10^20 with OverflowError.  Sizes from 10^8 to 10^12 would
+# allocate gigabytes before they fail, so none is used here.
+_HUGE_GERMS = ["y^10000000000000 - z^10000000000000",
+               "y^100000000000000000000 - z^100000000000000000000"]
+
+
+def _datum_doc(germ):
+    return json.dumps({"schema_version": 1, "g": 2, "g_C": 2, "e": 0, "n": 6,
+                       "critical_fibers": [{"label": "F", "germs": [germ]}]})
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    *[(["resolve", germ], "", f"germ {germ!r}: input too large to allocate")
+      for germ in _HUGE_GERMS],
+    *[(["datum", "-"], _datum_doc(germ), "datum: input too large to allocate")
+      for germ in _HUGE_GERMS],
+    *[(["example", "odd_genus", "--genus", genus], "", "example: input too large to allocate")
+      for genus in ("1000000000000000001", "100000000000000000001")],
+], ids=["resolve-1e13", "resolve-1e20", "datum-1e13", "datum-1e20",
+        "example-1e18", "example-1e20"])
+def test_input_too_large_to_allocate_exits_2(argv, text, message):
+    start = time.perf_counter()
+    code, out, err = _main_on_stdin(argv, text)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------

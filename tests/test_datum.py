@@ -20,7 +20,8 @@ from fibrato.datum import (
 )
 from fibrato.fibration import NonHyperbolicBase, audit
 from fibrato.jsonio import datum_from_json, datum_to_json
-from fibrato.germs import DepthOverflow, RequiresAlgebraicExtension, parse_germ
+from fibrato.germs import (DEFAULT_MAX_DEPTH, DepthOverflow, RequiresAlgebraicExtension,
+                           even_resolve, parse_germ)
 
 
 def _marker(label="F"):
@@ -391,6 +392,14 @@ def test_memo_gives_the_same_reports_warm_and_cleared():
     assert len(_family_data()) == 66
     for build in (_family_data, _search_data, _offending_data):
         assert warm(build) == cold(build)
+    for d in _family_data() + _search_data():
+        shared = {}  # the report's trace of each germ
+        for s in invariants(d).traces:
+            assert shared.setdefault(s.germ, s.trace) is s.trace, (d, str(s.germ))
+            new = even_resolve(s.germ, DEFAULT_MAX_DEPTH)
+            assert (s.multiplicities, s.classification, s.sum_k_km1, s.sum_km1_sq) == (
+                tuple(new.multiplicities()), new.classification, new.sum_k_km1,
+                new.sum_km1_sq), (d, str(s.germ))
     assert 0 in [rep[0] for rep in warm(_search_data)]  # chi = 0 gives a report
     failures = warm(_offending_data)[0][-1]
     assert failures[0] == "declared non-simple ramification"

@@ -174,13 +174,11 @@ TRACES = {
 def test_resolution_multiplicity_sequences(text, mults):
     trace = even_resolve(parse_germ(text))
     assert trace.multiplicities() == mults
-    assert trace.terminal_smooth
 
 
 def test_smooth_germ_has_empty_trace():
     trace = even_resolve(parse_germ("y - z^2"))
     assert trace.points == []
-    assert trace.terminal_smooth
 
 
 def test_trace_depths_and_k():
@@ -731,8 +729,7 @@ def test_traces_compare_by_germ_and_points():
     one, two = even_resolve(g), even_resolve(g, 10)
     assert one == two and one is not two
     assert one != even_resolve(parse_germ("y^6 - z^4"))
-    assert repr(one) == (f"ResolutionTrace(germ={g!r}, points={one.points!r}, "
-                         "terminal_smooth=True)")
+    assert repr(one) == f"ResolutionTrace(germ={g!r}, points={one.points!r})"
     two.points[1].classification = "changed"
     assert one != two
 
@@ -908,7 +905,7 @@ def _flat_matches_tree(g, cap):
     except (DepthOverflow, RequiresAlgebraicExtension):
         return None
     label, heads = trace.classification, trace.clusters()
-    offences = datum_mod._cluster_offences(g, trace)
+    offences = datum_mod._cluster_offences(trace)
     assert trace._points is None  # the flat answers built no tree
     assert label == _tree_label(trace), (str(g), cap)
     assert heads == _tree_cluster_heads(trace), (str(g), cap)
@@ -941,6 +938,39 @@ def test_trace_classification_and_clusters_match_the_tree_on_the_grid():
 @example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"), 64)
 def test_trace_classification_and_clusters_match_the_tree_on_random_germs(g, cap):
     _flat_matches_tree(g, cap)
+
+
+# ---------------------------------------------------------------------------
+# classify reads the trace, against the walk-then-label route it replaced
+
+def _walk_then_label(g, max_depth):
+    """classify as it was before it read the trace: the kernel's walk, then
+    the root's label alone."""
+    if g.multiplicity <= 1:
+        return "Smooth"
+    _, interior = kernel._even_walk(g, max_depth)
+    if interior[0]:
+        return "NonNegligible"
+    return kernel._ade_label(g, max_depth)
+
+
+def test_classify_matches_the_walk_then_label_route_on_the_grid():
+    outcomes = set()
+    for cap in LABEL_CAPS:
+        for g in _grid_germs():
+            want = _failure_or(_walk_then_label, g, cap)
+            assert _failure_or(classify, g, cap) == want, (str(g), cap)
+            outcomes.add(want if isinstance(want, str) else want[0])
+    assert {"Smooth", "NonNegligible", "DepthOverflow"} < outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(germs(), st.integers(1, 70))
+@example(parse_germ("y^2 - z^40"), 19)
+@example(parse_germ("y^7 - z^4"), 1)
+@example(parse_germ("z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7"), 64)
+def test_classify_matches_the_walk_then_label_route_on_random_germs(g, cap):
+    assert _failure_or(classify, g, cap) == _failure_or(_walk_then_label, g, cap)
 
 
 # ---------------------------------------------------------------------------
