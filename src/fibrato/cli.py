@@ -243,15 +243,15 @@ def _cmd_example(args) -> int:
         fam = constructions.family(args.family, args.genus)
     except constructions.DomainError as exc:
         raise InputError(str(exc))
-    except _TOO_LARGE as exc:
-        raise InputError(f"example: {_failure_text(exc)}")
-
-    if args.emit_json:
-        print(jsonio.dumps(jsonio.datum_to_json(fam.datum)))
-        return EXIT_OK
-
+    max_depth = _max_depth()
     try:
-        report = fam.report(max_depth=_max_depth())
+        # past the cap no datum is emitted either, as `datum` cannot resolve it
+        if fam.depth > max_depth:
+            raise DepthOverflow.past_cap(max_depth)
+        if args.emit_json:
+            print(jsonio.dumps(jsonio.datum_to_json(fam.datum)))
+            return EXIT_OK
+        report = fam.report(max_depth=max_depth)
     except (RequiresAlgebraicExtension, DepthOverflow, *_TOO_LARGE) as exc:
         raise InputError(f"example: {_failure_text(exc)}")
     inv = report.invariants

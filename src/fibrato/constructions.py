@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .datum import CriticalFiber, DatumInvariantsReport, GenusGDatum, invariants
+from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, _fiber_from_runs,
+                    invariants)
 from .fibration import FibrationInvariants, noether_delta
 from .germs import DEFAULT_MAX_DEPTH, DepthOverflow
 from .hurwitz import BranchDatum
@@ -113,10 +114,10 @@ class Family:
     depth: int = 0
 
     def report(self, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvariantsReport:
-        """The datum's invariants.  ``depth``, where a factory sets it, is
-        the depth of the deepest point the datum's even resolutions blow up;
-        past the cap the kernel's DepthOverflow is raised before any
-        resolution starts."""
+        """The datum's invariants.  ``depth``, which every factory sets in
+        closed form, is the depth of the deepest point the datum's even
+        resolutions blow up; past the cap the kernel's DepthOverflow is
+        raised before any resolution starts."""
         if self.depth > max_depth:
             raise DepthOverflow.past_cap(max_depth)
         return invariants(self.datum, max_depth)
@@ -139,10 +140,10 @@ def _quartic_frame(g: int) -> GenusGDatum:
         e=0,
         n=4,
         critical_fibers=(
-            CriticalFiber("b^-1(0)", (f"y^{g + 1} - z^4",) * 2),
-            CriticalFiber("b^-1(1)", ("y^2 - z^4",) * (g + 1)),
-            CriticalFiber("b^-1(inf_1)", ("y^2 - z^2",) * (g + 1)),
-            CriticalFiber("b^-1(inf_2)", ("y^2 - z^2",) * (g + 1)),
+            _fiber_from_runs("b^-1(0)", [(f"y^{g + 1} - z^4", 2)]),
+            _fiber_from_runs("b^-1(1)", [("y^2 - z^4", g + 1)]),
+            _fiber_from_runs("b^-1(inf_1)", [("y^2 - z^2", g + 1)]),
+            _fiber_from_runs("b^-1(inf_2)", [("y^2 - z^2", g + 1)]),
         ),
     )
 
@@ -166,6 +167,10 @@ def odd_genus(g: int) -> Family:
         expected_omega_sq=omega_sq,
         expected_slope=omega_sq / chi,
         notes=f"resolves through {k} infinitely-near points of multiplicity 4 per germ",
+        # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k for g = 1
+        # mod 4, and ends in an ordinary quadruple point at depth k - 1 for
+        # g = 3 mod 4
+        depth=k + 1 if g % 4 == 1 else k - 1,
     )
 
 
@@ -186,6 +191,7 @@ def mod4_0(g: int) -> Family:
         expected_speed=Fraction(g - k),
         expected_omega_sq=omega_sq,
         expected_slope=omega_sq / chi,
+        depth=max(k - 1, 1),  # y^{g+1} - z^4 ends at depth k - 1, each A3 at 1
     )
 
 
@@ -207,8 +213,8 @@ def _cyclic_frame(g: int, d: int) -> tuple[GenusGDatum, BranchDatum]:
         e=0,
         n=d,
         critical_fibers=(
-            CriticalFiber("b^-1(0)", (f"y^{g + 1} - z^{d}",) * 2),
-            CriticalFiber("b^-1(inf)", (f"y^2 - z^{d}",) * (g + 1)),
+            _fiber_from_runs("b^-1(0)", [(f"y^{g + 1} - z^{d}", 2)]),
+            _fiber_from_runs("b^-1(inf)", [(f"y^2 - z^{d}", g + 1)]),
         )
         + markers,
     )
@@ -232,6 +238,7 @@ def mod4_1(g: int) -> Family:
         expected_speed=Fraction(g - k),
         expected_omega_sq=omega_sq,
         expected_slope=omega_sq / chi,
+        depth=k + 1,  # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k
     )
 
 
@@ -252,6 +259,7 @@ def mod6_1(g: int) -> Family:
         expected_speed=Fraction(g - 2 * j),
         expected_omega_sq=omega_sq,
         expected_slope=omega_sq / chi,
+        depth=j + 2,  # y^{g+1} - z^6 reaches an A5 point y^2 - z^6 at depth j
     )
 
 
@@ -275,10 +283,10 @@ def even_genus(g: int) -> Family:
         e=0,
         n=2 * g + 2,
         critical_fibers=(
-            CriticalFiber("b^-1(0)_1", (f"y^{g + 1} - z^{g + 1}",) * 2),
-            CriticalFiber("b^-1(0)_2", (f"y^{g + 1} - z^{g + 1}",) * 2),
-            CriticalFiber("b^-1(1)", (f"y^2 - z^{2 * g + 2}",) * (g + 1)),
-            CriticalFiber("b^-1(inf)", (f"y^2 - z^{2 * g + 2}",) * (g + 1)),
+            _fiber_from_runs("b^-1(0)_1", [(f"y^{g + 1} - z^{g + 1}", 2)]),
+            _fiber_from_runs("b^-1(0)_2", [(f"y^{g + 1} - z^{g + 1}", 2)]),
+            _fiber_from_runs("b^-1(1)", [(f"y^2 - z^{2 * g + 2}", g + 1)]),
+            _fiber_from_runs("b^-1(inf)", [(f"y^2 - z^{2 * g + 2}", g + 1)]),
         ),
     )
     return Family(
@@ -311,9 +319,9 @@ def genus3() -> Family:
         n=4,
         declared_m=1,
         critical_fibers=(
-            CriticalFiber("b^-1(0)", ("z*(y^4 - z^3)",) * 2),
-            CriticalFiber("b^-1(1)", ("y^2 - z^3",) * 4),
-            CriticalFiber("b^-1(inf)", ("y^2 - z^3",) * 4),
+            _fiber_from_runs("b^-1(0)", [("z*(y^4 - z^3)", 2)]),
+            _fiber_from_runs("b^-1(1)", [("y^2 - z^3", 4)]),
+            _fiber_from_runs("b^-1(inf)", [("y^2 - z^3", 4)]),
         ),
     )
     return Family(
@@ -325,6 +333,7 @@ def genus3() -> Family:
         expected_omega_sq=Fraction(11),
         expected_slope=Fraction(11, 4),
         notes="base genus 1 solved from the branch datum; 2g_C-2+s = 3",
+        depth=1,
     )
 
 
@@ -341,9 +350,9 @@ def genus2() -> Family:
         e=0,
         n=6,
         critical_fibers=(
-            CriticalFiber("b^-1(0)", ("z*(y^3 - z^5)",) * 2),
-            CriticalFiber("b^-1(1)", ("y^2 - z^5",) * 3),
-            CriticalFiber("b^-1(inf)", ("y^2 - z^5",) * 3),
+            _fiber_from_runs("b^-1(0)", [("z*(y^3 - z^5)", 2)]),
+            _fiber_from_runs("b^-1(1)", [("y^2 - z^5", 3)]),
+            _fiber_from_runs("b^-1(inf)", [("y^2 - z^5", 3)]),
         ),
     )
     return Family(
@@ -355,6 +364,7 @@ def genus2() -> Family:
         expected_omega_sq=Fraction(8),
         expected_slope=Fraction(2),
         notes="slope meets the lower bound 4(g-1)/g exactly",
+        depth=1,
     )
 
 

@@ -6,6 +6,10 @@ invariant e, the twisting integer n (the branch divisor has bidegree
 (2g+2, (g+1)e + n)), and one entry per critical fiber listing the local
 branch-curve germs sitting over it.
 
+A fiber keeps its germs as maximal runs of equal germs, and every pass over a
+datum walks the runs, so a datum costs O(runs), not O(entries); the per-entry
+views (``CriticalFiber.germs``, ``DatumInvariantsReport.traces``) expand them.
+
 From that local data alone the module computes the relative invariants of the
 induced genus-g fibration.  Every germ is resolved by even blow-ups; with
 k_i = floor(m_i / 2) at each infinitely-near point of multiplicity m_i, the
@@ -27,6 +31,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, groupby
 
 from .fibration import FibrationInvariants, base_degree
 from .germs import (
@@ -55,28 +60,61 @@ def _parsed(text: str) -> Germ:
     return parse_germ(text)
 
 
+def _germ_runs(runs) -> tuple[tuple[Germ, int], ...]:
+    """Maximal runs of equal germs from (entry, count) runs of Germ objects
+    or germ text: each run is parsed and type-checked once, and neighbours
+    that name the same germ are merged."""
+    merged: list[tuple[Germ, int]] = []
+    for entry, count in runs:
+        germ = _parsed(entry) if isinstance(entry, str) else entry
+        if not isinstance(germ, Germ):
+            raise TypeError(f"germ entries must be Germ or str, got {type(germ).__name__}")
+        if merged and merged[-1][0] == germ:
+            count += merged.pop()[1]
+        merged.append((germ, count))
+    return tuple(merged)
+
+
+class _Entries:
+    """The ``germs`` field of CriticalFiber: set, it keeps the entries as
+    ``(Germ, count)`` runs in ``_runs``; read, it expands them at C speed, so
+    equality, hashing and repr see one entry per germ."""
+
+    def __get__(self, fib, owner=None):
+        if fib is None:
+            return ()  # the field's default
+        return tuple(chain.from_iterable((germ,) * count for germ, count in fib._runs))
+
+    def __set__(self, fib, entries):
+        runs = ((entry, len(list(same))) for entry, same in groupby(entries))
+        object.__setattr__(fib, "_runs", _germ_runs(runs))
+
+
 @dataclass(frozen=True)
 class CriticalFiber:
     """One critical fiber: a label plus the branch germs over its critical value.
 
     ``germs`` entries may be given as ``Germ`` objects or as strings in the
-    germ grammar; strings are parsed on construction.  A fiber whose only
-    singularities are negligible double points that the author chose not to
-    spell out may instead carry ``negligible_marker=True`` with an empty germ
-    list; such markers contribute nothing to the invariant sums but still
-    count toward s.
+    germ grammar; strings are parsed on construction.  The fiber keeps its
+    entries as maximal runs of equal germs, so equal neighbours are parsed,
+    checked and resolved once; ``germs`` reads back one entry per germ.  A
+    fiber whose only singularities are negligible double points that the
+    author chose not to spell out may instead carry ``negligible_marker=True``
+    with an empty germ list; such markers contribute nothing to the invariant
+    sums but still count toward s.
     """
 
     label: str
-    germs: tuple[Germ, ...] = ()
+    germs: tuple[Germ, ...] = _Entries()
     negligible_marker: bool = False
 
-    def __post_init__(self):
-        parsed = tuple(_parsed(g) if isinstance(g, str) else g for g in self.germs)
-        for g in parsed:
-            if not isinstance(g, Germ):
-                raise TypeError(f"germ entries must be Germ or str, got {type(g).__name__}")
-        object.__setattr__(self, "germs", parsed)
+
+def _fiber_from_runs(label: str, runs) -> CriticalFiber:
+    """The critical fiber holding ``count`` entries ``entry`` per (entry,
+    count) run, without ever spelling its entries out one by one."""
+    fib = CriticalFiber(label)
+    object.__setattr__(fib, "_runs", _germ_runs(runs))
+    return fib
 
 
 @dataclass(frozen=True)
@@ -156,7 +194,7 @@ def validate(d: GenusGDatum) -> list[str]:
     for fib in d.critical_fibers:
         if fib.negligible_marker:
             continue
-        if not any(g.multiplicity >= 2 for g in fib.germs):
+        if not any(g.multiplicity >= 2 for g, _ in fib._runs):
             violations.append(
                 f"critical fiber {fib.label!r} carries no germ of multiplicity >= 2 "
                 "and no negligible marker"
@@ -260,16 +298,22 @@ def semistable_check(report: DatumInvariantsReport, d: GenusGDatum) -> Semistabl
     of type A and the datum declares simple ramification; otherwise the
     verdict lists each offending germ with its D/E classification.
     """
-    return _verdict(d, (offence for s in report.traces
-                        for offence in _cluster_offences(s.trace)))
+    offences: list[str] = []
+    for _, run in groupby(report.traces, key=id):  # invariants repeats one summary per run
+        run = list(run)
+        offences += _cluster_offences(run[0].trace) * len(run)
+    return _verdict(d, offences)
 
 
 def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvariantsReport:
     """Resolve every germ of the datum and compute the fibration invariants.
 
-    Each distinct germ is resolved once per process and depth cap: parsed
-    germs and resolutions are memoized process-wide, up to MEMO_SIZE entries
-    each, so the traces in the report may be shared with other reports.
+    Each run of equal germs in a fiber is looked up once: its sums count
+    once per entry, its D/E offences repeat once per entry, and its entries
+    in ``traces`` are one summary object repeated, in entry order.  Each
+    distinct germ is resolved once per process and depth cap: parsed germs
+    and resolutions are memoized process-wide, up to MEMO_SIZE entries each,
+    so the traces in the report may be shared with other reports.
 
     Raises InvalidDatum when validate() reports violations,
     RequiresAlgebraicExtension / DepthOverflow from germ resolution, and
@@ -284,12 +328,12 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     total_k_km1 = 0
     total_km1_sq = 0
     for fib in d.critical_fibers:
-        for germ in fib.germs:
+        for germ, count in fib._runs:
             trace, found = _resolved(germ, max_depth)
-            summaries.append(GermTraceSummary(fib.label, germ, trace))
-            offences.extend(found)
-            total_k_km1 += trace.sum_k_km1
-            total_km1_sq += trace.sum_km1_sq
+            summaries += (GermTraceSummary(fib.label, germ, trace),) * count
+            offences += found * count
+            total_k_km1 += count * trace.sum_k_km1
+            total_km1_sq += count * trace.sum_km1_sq
 
     # 2*chi and omega^2 are integers; delta = 12*chi - omega^2 = 6*(2*chi) - omega^2
     two_chi = d.g * d.n - total_k_km1

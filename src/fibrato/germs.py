@@ -28,7 +28,9 @@ ConjugateDirections entries; a *multiple* irrational root that passes the
 singularity test raises RequiresAlgebraicExtension instead of being dropped.
 
 All germ arithmetic, Taylor shifts by rational roots included, is exact
-integer dictionary manipulation, and so is most univariate factoring: the
+integer dictionary manipulation; a simple rational root of an
+even-multiplicity germ is a smooth point of the even transform and is
+recorded without a shift.  Most univariate factoring is integer work too: the
 v^k factor is split off inline, so constants and monomials (most
 restrictions to E) never reach sympy, and a binomial c*(v^n +- 1) (the
 restriction to E of y^a - z^b, among others) splits into cyclotomic
@@ -506,7 +508,8 @@ class _StrictPoints:
 
     rational: (root, strict germ at [1 : root]) per rational root of the
         restriction to E, in factor-list order, the order the branch walk
-        visits them;
+        visits them; a simple root of an even-m germ holds a _SmoothPoint
+        instead, with no Taylor shift made;
     irrational: (min_poly, exponent, singular) per irrational factor, where
         singular marks a multiple factor that divides the y-linear part: the
         strict transform is singular at its points;
@@ -526,6 +529,24 @@ class _StrictPoints:
     label: str | None = None
 
 
+class _SmoothPoint:
+    """The strict germ at a simple root r of the restriction to E of an
+    even-multiplicity germ.  It is smooth and transverse to E, the even
+    transform equals it there, and the walks read only its multiplicity 1;
+    the Taylor shift that spells it out is made only for its text, which a
+    DepthOverflow message may name."""
+
+    __slots__ = ("strict", "root")
+    multiplicity = 1
+
+    def __init__(self, strict, root: Fraction):
+        self.strict = strict
+        self.root = root
+
+    def __str__(self):
+        return str(Germ(_shift_second(self.strict, self.root)))
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _strict_points(g: Germ) -> _StrictPoints:
     m = g.multiplicity
@@ -534,7 +555,10 @@ def _strict_points(g: Germ) -> _StrictPoints:
     for coeffs, exp in _factor_list(_restriction(strict)):
         if len(coeffs) == 2:
             root = Fraction(-coeffs[0], coeffs[1])
-            rational.append((root, Germ(_shift_second(strict, root))))
+            if exp == 1 and not m % 2:
+                rational.append((root, _SmoothPoint(strict, root)))
+            else:
+                rational.append((root, Germ(_shift_second(strict, root))))
         else:
             singular = exp >= 2 and _divides(coeffs, _first_order_part(strict))
             irrational.append((coeffs, exp, singular))

@@ -84,6 +84,18 @@ def test_resolve_a_series_classification(capsys):
     assert "[2, 2, 2]" in out
 
 
+def test_resolve_a_long_even_binomial_makes_no_taylor_shift(capsys, monkeypatch):
+    # at even multiplicity the simple roots v = +-1 of 1 - v^N are smooth
+    # points off the even transform, so nothing is shifted and N = 100,000
+    # resolves at once
+    monkeypatch.setattr(germs_mod, "_shift_second", None)  # any call would fail
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "resolve", "y^100000 - z^100000")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert "infinitely-near multiplicities: [100000]" in out
+
+
 def test_resolve_syntax_error_exits_2(capsys):
     code, out, err = run(capsys, "resolve", "y^^2")
     assert code == 2
@@ -333,16 +345,31 @@ def test_example_past_the_depth_cap_exits_2(capsys, monkeypatch):
     assert "closed-formula check: match" in out
 
 
+@pytest.mark.parametrize("name, genus", [
+    ("odd_genus", 100000001), ("mod4_0", 100000000), ("mod4_1", 100000001),
+    ("mod6_1", 100000003), ("even_genus", 100000000)])
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--emit-json"]])
+def test_every_family_past_the_depth_cap_exits_2_at_once(name, genus, flags):
+    # the closed-form depth is checked before any germ entry is spelled out,
+    # and a datum that `datum` could not resolve under the cap is not emitted
+    start = time.perf_counter()
+    code, out, err = _main_on_stdin(["example", name, "--genus", str(genus)] + flags)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: example: no smooth model within 64 blow-ups\n")
+
+
 # A run that takes longer than this fails the fuzz tests below: the genera
 # drawn reach past the depth cap, where a run must stop early, not stall.
 RUN_BOUND = timedelta(seconds=20)
 
 
 @settings(max_examples=150, deadline=RUN_BOUND)
-@given(st.sampled_from(FAMILY_NAMES), st.integers(-3, 70) | st.integers(-10 ** 4, 10 ** 4),
+@given(st.sampled_from(FAMILY_NAMES),
+       st.integers(-3, 70) | st.integers(-10 ** 4, 10 ** 4) | st.integers(-10 ** 30, 10 ** 30),
        st.sampled_from([[], ["--json"], ["--emit-json"]]))
 @example("even_genus", 100000, [])
 @example("even_genus", 64, ["--json"])
+@example("odd_genus", 10 ** 30 + 1, ["--emit-json"])
 def test_example_exits_cleanly(name, genus, flags):
     code, out, err = _main_on_stdin(["example", name, "--genus", str(genus)] + flags)
     assert code in (0, 1, 2), (name, genus)
@@ -791,7 +818,10 @@ def test_datum_missing_field_context(capsys, tmp_path):
 
 # Exponents and genera far past what any list can hold fail at once: 10^13
 # with MemoryError, 10^20 with OverflowError.  Sizes from 10^8 to 10^12 would
-# allocate gigabytes before they fail, so none is used here.
+# allocate gigabytes before they fail, so none is used here.  A family at
+# such a genus is past any usual depth cap and fails on the cap first, so the
+# example cases raise the cap and emit the datum, whose entries are spelled
+# out one by one.
 _HUGE_GERMS = ["y^10000000000000 - z^10000000000000",
                "y^100000000000000000000 - z^100000000000000000000"]
 
@@ -806,11 +836,13 @@ def _datum_doc(germ):
       for germ in _HUGE_GERMS],
     *[(["datum", "-"], _datum_doc(germ), "datum: input too large to allocate")
       for germ in _HUGE_GERMS],
-    *[(["example", "odd_genus", "--genus", genus], "", "example: input too large to allocate")
+    *[(["example", "odd_genus", "--genus", genus, "--emit-json"], "",
+       "example: input too large to allocate")
       for genus in ("1000000000000000001", "100000000000000000001")],
 ], ids=["resolve-1e13", "resolve-1e20", "datum-1e13", "datum-1e20",
         "example-1e18", "example-1e20"])
-def test_input_too_large_to_allocate_exits_2(argv, text, message):
+def test_input_too_large_to_allocate_exits_2(argv, text, message, monkeypatch):
+    monkeypatch.setenv("FIBRATO_MAX_DEPTH", str(10 ** 30))
     start = time.perf_counter()
     code, out, err = _main_on_stdin(argv, text)
     assert time.perf_counter() - start < 1

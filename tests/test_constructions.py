@@ -27,7 +27,7 @@ from fibrato.constructions import (
 )
 from fibrato.datum import invariants, validate
 from fibrato.fibration import FibrationInvariants, audit, slope, speed
-from fibrato.germs import DepthOverflow
+from fibrato.germs import DepthOverflow, even_resolve
 from fibrato.hurwitz import REALIZABLE, is_compatible, is_realizable, solve_source_genus
 from fibrato.jsonio import datum_from_json, datum_to_json
 
@@ -160,6 +160,41 @@ def test_even_genus_fails_fast_exactly_where_the_kernel_overflows(cap):
 def test_even_genus_past_the_cap_resolves_nothing(monkeypatch):
     fam = even_genus(100000)
     monkeypatch.setattr("fibrato.datum.even_resolve", None)  # any call would fail
+    with pytest.raises(DepthOverflow, match="no smooth model within 64 blow-ups"):
+        fam.report()
+
+
+def _deepest_point(fam):
+    return max(p.depth for fib in fam.datum.critical_fibers for germ in set(fib.germs)
+               for p in even_resolve(germ, 10 ** 6).points)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_every_family_fails_fast_exactly_where_the_kernel_overflows(name):
+    # the closed-form depth is the deepest point the kernel blows up, and
+    # past the cap the family raises the kernel's own text before resolving
+    for g in range(2, 100):
+        try:
+            fam = family(name, g)
+        except DomainError:
+            continue
+        assert fam.depth == _deepest_point(fam), (name, g)
+        for cap in range(3, 12):
+            got = _report_or_overflow(fam.report, cap)
+            assert got == _report_or_overflow(lambda c: invariants(fam.datum, c), cap), (
+                name, g, cap)
+            if fam.depth > cap:
+                assert got == f"no smooth model within {cap} blow-ups", (name, g, cap)
+
+
+@pytest.mark.parametrize("name, g", [("odd_genus", 10 ** 8 + 1), ("even_genus", 10 ** 8),
+                                     ("mod4_0", 10 ** 8), ("mod4_1", 10 ** 8 + 1),
+                                     ("mod6_1", 10 ** 8 + 3), ("odd_genus", 10 ** 30 + 1)])
+def test_a_family_at_a_huge_genus_is_built_and_refused_at_once(name, g, monkeypatch):
+    monkeypatch.setattr("fibrato.datum.even_resolve", None)  # any call would fail
+    fam = family(name, g)
+    assert fam.datum.g == g
+    assert sum(count for fib in fam.datum.critical_fibers for _, count in fib._runs) > g
     with pytest.raises(DepthOverflow, match="no smooth model within 64 blow-ups"):
         fam.report()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -492,3 +493,111 @@ def test_json_without_schema_version_assumed_current():
     obj = datum_to_json(ODD3)
     del obj["schema_version"]
     assert datum_from_json(obj) == ODD3
+
+
+# ---------------------------------------------------------------------------
+# runs of equal germs against an entry-by-entry reference
+
+# Spellings of a few germs, some of them of the same germ: an A3 node, E6 and
+# D5 residues, a non-negligible quartic point and a smooth tail.
+_SPELLINGS = ["y^2 - z^4", "y^2-z^4", "-z^4 + y^2", "y^7 - z^4", "y^3 - z^4",
+              "z*(y^2 - z^3)", "y^2*z - z^4", "y^4 - z^4", "y^5 - z^4"]
+
+
+@st.composite
+def _fibers(draw):
+    """Fibers of Germ and text entries drawn from a small pool, so that
+    equal germs repeat next to each other and apart, as in [A, A, B, A]."""
+    fibers = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 4)) == 0:
+            fibers.append(_marker(f"m{i}"))
+            continue
+        entries = [parse_germ(text) if as_germ else text for text, as_germ in draw(
+            st.lists(st.tuples(st.sampled_from(_SPELLINGS), st.booleans()), min_size=1,
+                     max_size=12))]
+        fibers.append((f"f{i}", entries))
+    return fibers
+
+
+def _entry_by_entry(d):
+    """The sums, the (label, germ, classification, multiplicities) of each
+    entry and the failures, one fresh resolution per entry."""
+    total_k_km1 = total_km1_sq = 0
+    entries = []
+    failures = [] if d.simple_ramification else ["declared non-simple ramification"]
+    for fib in d.critical_fibers:
+        for germ in fib.germs:
+            trace = even_resolve(germ, DEFAULT_MAX_DEPTH)
+            total_k_km1 += trace.sum_k_km1
+            total_km1_sq += trace.sum_km1_sq
+            entries.append((fib.label, germ, trace.classification,
+                            tuple(trace.multiplicities())))
+            failures += [f"germ {germ} has a residual singularity of type {label}; "
+                         "only type-A clusters keep the fibration semi-stable"
+                         for label in trace.clusters() if label.startswith(("D", "E"))]
+    return total_k_km1, total_km1_sq, entries, tuple(failures)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fibers(), st.booleans())
+def test_counted_runs_match_the_entry_by_entry_reference(drawn, simple):
+    fibers = []
+    for fib in drawn:
+        if isinstance(fib, CriticalFiber):
+            fibers.append(fib)
+            continue
+        label, entries = fib
+        germs = tuple(parse_germ(e) if isinstance(e, str) else e for e in entries)
+        built = CriticalFiber(label, entries)
+        assert built.germs == germs
+        runs = built._runs
+        assert all(count >= 1 for _, count in runs)
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # maximal
+        assert tuple(germ for germ, count in runs for _ in range(count)) == germs
+        twin = CriticalFiber(label, list(germs))
+        assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+        assert repr(built) == f"CriticalFiber(label={label!r}, germs={germs!r}, " \
+                              "negligible_marker=False)"
+        fibers.append(built)
+    d = GenusGDatum(g=6, g_C=1, e=0, n=4, critical_fibers=tuple(fibers),
+                    simple_ramification=simple)
+    assert validate(d) == []
+    report = invariants(d)
+    k_km1, km1_sq, entries, failures = _entry_by_entry(d)
+    assert (report.sum_k_km1, report.sum_km1_sq) == (k_km1, km1_sq)
+    assert [(s.fiber_label, s.germ, s.classification, s.multiplicities)
+            for s in report.traces] == entries
+    assert report.semistable.failures == failures
+    assert report.semistable.passed == (not failures)
+    assert semistable_check(report, d) == report.semistable
+
+    doc = datum_to_json(d)
+    again = datum_from_json(doc)
+    assert again == d and hash(again) == hash(d)
+    assert json.dumps(datum_to_json(again)) == json.dumps(doc)
+    assert [f["germs"] for f in doc["critical_fibers"]] == [
+        [str(germ) for germ in fib.germs] for fib in d.critical_fibers]
+
+
+def test_fiber_from_runs_equals_the_fiber_of_its_entries():
+    runs = [("y^2 - z^4", 3), ("y^2-z^4", 2), ("y^7 - z^4", 1), ("y^2 - z^4", 2)]
+    fib = datum_mod._fiber_from_runs("F", runs)
+    entries = [text for text, count in runs for _ in range(count)]
+    assert fib == CriticalFiber("F", entries) and hash(fib) == hash(CriticalFiber("F", entries))
+    assert fib._runs == ((parse_germ("y^2 - z^4"), 5), (parse_germ("y^7 - z^4"), 1),
+                         (parse_germ("y^2 - z^4"), 2))
+    with pytest.raises(TypeError, match="germ entries must be Germ or str, got int"):
+        datum_mod._fiber_from_runs("F", [(5, 2)])
+    with pytest.raises(TypeError, match="germ entries must be Germ or str, got NoneType"):
+        CriticalFiber("F", ("y^2 - z^4", None))
+
+
+def test_a_huge_run_is_never_spelled_out():
+    # ten billion entries would take 80 GB as a tuple; the runs take two
+    huge = 10 ** 10
+    fib = datum_mod._fiber_from_runs("F", [("y^4 - z^4", 2), ("y^2 - z^4", huge)])
+    d = GenusGDatum(g=5, g_C=1, e=0, n=4, critical_fibers=(fib,))
+    assert validate(d) == []
+    with pytest.raises(DepthOverflow):
+        invariants(d, max_depth=0)
