@@ -243,6 +243,8 @@ def _cmd_example(args) -> int:
         fam = constructions.family(args.family, args.genus)
     except constructions.DomainError as exc:
         raise InputError(str(exc))
+    except ValueError:  # a germ exponent past the interpreter's limit on integer digits
+        raise InputError("example: input too large to allocate")
     max_depth = _max_depth()
     try:
         # past the cap no datum is emitted either, as `datum` cannot resolve it

@@ -20,19 +20,18 @@ is odd one copy of E survives inside the even transform, and every crossing
 of E with the residual divisor is a singular point of the transform.
 
 The search for singular points of the even transform is restricted to
-rational tangent directions.  Completeness is certified: a *simple*
-irrational root of the restriction to E is provably either smooth (even
-multiplicity) or a transverse A1 node (odd multiplicity, E is a component),
-so conjugate packets of such nodes are returned in bulk as
-ConjugateDirections entries; a *multiple* irrational root that passes the
+rational tangent directions, and completeness is certified: a *simple* root
+of the restriction to E, rational or not, is provably either smooth (even
+multiplicity) or a transverse A1 node (odd multiplicity, E is a component).
+It is recorded so, with no Taylor shift and no chart pass of its own: a
+rational node as a Descendant with no germ, conjugate nodes in bulk as one
+ConjugateDirections packet.  A *multiple* irrational root that passes the
 singularity test raises RequiresAlgebraicExtension instead of being dropped.
 
-All germ arithmetic, Taylor shifts by rational roots included, is exact
-integer dictionary manipulation; a simple rational root of an
-even-multiplicity germ is a smooth point of the even transform and is
-recorded without a shift.  Most univariate factoring is integer work too: the
-v^k factor is split off inline, so constants and monomials (most
-restrictions to E) never reach sympy, and a binomial c*(v^n +- 1) (the
+All germ arithmetic, Taylor shifts by multiple rational roots included, is
+exact integer dictionary manipulation.  Most univariate factoring is integer
+work too: the v^k factor is split off inline, so constants and monomials
+(most restrictions to E) never reach sympy, and a binomial c*(v^n +- 1) (the
 restriction to E of y^a - z^b, among others) splits into cyclotomic
 polynomials, each built from binomials by Mobius inversion.  Only the rest,
 the non-binomials, goes to sympy's dense factoring over ZZ; no restriction
@@ -489,8 +488,8 @@ class Descendant:
     """A non-smooth point of the even transform on the exceptional line.
 
     direction is a Fraction for a finite rational direction, INFINITY for
-    [0:1], or a ConjugateDirections packet (in which case germ is None and
-    the points are certified A1 nodes).
+    [0:1], or a ConjugateDirections packet.  germ is None for certified A1
+    nodes: a packet, or one node at a simple rational root.
     """
 
     direction: object
@@ -508,14 +507,14 @@ class _StrictPoints:
 
     rational: (root, strict germ at [1 : root]) per rational root of the
         restriction to E, in factor-list order, the order the branch walk
-        visits them; a simple root of an even-m germ holds a _SmoothPoint
-        instead, with no Taylor shift made;
+        visits them; a simple root holds a _SmoothPoint instead, with no
+        Taylor shift made;
     irrational: (min_poly, exponent, singular) per irrational factor, where
         singular marks a multiple factor that divides the y-linear part: the
         strict transform is singular at its points;
     at_infinity: the strict germ at [0 : 1], or None off the origin;
-    even: the non-smooth points of the even transform, which is the strict
-        transform times E^(m mod 2);
+    even: the non-smooth points of the even transform, the strict transform
+        times E^(m mod 2); germ None marks certified A1 nodes;
     branch: (r, delta, height) from _branch_data, once computed;
     label: the ADE label from _ade_label, once computed for a negligible g.
         Both are reused only where height <= the depth cap left.
@@ -530,11 +529,11 @@ class _StrictPoints:
 
 
 class _SmoothPoint:
-    """The strict germ at a simple root r of the restriction to E of an
-    even-multiplicity germ.  It is smooth and transverse to E, the even
-    transform equals it there, and the walks read only its multiplicity 1;
-    the Taylor shift that spells it out is made only for its text, which a
-    DepthOverflow message may name."""
+    """The strict germ at a simple root r of the restriction to E.  It is
+    smooth and transverse to E: for even m the even transform equals it
+    there, for odd m E crosses it in an A1 node, kept with germ None.  The
+    walks read only its multiplicity 1; the Taylor shift that spells it out
+    is made only for its text, which a DepthOverflow message may name."""
 
     __slots__ = ("strict", "root")
     multiplicity = 1
@@ -555,7 +554,7 @@ def _strict_points(g: Germ) -> _StrictPoints:
     for coeffs, exp in _factor_list(_restriction(strict)):
         if len(coeffs) == 2:
             root = Fraction(-coeffs[0], coeffs[1])
-            if exp == 1 and not m % 2:
+            if exp == 1:
                 rational.append((root, _SmoothPoint(strict, root)))
             else:
                 rational.append((root, Germ(_shift_second(strict, root))))
@@ -568,10 +567,11 @@ def _strict_points(g: Germ) -> _StrictPoints:
     eps = m % 2  # for odd m, E is a component of the even transform: times y or z
     even = []
     for root, germ in sorted(rational):
-        if eps:
-            germ = Germ({(i + 1, j): c for (i, j), c in germ.support.items()})
+        if eps:  # E crosses a smooth point in an A1 node, germ None
+            germ = None if type(germ) is _SmoothPoint else Germ(
+                {(i + 1, j): c for (i, j), c in germ.support.items()})
         even.append(Descendant(root, germ))
-    if eps:  # a simple irrational direction carries a transverse A1 node
+    if eps:  # likewise at each simple irrational direction
         even += [Descendant(ConjugateDirections(c), None) for c, exp, _ in irrational if exp == 1]
     if at_infinity is not None:
         germ = at_infinity
@@ -622,10 +622,10 @@ def even_blow_up(g: Germ) -> list[Descendant]:
 class TracePoint:
     """One infinitely-near point of the even resolution.
 
-    count > 1 marks a packet of conjugate points sharing the same data (then
-    germ is None).  classification is an ADE label ("A1", "D4", "E6", ...)
-    when the point heads a cluster with all multiplicities <= 3, otherwise
-    "NonNegligibleInterior".
+    count > 1 marks a packet of conjugate points sharing the same data; germ
+    is None at certified A1 nodes, such a packet or a simple rational root.
+    classification is an ADE label ("A1", "D4", "E6", ...) when the point
+    heads a cluster with all multiplicities <= 3, else "NonNegligibleInterior".
     """
 
     depth: int
@@ -741,9 +741,9 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
         nodes, interior = _even_walk(g, max_depth)
         for (_, desc), inner in zip(nodes, interior):  # parents before children
             germ = desc.germ
-            if germ is None:  # a packet of A1 nodes, k = 1 each: no sum changes
+            if germ is None:  # A1 nodes, k = 1 each: no sum changes
                 labels.append("A1")
-                mults += [2] * desc.direction.count
+                mults += [2] * desc.count
                 continue
             m = germ.multiplicity
             mults.append(m)
@@ -772,10 +772,10 @@ def _even_walk(g: Germ, max_depth: int) -> tuple[list, list[bool]]:
         nodes.append(node)
         interior.append(False)
         germ = desc.germ
-        if germ is None:
-            continue  # a packet of A1 nodes
-        if depth > max_depth:
+        if depth > max_depth and not isinstance(desc.direction, ConjugateDirections):
             raise DepthOverflow.past_cap(max_depth)
+        if germ is None:
+            continue  # an A1 node, or a packet of them
         if germ.multiplicity > 3:  # interior, and so is every point above it;
             # marking stops at a marked point, as the points above it are marked
             for idx in reversed(path):

@@ -15,10 +15,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
 
-from .datum import CriticalFiber, GenusGDatum
+from .datum import CriticalFiber, GenusGDatum, _parsed
 from .fibration import AuditReport, FiberNodeProfile, FibrationInvariants, StableModelNodes
-from .germs import Germ, parse_germ
+from .germs import Germ
 from .hurwitz import BranchDatum
 
 SCHEMA_VERSION = 1
@@ -256,17 +257,24 @@ def _fiber(value, path: str) -> CriticalFiber:
     entry = _object(value, path)
     return CriticalFiber(
         label=_field(entry, "label", _str, path),
-        germs=tuple(_field(entry, "germs", _list_of(_germ), path, default=[])),
+        germs=_field(entry, "germs", _germs, path, default=()),
         negligible_marker=_field(entry, "negligible", _bool, path, default=False),
     )
 
 
-def _germ(value, path: str) -> Germ:
-    text = _germ_text(value, path)
-    try:
-        return parse_germ(text)
-    except (ValueError, RecursionError) as exc:  # bad syntax, or nested too deep
-        raise InputError(f"{path}: {exc}") from None
+def _germs(value, path: str) -> tuple[Germ, ...]:
+    """A germ list, each run of equal neighbouring texts checked and parsed
+    once, at the path of its first entry; groupby compares only checked texts."""
+    germs: list[Germ] = []
+    for text, run in groupby(_list(value, path)):
+        where = f"{path}[{len(germs)}]"
+        text = _germ_text(text, where)
+        try:
+            germ = _parsed(text)
+        except (ValueError, RecursionError) as exc:  # bad syntax, or nested too deep
+            raise InputError(f"{where}: {exc}") from None
+        germs += [germ] * len(list(run))
+    return tuple(germs)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,18 @@ def test_resolve_a_long_even_binomial_makes_no_taylor_shift(capsys, monkeypatch)
     assert "infinitely-near multiplicities: [100000]" in out
 
 
+def test_resolve_a_long_odd_binomial_makes_no_taylor_shift(capsys, monkeypatch):
+    # at odd multiplicity the simple root v = 1 of 1 - v^N is an A1 node of
+    # the even transform, like each conjugate root: nothing is shifted and
+    # N = 100,001 resolves at once
+    monkeypatch.setattr(germs_mod, "_shift_second", None)  # any call would fail
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "resolve", "y^100001 - z^100001")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    assert f"infinitely-near multiplicities: {[100001] + [2] * 100001}" in out
+
+
 def test_resolve_syntax_error_exits_2(capsys):
     code, out, err = run(capsys, "resolve", "y^^2")
     assert code == 2
@@ -370,6 +382,7 @@ RUN_BOUND = timedelta(seconds=20)
 @example("even_genus", 100000, [])
 @example("even_genus", 64, ["--json"])
 @example("odd_genus", 10 ** 30 + 1, ["--emit-json"])
+@example("odd_genus", int("9" * 4300), [])
 def test_example_exits_cleanly(name, genus, flags):
     code, out, err = _main_on_stdin(["example", name, "--genus", str(genus)] + flags)
     assert code in (0, 1, 2), (name, genus)
@@ -839,8 +852,10 @@ def _datum_doc(germ):
     *[(["example", "odd_genus", "--genus", genus, "--emit-json"], "",
        "example: input too large to allocate")
       for genus in ("1000000000000000001", "100000000000000000001")],
+    # y^(g + 1) has more digits than the interpreter converts to text
+    (["example", "odd_genus", "--genus", "9" * 4300], "", "example: input too large to allocate"),
 ], ids=["resolve-1e13", "resolve-1e20", "datum-1e13", "datum-1e20",
-        "example-1e18", "example-1e20"])
+        "example-1e18", "example-1e20", "example-4300-nines"])
 def test_input_too_large_to_allocate_exits_2(argv, text, message, monkeypatch):
     monkeypatch.setenv("FIBRATO_MAX_DEPTH", str(10 ** 30))
     start = time.perf_counter()

@@ -125,6 +125,7 @@ def test_blow_up_triple_point_rational_and_conjugate():
     descs = even_blow_up(parse_germ("y^3 - z^3"))
     assert [d.count for d in descs] == [1, 2]
     assert descs[0].direction == Fraction(1)
+    assert descs[0].germ is None and descs[0].count == 1
     assert isinstance(descs[1].direction, ConjugateDirections)
     assert descs[1].direction.min_poly == (1, 1, 1)
     assert descs[1].germ is None
@@ -714,6 +715,22 @@ def test_resolving_again_misses_no_kernel_memo(monkeypatch):
         assert before[2] > 0, text  # the first run did store branch entries
 
 
+def test_simple_rational_roots_cost_no_chart_record():
+    # a simple rational root on E is recorded at its parent, smooth for even
+    # m and an A1 node for odd m: it gets no chart record or factoring of
+    # its own
+    _clear_kernel_memos()
+    for g in _grid_germs():
+        even_resolve(g)
+    assert (kernel._strict_points.cache_info().misses,
+            kernel._factors.cache_info().misses) == (862, 44)
+    _clear_kernel_memos()
+    datum_mod._parsed.cache_clear()
+    datum_mod._resolved.cache_clear()
+    constructions.even_genus(6).report()
+    assert kernel._strict_points.cache_info().misses == 8
+
+
 def test_even_blow_up_returns_a_fresh_list():
     g = parse_germ("y^3 - z^3")
     first = even_blow_up(g)
@@ -770,10 +787,10 @@ def _walked_tree(g, max_depth):
     while stack:
         node = stack.pop()
         points.append(node)
+        if node.depth > max_depth and not isinstance(node.direction, ConjugateDirections):
+            raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
         if node.germ is None:
             continue
-        if node.depth > max_depth:
-            raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
         for desc in even_blow_up(node.germ):
             if desc.germ is None:
                 child = kernel.TracePoint(node.depth + 1, 2, 1, "A1", desc.direction, None,

@@ -4,12 +4,15 @@ every writer's output reads back to the same object."""
 from __future__ import annotations
 
 import copy
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibrato import jsonio
 from fibrato.constructions import FAMILY_NAMES, DomainError, family
+from fibrato.germs import parse_germ
 from fibrato.jsonio import (
     InputError,
     audit_input_from_json,
@@ -105,3 +108,45 @@ def test_record_round_trip_for_every_family():
             assert record_from_json(record_to_json(inv)) == inv, (name, g)
             count += 1
     assert count > 50
+
+
+def _per_entry_error(entries):
+    """The error of a germ list read one entry at a time, or None."""
+    for i, value in enumerate(entries):
+        where = f"critical_fibers[0].germs[{i}]"
+        if type(value) is not str:
+            return f"{where} must be a germ string, got {type(value).__name__}"
+        try:
+            parse_germ(value)
+        except (ValueError, RecursionError) as exc:
+            return f"{where}: {exc}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["y^2 - z^3", "y^2-z^3", "y^2 - z^4", "y^^2", "0", "y - y",
+                                 5, 1, True, 1.0, None, ["y^2"], {}]), max_size=8))
+def test_germ_lists_fail_where_a_read_entry_by_entry_fails(entries):
+    doc = datum_to_json(family("genus2").datum)
+    doc["critical_fibers"][0]["germs"] = entries
+    want = _per_entry_error(entries)
+    if want is None:
+        fib = datum_from_json(doc).critical_fibers[0]
+        assert fib.germs == tuple(parse_germ(text) for text in entries)
+    else:
+        with pytest.raises(InputError) as info:
+            datum_from_json(doc)
+        assert str(info.value) == want
+
+
+def test_a_long_germ_list_is_parsed_once_per_run(monkeypatch):
+    # odd_genus at g = 100,001 lists 300,008 germ entries in four runs
+    doc = datum_to_json(family("odd_genus", 100001).datum)
+    texts = []
+    parsed = jsonio._parsed
+    monkeypatch.setattr(jsonio, "_parsed", lambda text: texts.append(text) or parsed(text))
+    start = time.perf_counter()
+    d = datum_from_json(doc)
+    assert time.perf_counter() - start < 1
+    assert len(texts) == 4
+    assert [len(fib.germs) for fib in d.critical_fibers] == [2, 100002, 100002, 100002]
