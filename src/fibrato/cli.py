@@ -22,9 +22,11 @@ depth cap.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 
 from fibrato import __version__
@@ -71,6 +73,18 @@ _TOO_LARGE = (MemoryError, OverflowError)
 
 def _failure_text(exc: Exception) -> str:
     return "input too large to allocate" if isinstance(exc, _TOO_LARGE) else str(exc)
+
+
+@contextmanager
+def _output(command: str):
+    """Print what the block prints once all of it is written: a value too long to
+    write out as text (ValueError) exits 2 with nothing half-printed, as in ``example``."""
+    try:
+        with redirect_stdout(io.StringIO()) as buffer:
+            yield
+    except ValueError:
+        raise InputError(f"{command}: input too large to allocate") from None
+    sys.stdout.write(buffer.getvalue())
 
 
 def _pretty(x) -> str:
@@ -123,14 +137,15 @@ def _cmd_audit(args) -> int:
     inv, nodes, profiles = _read(args.record, jsonio.audit_input_from_json,
                                  "record")
     report = fibration.audit(inv, nodes=nodes, profiles=profiles)
-    if args.json:
-        print(jsonio.dumps(jsonio.audit_report_to_json(report)))
-    else:
-        print(f"record: genus-{inv.g} fibration over a genus-{inv.g_C} base, "
-              f"{inv.s} critical fibers")
-        print(f"  chi = {_pretty(inv.chi)}, omega^2 = {_pretty(inv.omega_sq)}, "
-              f"delta = {_pretty(inv.delta)}")
-        _print_audit_report(report)
+    with _output("audit"):
+        if args.json:
+            print(jsonio.dumps(jsonio.audit_report_to_json(report)))
+        else:
+            print(f"record: genus-{inv.g} fibration over a genus-{inv.g_C} base, "
+                  f"{inv.s} critical fibers")
+            print(f"  chi = {_pretty(inv.chi)}, omega^2 = {_pretty(inv.omega_sq)}, "
+                  f"delta = {_pretty(inv.delta)}")
+            _print_audit_report(report)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -352,28 +367,28 @@ def _cmd_hurwitz(args) -> int:
                                       b.partitions)
         realizability = hurwitz.is_realizable(checked)
 
-    if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            datum=jsonio.branch_datum_to_json(b),
-            compatible=failure is None,
-            failure=failure,
-            solved_source_genus=solved,
-            realizability=realizability,
-        )))
-    else:
-        parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
-                         for part in b.partitions)
-        print(f"branch datum: degree-{b.d} cover of a genus-{b.g_target} "
-              f"curve, {b.m} branch points")
-        print(f"partitions: {parts}")
-        if failure is not None:
-            print(f"compatible: NO -- {failure}")
+    with _output("hurwitz"):
+        if args.json:
+            print(jsonio.dumps(jsonio.versioned(
+                datum=jsonio.branch_datum_to_json(b),
+                compatible=failure is None,
+                failure=failure,
+                solved_source_genus=solved,
+                realizability=realizability,
+            )))
         else:
-            origin = ("declared and solved"
-                      if b.g_source is not None else "solved")
-            print(f"source genus: {solved} ({origin})")
-            print("compatible: yes")
-            print(f"realizability: {realizability}")
+            parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
+                             for part in b.partitions)
+            print(f"branch datum: degree-{b.d} cover of a genus-{b.g_target} "
+                  f"curve, {b.m} branch points")
+            print(f"partitions: {parts}")
+            if failure is not None:
+                print(f"compatible: NO -- {failure}")
+            else:
+                origin = "declared and solved" if b.g_source is not None else "solved"
+                print(f"source genus: {solved} ({origin})")
+                print("compatible: yes")
+                print(f"realizability: {realizability}")
     return EXIT_OK if failure is None else EXIT_CHECK_FAILED
 
 
@@ -438,25 +453,26 @@ def _cmd_datum(args) -> int:
     audit_report = fibration.audit(report.invariants)
     ok = report.semistable.passed and audit_report.passed
 
-    if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            datum=jsonio.datum_to_json(d),
-            violations=[],
-            invariants=_invariants_block(report),
-            traces=[
-                {
-                    "fiber": s.fiber_label,
-                    "germ": str(s.germ),
-                    "multiplicities": list(s.multiplicities),
-                    "classification": s.classification,
-                }
-                for s in report.traces
-            ],
-            semistable=_semistable_json(report.semistable),
-            audit=jsonio.audit_report_to_json(audit_report),
-        )))
-    else:
-        _print_datum_report(d, report, audit_report)
+    with _output("datum"):
+        if args.json:
+            print(jsonio.dumps(jsonio.versioned(
+                datum=jsonio.datum_to_json(d),
+                violations=[],
+                invariants=_invariants_block(report),
+                traces=[
+                    {
+                        "fiber": s.fiber_label,
+                        "germ": str(s.germ),
+                        "multiplicities": list(s.multiplicities),
+                        "classification": s.classification,
+                    }
+                    for s in report.traces
+                ],
+                semistable=_semistable_json(report.semistable),
+                audit=jsonio.audit_report_to_json(audit_report),
+            )))
+        else:
+            _print_datum_report(d, report, audit_report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -6,9 +6,10 @@ invariant e, the twisting integer n (the branch divisor has bidegree
 (2g+2, (g+1)e + n)), and one entry per critical fiber listing the local
 branch-curve germs sitting over it.
 
-A fiber keeps its germs as maximal runs of equal germs, and every pass over a
-datum walks the runs, so a datum costs O(runs), not O(entries); the per-entry
-views (``CriticalFiber.germs``, ``DatumInvariantsReport.traces``) expand them.
+A fiber keeps its germs as maximal runs of equal germs.  Every pass over a
+datum, the JSON codec's included, parses, checks, resolves or renders each run
+once, so a datum costs O(runs) lookups, not O(entries); the per-entry views
+(``CriticalFiber.germs``, ``DatumInvariantsReport.traces``) expand the runs.
 
 From that local data alone the module computes the relative invariants of the
 induced genus-g fibration.  Every germ is resolved by even blow-ups; with
@@ -19,10 +20,10 @@ invariants are
     omega^2  = (2g - 2) n - 2 sum (k_i - 1)^2 - m
 
 where m (``declared_m``) counts vertical (-1)-curves in the resolved cover;
-delta then follows from the Noether identity.  A companion check decides
-semi-stability of the fibration: it holds exactly when every negligible
-cluster in every resolution tree is a rational double point of type A and the
-ramification over the critical values is declared simple.
+delta then follows from the Noether identity.  The same pass decides
+semi-stability (``DatumInvariantsReport.semistable``): it holds exactly when
+every negligible cluster in every resolution tree is a rational double point
+of type A and the ramification over the critical values is declared simple.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ class CriticalFiber:
     negligible_marker: bool = False
 
 
-def _fiber_from_runs(label: str, runs) -> CriticalFiber:
+def _fiber_from_runs(label: str, runs, negligible_marker: bool = False) -> CriticalFiber:
     """The critical fiber holding ``count`` entries ``entry`` per (entry,
     count) run, without ever spelling its entries out one by one."""
-    fib = CriticalFiber(label)
+    fib = CriticalFiber(label, negligible_marker=negligible_marker)
     object.__setattr__(fib, "_runs", _germ_runs(runs))
     return fib
 
@@ -284,27 +285,6 @@ def _resolved(germ: Germ, max_depth: int) -> tuple[ResolutionTrace, tuple[str, .
     return trace, tuple(_cluster_offences(trace))
 
 
-def _verdict(d: GenusGDatum, offences) -> SemistableVerdict:
-    """The verdict on a datum whose germs have the given D/E offences."""
-    failures = [] if d.simple_ramification else ["declared non-simple ramification"]
-    failures.extend(offences)
-    return SemistableVerdict(not failures, tuple(failures))
-
-
-def semistable_check(report: DatumInvariantsReport, d: GenusGDatum) -> SemistableVerdict:
-    """Decide semi-stability of the fibration described by a computed report.
-
-    Passes exactly when every negligible cluster in every resolution trace is
-    of type A and the datum declares simple ramification; otherwise the
-    verdict lists each offending germ with its D/E classification.
-    """
-    offences: list[str] = []
-    for _, run in groupby(report.traces, key=id):  # invariants repeats one summary per run
-        run = list(run)
-        offences += _cluster_offences(run[0].trace) * len(run)
-    return _verdict(d, offences)
-
-
 def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvariantsReport:
     """Resolve every germ of the datum and compute the fibration invariants.
 
@@ -324,14 +304,14 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
         raise InvalidDatum("invalid datum: " + "; ".join(problems))
 
     summaries: list[GermTraceSummary] = []
-    offences: list[str] = []
+    failures = [] if d.simple_ramification else ["declared non-simple ramification"]
     total_k_km1 = 0
     total_km1_sq = 0
     for fib in d.critical_fibers:
         for germ, count in fib._runs:
             trace, found = _resolved(germ, max_depth)
             summaries += (GermTraceSummary(fib.label, germ, trace),) * count
-            offences += found * count
+            failures += found * count
             total_k_km1 += count * trace.sum_k_km1
             total_km1_sq += count * trace.sum_km1_sq
 
@@ -339,7 +319,6 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     two_chi = d.g * d.n - total_k_km1
     omega_sq = (2 * d.g - 2) * d.n - 2 * total_km1_sq - d.declared_m
     base = base_degree(d.g_C, d.s)
-    verdict = _verdict(d, offences)
     inv = FibrationInvariants(
         g=d.g,
         g_C=d.g_C,
@@ -348,7 +327,7 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
         omega_sq=Fraction(omega_sq),
         delta=Fraction(6 * two_chi - omega_sq),
         hyperelliptic=True,
-        semistable=verdict.passed,
+        semistable=not failures,
     )
     return DatumInvariantsReport(
         datum=d,
@@ -359,5 +338,5 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
         invariants=inv,
         slope=Fraction(2 * omega_sq, two_chi) if two_chi else None,
         speed=Fraction(two_chi, base),
-        semistable=verdict,
+        semistable=SemistableVerdict(not failures, tuple(failures)),
     )

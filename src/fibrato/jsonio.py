@@ -15,9 +15,9 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import groupby
+from itertools import chain, groupby
 
-from .datum import CriticalFiber, GenusGDatum, _parsed
+from .datum import CriticalFiber, GenusGDatum, _fiber_from_runs, _parsed
 from .fibration import AuditReport, FiberNodeProfile, FibrationInvariants, StableModelNodes
 from .germs import Germ
 from .hurwitz import BranchDatum
@@ -236,10 +236,11 @@ _DATUM = (
 
 
 def datum_to_json(d: GenusGDatum) -> dict:
-    """Plain-JSON form of a datum; germs are rendered in the germ grammar."""
+    """Plain-JSON form of a datum; each run of germs is rendered once, in the germ grammar."""
     fibers = []
     for fib in d.critical_fibers:
-        entry: dict = {"label": fib.label, "germs": [str(g) for g in fib.germs]}
+        germs = list(chain.from_iterable([str(g)] * count for g, count in fib._runs))
+        entry: dict = {"label": fib.label, "germs": germs}
         if fib.negligible_marker:
             entry["negligible"] = True
         fibers.append(entry)
@@ -255,26 +256,29 @@ def datum_from_json(obj) -> GenusGDatum:
 
 def _fiber(value, path: str) -> CriticalFiber:
     entry = _object(value, path)
-    return CriticalFiber(
-        label=_field(entry, "label", _str, path),
-        germs=_field(entry, "germs", _germs, path, default=()),
+    return _fiber_from_runs(
+        _field(entry, "label", _str, path),
+        _field(entry, "germs", _germs, path, default=()),
         negligible_marker=_field(entry, "negligible", _bool, path, default=False),
     )
 
 
-def _germs(value, path: str) -> tuple[Germ, ...]:
-    """A germ list, each run of equal neighbouring texts checked and parsed
-    once, at the path of its first entry; groupby compares only checked texts."""
-    germs: list[Germ] = []
+def _germs(value, path: str) -> list[tuple[Germ, int]]:
+    """A germ list as (Germ, count) runs of equal neighbouring texts, each checked
+    and parsed once, at the path of its first entry; groupby compares only checked texts."""
+    runs: list[tuple[Germ, int]] = []
+    start = 0
     for text, run in groupby(_list(value, path)):
-        where = f"{path}[{len(germs)}]"
+        where = f"{path}[{start}]"
         text = _germ_text(text, where)
         try:
             germ = _parsed(text)
         except (ValueError, RecursionError) as exc:  # bad syntax, or nested too deep
             raise InputError(f"{where}: {exc}") from None
-        germs += [germ] * len(list(run))
-    return tuple(germs)
+        count = len(list(run))
+        runs.append((germ, count))
+        start += count
+    return runs
 
 
 # ---------------------------------------------------------------------------

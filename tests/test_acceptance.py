@@ -30,7 +30,7 @@ from fibrato.constructions import (
     mod4_0,
     odd_genus,
 )
-from fibrato.datum import CriticalFiber, GenusGDatum, invariants, semistable_check
+from fibrato.datum import CriticalFiber, GenusGDatum, invariants
 from fibrato.fibration import (
     FibrationInvariants,
     audit,
@@ -295,15 +295,13 @@ def test_criterion_10_branch_data_compatible_and_realizable():
 def test_criterion_11_semistable_check_on_quartic_germs():
     failing = GenusGDatum(g=6, g_C=1, e=0, n=4, critical_fibers=(
         CriticalFiber("b^-1(0)", ("y^7 - z^4",)),))
-    report = invariants(failing)
-    verdict = semistable_check(report, failing)
+    verdict = invariants(failing).semistable
     assert not verdict.passed
     assert any("E6" in reason for reason in verdict.failures)
 
     passing = GenusGDatum(g=8, g_C=1, e=0, n=4, critical_fibers=(
         CriticalFiber("b^-1(0)", ("y^9 - z^4",)),))
-    report = invariants(passing)
-    assert semistable_check(report, passing).passed
+    assert invariants(passing).semistable.passed
     _pass(11, "semistable check fails on y^7 - z^4 (E6 residue) and passes "
               "on y^9 - z^4")
 

@@ -844,6 +844,19 @@ def _datum_doc(germ):
                        "critical_fibers": [{"label": "F", "germs": [germ]}]})
 
 
+# Every value below is within the reader's limit of 4,300 digits, but a value
+# computed from them is not, so it cannot be written out as text.
+_NINES = int("9" * 4290)
+_LONG_RESULTS = {
+    "audit": {"schema_version": 1, "g": _NINES, "g_C": 1, "s": 10 ** 100,
+              "chi": "1", "omega_sq": "1", "delta": "11"},
+    "datum": {"schema_version": 1, "g": _NINES, "g_C": 1, "e": 0, "n": 10 ** 100,
+              "critical_fibers": [{"label": "a", "germs": ["y^2 - z^2"]}]},
+    "hurwitz": {"schema_version": 1, "g_source": None, "g_target": 10 ** 100, "m": 1,
+                "d": _NINES, "partitions": [[_NINES]]},
+}
+
+
 @pytest.mark.parametrize("argv, text, message", [
     *[(["resolve", germ], "", f"germ {germ!r}: input too large to allocate")
       for germ in _HUGE_GERMS],
@@ -854,8 +867,12 @@ def _datum_doc(germ):
       for genus in ("1000000000000000001", "100000000000000000001")],
     # y^(g + 1) has more digits than the interpreter converts to text
     (["example", "odd_genus", "--genus", "9" * 4300], "", "example: input too large to allocate"),
+    *[([command, "-", *flag], json.dumps(doc), f"{command}: input too large to allocate")
+      for command, doc in _LONG_RESULTS.items() for flag in ([], ["--json"])],
 ], ids=["resolve-1e13", "resolve-1e20", "datum-1e13", "datum-1e20",
-        "example-1e18", "example-1e20", "example-4300-nines"])
+        "example-1e18", "example-1e20", "example-4300-nines",
+        *[f"{command}{flag}-long-result" for command in _LONG_RESULTS
+          for flag in ("", "-json")]])
 def test_input_too_large_to_allocate_exits_2(argv, text, message, monkeypatch):
     monkeypatch.setenv("FIBRATO_MAX_DEPTH", str(10 ** 30))
     start = time.perf_counter()

@@ -16,7 +16,6 @@ from fibrato.datum import (
     GenusGDatum,
     InvalidDatum,
     invariants,
-    semistable_check,
     validate,
 )
 from fibrato.fibration import NonHyperbolicBase, audit
@@ -243,7 +242,7 @@ def _single_germ_datum(g, germ_text, g_C=1):
 def test_semistable_fails_on_e6_residual():
     d = _single_germ_datum(6, "y^7 - z^4")
     rep = invariants(d)
-    verdict = semistable_check(rep, d)
+    verdict = rep.semistable
     assert not verdict.passed
     assert any("E6" in f and "y^7" in f for f in verdict.failures)
     assert not rep.invariants.semistable
@@ -252,7 +251,7 @@ def test_semistable_fails_on_e6_residual():
 def test_semistable_passes_on_g8_quartic_branch():
     d = _single_germ_datum(8, "y^9 - z^4")
     rep = invariants(d)
-    verdict = semistable_check(rep, d)
+    verdict = rep.semistable
     assert verdict.passed and verdict.failures == ()
     assert rep.invariants.semistable
 
@@ -570,7 +569,6 @@ def test_counted_runs_match_the_entry_by_entry_reference(drawn, simple):
             for s in report.traces] == entries
     assert report.semistable.failures == failures
     assert report.semistable.passed == (not failures)
-    assert semistable_check(report, d) == report.semistable
 
     doc = datum_to_json(d)
     again = datum_from_json(doc)

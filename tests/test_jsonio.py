@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibrato import jsonio
+from fibrato import datum as datum_mod, jsonio
 from fibrato.constructions import FAMILY_NAMES, DomainError, family
-from fibrato.germs import parse_germ
+from fibrato.germs import Germ, parse_germ
 from fibrato.jsonio import (
     InputError,
     audit_input_from_json,
@@ -150,3 +150,33 @@ def test_a_long_germ_list_is_parsed_once_per_run(monkeypatch):
     assert time.perf_counter() - start < 1
     assert len(texts) == 4
     assert [len(fib.germs) for fib in d.critical_fibers] == [2, 100002, 100002, 100002]
+
+
+def test_the_writer_renders_each_run_of_germs_once(monkeypatch):
+    # odd_genus at g = 100,001 lists 300,008 germ entries in four runs
+    d = family("odd_genus", 100001).datum
+    rendered = []
+    render = Germ.__str__
+    monkeypatch.setattr(Germ, "__str__", lambda germ: rendered.append(germ) or render(germ))
+    doc = datum_to_json(d)
+    assert len(rendered) == 4
+    assert [len(fib["germs"]) for fib in doc["critical_fibers"]] == [2, 100002, 100002, 100002]
+    assert doc["critical_fibers"][1]["germs"][-1] == "y^2 - z^4"
+
+
+def test_the_reader_hands_each_fiber_its_runs(monkeypatch):
+    # a fiber is built from (Germ, count) runs, never from a tuple of entries
+    d = family("odd_genus", 101).datum
+    doc = datum_to_json(d)
+    doc["critical_fibers"].append({"label": "marker", "negligible": True})
+    set_entries = datum_mod._Entries.__set__
+
+    def refuse_entries(self, fib, entries):
+        assert entries == (), f"a fiber was handed {len(entries)} entries"
+        set_entries(self, fib, entries)
+
+    monkeypatch.setattr(datum_mod._Entries, "__set__", refuse_entries)
+    fibers = datum_from_json(doc).critical_fibers
+    assert [fib._runs for fib in fibers[:-1]] == [fib._runs for fib in d.critical_fibers]
+    assert fibers[:-1] == d.critical_fibers
+    assert (fibers[-1].germs, fibers[-1].negligible_marker) == ((), True)
