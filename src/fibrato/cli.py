@@ -13,8 +13,12 @@ Subcommands:
 Every subcommand prints a human-readable report by default and a machine
 document under ``--json``.  Numeric output is exact (``p/q``) with 3-decimal
 renderings alongside.  Exit status: 0 on success/pass, 1 when a check or
-audit fails, 2 on malformed input; when the reader of standard output goes
-away early (``fibrato ... | head -1``) the command stops quietly with 1.
+audit fails, 2 on any other failure: malformed input, an unresolvable germ,
+or an input too large to compute or write out.  Such a failure prints one
+``error:`` line on stderr and nothing on stdout; ``_run`` is the one place
+that maps a failure to that line and status.  When the reader of standard
+output goes away early (``fibrato ... | head -1``) the command stops quietly
+with 1.
 The environment variable ``FIBRATO_MAX_DEPTH`` overrides the resolution
 depth cap.
 """
@@ -26,7 +30,7 @@ import io
 import os
 import re
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 from fibrato import __version__
@@ -57,34 +61,11 @@ def _max_depth() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise InputError(
-            f"FIBRATO_MAX_DEPTH must be a positive integer, got {raw!r}")
+        value = 0
     if value < 1:
         raise InputError(
             f"FIBRATO_MAX_DEPTH must be a positive integer, got {raw!r}")
     return value
-
-
-# An input too large to allocate (the germ y^(10^13) - z^(10^13), a family at
-# genus 10^18) fails with MemoryError, or with OverflowError past the range of
-# a list index; neither has a message worth printing.
-_TOO_LARGE = (MemoryError, OverflowError)
-
-
-def _failure_text(exc: Exception) -> str:
-    return "input too large to allocate" if isinstance(exc, _TOO_LARGE) else str(exc)
-
-
-@contextmanager
-def _output(command: str):
-    """Print what the block prints once all of it is written: a value too long to
-    write out as text (ValueError) exits 2 with nothing half-printed, as in ``example``."""
-    try:
-        with redirect_stdout(io.StringIO()) as buffer:
-            yield
-    except ValueError:
-        raise InputError(f"{command}: input too large to allocate") from None
-    sys.stdout.write(buffer.getvalue())
 
 
 def _pretty(x) -> str:
@@ -137,15 +118,14 @@ def _cmd_audit(args) -> int:
     inv, nodes, profiles = _read(args.record, jsonio.audit_input_from_json,
                                  "record")
     report = fibration.audit(inv, nodes=nodes, profiles=profiles)
-    with _output("audit"):
-        if args.json:
-            print(jsonio.dumps(jsonio.audit_report_to_json(report)))
-        else:
-            print(f"record: genus-{inv.g} fibration over a genus-{inv.g_C} base, "
-                  f"{inv.s} critical fibers")
-            print(f"  chi = {_pretty(inv.chi)}, omega^2 = {_pretty(inv.omega_sq)}, "
-                  f"delta = {_pretty(inv.delta)}")
-            _print_audit_report(report)
+    if args.json:
+        print(jsonio.dumps(jsonio.audit_report_to_json(report)))
+    else:
+        print(f"record: genus-{inv.g} fibration over a genus-{inv.g_C} base, "
+              f"{inv.s} critical fibers")
+        print(f"  chi = {_pretty(inv.chi)}, omega^2 = {_pretty(inv.omega_sq)}, "
+              f"delta = {_pretty(inv.delta)}")
+        _print_audit_report(report)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -196,27 +176,14 @@ def _trace_lines(trace):
 
 
 def _cmd_resolve(args) -> int:
-    # The whole output is built before any of it is printed: a germ text or a
-    # JSON trace nested deeper than the recursion limit (RecursionError) then
-    # leaves nothing half-written.
-    try:
-        germ = germs.parse_germ(args.germ)
-        trace = germs.even_resolve(germ, max_depth=_max_depth())
-        text = _resolution_text(germ, trace, args)
-    except (GermSyntaxError, ZeroPolynomial, RequiresAlgebraicExtension, DepthOverflow,
-            RecursionError, *_TOO_LARGE) as exc:
-        raise InputError(f"germ {args.germ!r}: {_failure_text(exc)}")
-    print(text)
-    return EXIT_OK
-
-
-def _resolution_text(germ, trace, args) -> str:
+    germ = germs.parse_germ(args.germ)
+    trace = germs.even_resolve(germ, max_depth=_max_depth())
     # "terminal_smooth" and "terminal chart smooth" state the stopping rule:
     # even_resolve returns only once every even transform is smooth.
     label = trace.classification
     mults = trace.multiplicities()
     if args.json:
-        return jsonio.dumps(jsonio.versioned(
+        print(jsonio.dumps(jsonio.versioned(
             germ=str(germ),
             multiplicities=mults,
             classification=label,
@@ -224,19 +191,17 @@ def _resolution_text(germ, trace, args) -> str:
             sum_k_km1=trace.sum_k_km1,
             sum_km1_sq=trace.sum_km1_sq,
             trace=_trace_point_json(trace.root) if trace.root else None,
-        ))
-
-    lines = [
-        f"germ: {germ}",
-        f"infinitely-near multiplicities: {mults if mults else '(smooth)'}",
-        f"classification: {label}",
-        f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}",
-        "terminal chart smooth: yes",
-    ]
-    if args.trace and mults:
-        lines.append("trace:")
-        lines.extend(_trace_lines(trace))
-    return "\n".join(lines)
+        )))
+    else:
+        print(f"germ: {germ}")
+        print(f"infinitely-near multiplicities: {mults if mults else '(smooth)'}")
+        print(f"classification: {label}")
+        print(f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}")
+        print("terminal chart smooth: yes")
+        if args.trace and mults:
+            print("trace:")
+            print("\n".join(_trace_lines(trace)))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +219,15 @@ def _invariants_block(report: datum_mod.DatumInvariantsReport) -> dict:
 
 
 def _cmd_example(args) -> int:
-    try:
-        fam = constructions.family(args.family, args.genus)
-    except constructions.DomainError as exc:
-        raise InputError(str(exc))
-    except ValueError:  # a germ exponent past the interpreter's limit on integer digits
-        raise InputError("example: input too large to allocate")
+    fam = constructions.family(args.family, args.genus)
     max_depth = _max_depth()
-    try:
-        # past the cap no datum is emitted either, as `datum` cannot resolve it
-        if fam.depth > max_depth:
-            raise DepthOverflow.past_cap(max_depth)
-        if args.emit_json:
-            print(jsonio.dumps(jsonio.datum_to_json(fam.datum)))
-            return EXIT_OK
-        report = fam.report(max_depth=max_depth)
-    except (RequiresAlgebraicExtension, DepthOverflow, *_TOO_LARGE) as exc:
-        raise InputError(f"example: {_failure_text(exc)}")
+    # past the cap no datum is emitted either, as `datum` cannot resolve it
+    if fam.depth > max_depth:
+        raise DepthOverflow.past_cap(max_depth)
+    if args.emit_json:
+        print(jsonio.dumps(jsonio.datum_to_json(fam.datum)))
+        return EXIT_OK
+    report = fam.report(max_depth=max_depth)
     inv = report.invariants
     matches = (inv.chi == fam.expected_chi
                and inv.omega_sq == fam.expected_omega_sq
@@ -367,28 +324,27 @@ def _cmd_hurwitz(args) -> int:
                                       b.partitions)
         realizability = hurwitz.is_realizable(checked)
 
-    with _output("hurwitz"):
-        if args.json:
-            print(jsonio.dumps(jsonio.versioned(
-                datum=jsonio.branch_datum_to_json(b),
-                compatible=failure is None,
-                failure=failure,
-                solved_source_genus=solved,
-                realizability=realizability,
-            )))
+    if args.json:
+        print(jsonio.dumps(jsonio.versioned(
+            datum=jsonio.branch_datum_to_json(b),
+            compatible=failure is None,
+            failure=failure,
+            solved_source_genus=solved,
+            realizability=realizability,
+        )))
+    else:
+        parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
+                         for part in b.partitions)
+        print(f"branch datum: degree-{b.d} cover of a genus-{b.g_target} "
+              f"curve, {b.m} branch points")
+        print(f"partitions: {parts}")
+        if failure is not None:
+            print(f"compatible: NO -- {failure}")
         else:
-            parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
-                             for part in b.partitions)
-            print(f"branch datum: degree-{b.d} cover of a genus-{b.g_target} "
-                  f"curve, {b.m} branch points")
-            print(f"partitions: {parts}")
-            if failure is not None:
-                print(f"compatible: NO -- {failure}")
-            else:
-                origin = "declared and solved" if b.g_source is not None else "solved"
-                print(f"source genus: {solved} ({origin})")
-                print("compatible: yes")
-                print(f"realizability: {realizability}")
+            origin = "declared and solved" if b.g_source is not None else "solved"
+            print(f"source genus: {solved} ({origin})")
+            print("compatible: yes")
+            print(f"realizability: {realizability}")
     return EXIT_OK if failure is None else EXIT_CHECK_FAILED
 
 
@@ -436,8 +392,6 @@ def _cmd_datum(args) -> int:
 
     try:
         report = datum_mod.invariants(d, max_depth=_max_depth())
-    except (RequiresAlgebraicExtension, DepthOverflow, *_TOO_LARGE) as exc:
-        raise InputError(f"datum: {_failure_text(exc)}")
     except fibration.NonHyperbolicBase as exc:
         failure = f"speed undefined: {exc}"
         if args.json:
@@ -453,26 +407,25 @@ def _cmd_datum(args) -> int:
     audit_report = fibration.audit(report.invariants)
     ok = report.semistable.passed and audit_report.passed
 
-    with _output("datum"):
-        if args.json:
-            print(jsonio.dumps(jsonio.versioned(
-                datum=jsonio.datum_to_json(d),
-                violations=[],
-                invariants=_invariants_block(report),
-                traces=[
-                    {
-                        "fiber": s.fiber_label,
-                        "germ": str(s.germ),
-                        "multiplicities": list(s.multiplicities),
-                        "classification": s.classification,
-                    }
-                    for s in report.traces
-                ],
-                semistable=_semistable_json(report.semistable),
-                audit=jsonio.audit_report_to_json(audit_report),
-            )))
-        else:
-            _print_datum_report(d, report, audit_report)
+    if args.json:
+        print(jsonio.dumps(jsonio.versioned(
+            datum=jsonio.datum_to_json(d),
+            violations=[],
+            invariants=_invariants_block(report),
+            traces=[
+                {
+                    "fiber": s.fiber_label,
+                    "germ": str(s.germ),
+                    "multiplicities": list(s.multiplicities),
+                    "classification": s.classification,
+                }
+                for s in report.traces
+            ],
+            semistable=_semistable_json(report.semistable),
+            audit=jsonio.audit_report_to_json(audit_report),
+        )))
+    else:
+        _print_datum_report(d, report, audit_report)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -688,11 +641,27 @@ def _run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    subject = f"germ {args.germ!r}" if args.command == "resolve" else args.command
+    # A command's output is held until it returns, so a failure part-way
+    # through leaves nothing half-printed on stdout.
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        with redirect_stdout(io.StringIO()) as buffer:
+            code = args.func(args)
+    except (InputError, constructions.DomainError) as exc:
+        failure = str(exc)
+    except (GermSyntaxError, ZeroPolynomial, RequiresAlgebraicExtension, DepthOverflow,
+            RecursionError) as exc:
+        failure = f"{subject}: {exc}"
+    except (MemoryError, OverflowError, ValueError):
+        # past what a list can hold (the germ y^(10^13) - z^(10^13), a family at
+        # genus 10^18), or an integer past the interpreter's 4,300-digit limit on
+        # conversion to text: no message worth printing
+        failure = f"{subject}: input too large to allocate"
+    else:
+        sys.stdout.write(buffer.getvalue())
+        return code
+    print(f"error: {failure}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
 
 
 def main(argv=None) -> int:

@@ -37,15 +37,17 @@ _REQUIRED = object()
 
 def load(path: str):
     """Parse the JSON document in a file, or on standard input when path is "-"."""
-    if path == "-":
-        name, text = "<stdin>", sys.stdin.read()
-    else:
-        name = path
-        try:
+    name = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except OSError as exc:
+        raise InputError(f"cannot read {name}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {name}: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

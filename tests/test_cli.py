@@ -204,10 +204,11 @@ def test_resolve_depth_cap_env_var(capsys, monkeypatch):
 
 
 def test_resolve_rejects_bad_depth_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("FIBRATO_MAX_DEPTH", "zero")
-    code, _, err = run(capsys, "resolve", "y^2 - z^2")
-    assert code == 2
-    assert "FIBRATO_MAX_DEPTH" in err
+    for raw in ("zero", "0"):
+        monkeypatch.setenv("FIBRATO_MAX_DEPTH", raw)
+        code, out, err = run(capsys, "resolve", "y^2 - z^2")
+        assert (code, out) == (2, "")
+        assert err == f"error: FIBRATO_MAX_DEPTH must be a positive integer, got {raw!r}\n"
 
 
 def _main_on_stdin(argv, text=""):
@@ -571,6 +572,19 @@ def test_audit_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("path", ["bad.json", "-"], ids=["file", "stdin"])
+def test_input_that_is_not_utf8_exits_2(capsys, monkeypatch, tmp_path, path):
+    raw = b"\xff\xfe{}"
+    (tmp_path / "bad.json").write_bytes(raw)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    name = "<stdin>" if path == "-" else path
+    code, out, err = run(capsys, "datum", path)
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read {name}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte\n")
+
+
 # ---------------------------------------------------------------------------
 # hurwitz
 
@@ -855,6 +869,16 @@ _LONG_RESULTS = {
     "hurwitz": {"schema_version": 1, "g_source": None, "g_target": 10 ** 100, "m": 1,
                 "d": _NINES, "partitions": [[_NINES]]},
 }
+# The same, in a verdict text built before anything is printed: the parity
+# sums (g+1)*e + n of a datum and m*d - parts of a branch datum, and the
+# solved genus set against a declared one.
+_LONG_VERDICTS = {
+    "datum-parity": ("datum", {**_LONG_RESULTS["datum"], "e": 10 ** 20, "n": 1}),
+    "hurwitz-parity": ("hurwitz", {"schema_version": 1, "g_source": None, "g_target": 0,
+                                   "m": 3, "d": 4 * 10 ** 4299,
+                                   "partitions": [[4 * 10 ** 4299]] * 3}),
+    "hurwitz-declared": ("hurwitz", {**_LONG_RESULTS["hurwitz"], "g_source": 0}),
+}
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -869,10 +893,13 @@ _LONG_RESULTS = {
     (["example", "odd_genus", "--genus", "9" * 4300], "", "example: input too large to allocate"),
     *[([command, "-", *flag], json.dumps(doc), f"{command}: input too large to allocate")
       for command, doc in _LONG_RESULTS.items() for flag in ([], ["--json"])],
+    *[([command, "-"], json.dumps(doc), f"{command}: input too large to allocate")
+      for command, doc in _LONG_VERDICTS.values()],
 ], ids=["resolve-1e13", "resolve-1e20", "datum-1e13", "datum-1e20",
         "example-1e18", "example-1e20", "example-4300-nines",
         *[f"{command}{flag}-long-result" for command in _LONG_RESULTS
-          for flag in ("", "-json")]])
+          for flag in ("", "-json")],
+        *[f"{case}-long-result" for case in _LONG_VERDICTS]])
 def test_input_too_large_to_allocate_exits_2(argv, text, message, monkeypatch):
     monkeypatch.setenv("FIBRATO_MAX_DEPTH", str(10 ** 30))
     start = time.perf_counter()
