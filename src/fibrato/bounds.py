@@ -1,9 +1,13 @@
-"""Catalog of slope and speed bounds, Harder-Narasimhan arithmetic, and the
-three reference tables.
+"""Slope and speed bounds, Harder-Narasimhan arithmetic, and the three
+reference tables.
 
-Every bound is an exact rational with a strictness flag and a short source
-attribution; floating-point appears only in the 3-decimal rendering used by
-the table emitters (round half-up, trailing zeros stripped).
+This module is the one home of every bound formula, and it imports no other
+module of the package.  Each bound is a function returning an exact
+rational (the canonical-class bound, an integer), documented with its
+direction, its strictness where it is strict, and its source; outside its
+stated domain it raises PreconditionViolated.  Floating-point appears only
+in the 3-decimal rendering used by the table emitters (round half-up,
+trailing zeros stripped).
 
 The non-hyperelliptic slope bound is assembled as the maximum of its
 applicable clauses: the small-genus list for g = 3, 4, 5, the
@@ -18,17 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fibration import PreconditionViolated
-
 __all__ = [
-    "BoundValue",
     "HNProfile",
     "Table",
     "TableRow",
     "BadIndexSequence",
     "PreconditionViolated",
-    "bound",
-    "BOUND_NAMES",
     "slope_lower",
     "slope_upper",
     "nonhyp_slope",
@@ -37,6 +36,8 @@ __all__ = [
     "luzuo_slope",
     "kodaira_speed",
     "arakelov_speed",
+    "canonical_class_bound",
+    "omega_upper_bound",
     "low_base_speed",
     "low_base_speed_at",
     "optimal_base_change",
@@ -58,32 +59,36 @@ __all__ = [
 ]
 
 
+class PreconditionViolated(ValueError):
+    """An operation was called outside its stated domain."""
+
+
 class BadIndexSequence(ValueError):
     """Index sequences must be non-empty, strictly increasing, within 1..n."""
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """An exact bound with its direction, strictness, and attribution."""
-
-    value: Fraction
-    kind: str  # "upper" | "lower"
-    strict: bool
-    source: str
+def _need(condition: bool, what: str):
+    if not condition:
+        raise PreconditionViolated(f"requires {what}")
 
 
 # ---------------------------------------------------------------------------
 # slope bounds
 
 def slope_lower(g: int) -> Fraction:
-    """4(g-1)/g, the slope inequality."""
+    """4(g-1)/g, the slope inequality (Xiao; Cornalba-Harris): a lower
+    bound, attained."""
     _need(g >= 2, "g >= 2")
     return Fraction(4 * (g - 1), g)
 
 
+_TWELVE = Fraction(12)  # built once: the audit asks for it on every record
+
+
 def slope_upper() -> Fraction:
-    """12, from non-negativity of the node count."""
-    return Fraction(12)
+    """12, an upper bound from non-negativity of the node count; attained
+    exactly by smooth fibrations."""
+    return _TWELVE
 
 
 def hn_castelnuovo_slope(g: int) -> Fraction:
@@ -93,8 +98,8 @@ def hn_castelnuovo_slope(g: int) -> Fraction:
 
 
 def double_cover_slope(g: int, gamma: int) -> Fraction:
-    """4(g-1)/(g-gamma) when the general fiber doubly covers a genus-gamma
-    curve; at least 4 as soon as gamma >= 1."""
+    """4(g-1)/(g-gamma), Xiao's lower slope bound when the general fiber
+    doubly covers a genus-gamma curve; at least 4 as soon as gamma >= 1."""
     _need(0 <= gamma < g, "0 <= gamma < g")
     return Fraction(4 * (g - 1), g - gamma)
 
@@ -120,6 +125,33 @@ def nonhyp_slope(g: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# bounds on omega_sq
+
+def canonical_class_bound(g: int, g_C: int, s: int) -> int:
+    """(2g - 2)(2*g_C - 2 + s), a strict upper bound for omega_sq of a
+    semi-stable fibration over a hyperbolic base."""
+    return (2 * g - 2) * (2 * g_C - 2 + s)
+
+
+def omega_upper_bound(g: int, g_C: int, s: int, r: Fraction, n: int) -> Fraction:
+    """Upper bound for omega_sq from an n-fold cyclic base change:
+
+        (2g-2)(2*g_C-2+s) + 3r/n^2 - (2g-2)s/n,
+
+    admissible whenever n >= 1 and 2*g_C - 2 + s*(n-1)/n >= 0.
+    """
+    if n < 1:
+        raise PreconditionViolated("n must be a positive integer")
+    if Fraction(2 * g_C - 2) + Fraction(s * (n - 1), n) < 0:
+        raise PreconditionViolated(f"n = {n} is inadmissible for g_C = {g_C}, s = {s}")
+    return (
+        Fraction(canonical_class_bound(g, g_C, s))
+        + 3 * Fraction(r) / n**2
+        - Fraction((2 * g - 2) * s, n)
+    )
+
+
+# ---------------------------------------------------------------------------
 # speed bounds
 
 def kodaira_speed(g: int) -> Fraction:
@@ -129,13 +161,15 @@ def kodaira_speed(g: int) -> Fraction:
 
 
 def arakelov_speed(g: int) -> Fraction:
-    """g, never attained (strict)."""
+    """g, the Arakelov upper bound on the speed of semi-stable fibrations,
+    never attained (strict)."""
     _need(g >= 2, "g >= 2")
     return Fraction(g)
 
 
 def low_base_speed(g: int, m: int) -> Fraction:
-    """g(1 - 1/(18m)) where m bounds (2*g_C-2+s)/s from above."""
+    """g(1 - 1/(18m)), the upper speed bound over a base of small genus,
+    where m bounds (2*g_C-2+s)/s from above."""
     _need(g >= 2, "g >= 2")
     _need(m >= 1, "m >= 1")
     return g * (1 - Fraction(1, 18 * m))
@@ -165,7 +199,9 @@ def optimal_base_change(g: int, m: int) -> tuple[int, Fraction]:
 
 
 def nonhyp_speed(g: int) -> Fraction:
-    """2(2g-2)/nonhyp_slope(g): 8/3, 7/2, 4, (8g+4)/9, then g-1."""
+    """2(2g-2)/nonhyp_slope(g), a strict upper bound on the speed of
+    non-hyperelliptic semi-stable fibrations: 8/3, 7/2, 4, (8g+4)/9, then
+    g-1."""
     return Fraction(2 * (2 * g - 2)) / nonhyp_slope(g)
 
 
@@ -203,47 +239,6 @@ def minimal_m(g_C: int, s: int) -> int:
     _need(s >= 1, "s >= 1")
     _need(2 * g_C - 2 + s > 0, "2*g_C-2+s > 0")
     return -((-(2 * g_C - 2 + s)) // s)
-
-
-# ---------------------------------------------------------------------------
-# the catalog front door
-
-_CATALOG = {
-    "slope_lower": (slope_lower, "lower", False, "slope inequality (Xiao; Cornalba-Harris)"),
-    "slope_upper": (slope_upper, "upper", False, "slope bound from non-negative node count"),
-    "nonhyp_slope": (nonhyp_slope, "lower", False, "non-hyperelliptic slope bound (clause maximum)"),
-    "double_cover_slope": (double_cover_slope, "lower", False, "double-cover slope bound (Xiao)"),
-    "hn_castelnuovo_slope": (hn_castelnuovo_slope, "lower", False,
-                             "Harder-Narasimhan/Castelnuovo slope bound"),
-    "luzuo_slope": (luzuo_slope, "lower", False, "Lu-Zuo hyperelliptic slope bound"),
-    "kodaira_speed": (kodaira_speed, "upper", False, "smooth-fibration speed bound"),
-    "arakelov_speed": (arakelov_speed, "upper", True, "strict Arakelov inequality"),
-    "low_base_speed": (low_base_speed, "upper", False, "low-base-genus speed bound"),
-    "nonhyp_speed": (nonhyp_speed, "upper", True, "non-hyperelliptic speed bound"),
-    "few_fibers_speed": (few_fibers_speed, "upper", False,
-                         "few-fibers speed bound over the projective line"),
-    "teich_hyp_one_zero": (teich_hyp_one_zero, "upper", False,
-                           "Teichmueller-curve speed, hyperelliptic with one zero"),
-    "teich_hyp_two_zeros": (teich_hyp_two_zeros, "upper", False,
-                            "Teichmueller-curve speed, hyperelliptic with two zeros"),
-    "teich_max": (teich_max, "upper", False, "maximal Teichmueller-curve speed"),
-}
-
-BOUND_NAMES = tuple(sorted(_CATALOG))
-
-
-def bound(name: str, **params) -> BoundValue:
-    """Evaluate a named bound of the catalog at the given parameters."""
-    try:
-        fn, kind, strict, source = _CATALOG[name]
-    except KeyError:
-        raise KeyError(f"unknown bound {name!r}; choose from {', '.join(BOUND_NAMES)}") from None
-    return BoundValue(fn(**params), kind, strict, source)
-
-
-def _need(condition: bool, what: str):
-    if not condition:
-        raise PreconditionViolated(f"requires {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def decimal3(x: Fraction) -> str:
     return text
 
 
-def _row(label, genera, values) -> TableRow:
+def _row(label, values) -> TableRow:
     return TableRow(label, tuple((v, decimal3(v)) for v in values))
 
 
@@ -409,8 +404,8 @@ def table(which: int) -> Table:
             "Speed bound for small base genus",
             genera,
             (
-                _row("g_C <= 1 (m = 1)", genera, [low_base_speed(g, 1) for g in genera]),
-                _row("g_C = 2 (m = 2)", genera, [low_base_speed(g, 2) for g in genera]),
+                _row("g_C <= 1 (m = 1)", [low_base_speed(g, 1) for g in genera]),
+                _row("g_C = 2 (m = 2)", [low_base_speed(g, 2) for g in genera]),
             ),
         )
     if which == 2:
@@ -419,7 +414,7 @@ def table(which: int) -> Table:
             2,
             "Speed bound for non-hyperelliptic fibrations",
             genera,
-            (_row("non-hyperelliptic", genera, [nonhyp_speed(g) for g in genera]),),
+            (_row("non-hyperelliptic", [nonhyp_speed(g) for g in genera]),),
         )
     if which == 3:
         from fibrato.constructions import best_known
@@ -429,7 +424,7 @@ def table(which: int) -> Table:
             3,
             "Record speeds of semi-stable fibrations",
             genera,
-            (_row("best known", genera, [best_known(g).value for g in genera]),),
+            (_row("best known", [best_known(g).value for g in genera]),),
         )
     raise ValueError("table number must be 1, 2 or 3")
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bounds import arakelov_speed, canonical_class_bound, slope_lower, slope_upper
+
 __all__ = [
     "FibrationInvariants",
     "FiberNodeProfile",
@@ -34,13 +36,10 @@ __all__ = [
     "r_f",
     "delta_f",
     "nu",
-    "omega_upper_bound",
-    "canonical_class_bound",
     "audit",
     "IsotrivialDivisionByZero",
     "NonHyperbolicBase",
     "NonIntegralChi",
-    "PreconditionViolated",
 ]
 
 
@@ -54,10 +53,6 @@ class NonHyperbolicBase(ValueError):
 
 class NonIntegralChi(ValueError):
     """Chern inputs with c1^2 + c2 not divisible by 12 are inconsistent."""
-
-
-class PreconditionViolated(ValueError):
-    """An operation was called outside its stated domain."""
 
 
 @dataclass(frozen=True)
@@ -103,10 +98,7 @@ class FiberNodeProfile:
     delta_counts: dict[int, int]
 
     def __post_init__(self):
-        if not 0 <= self.g_geo <= self.g:
-            raise ValueError("geometric genus must lie in 0..g")
-        if self.l < 1:
-            raise ValueError("a fiber has at least one component")
+        fiber_delta(self.g, self.g_geo, self.l)
         for i, c in self.delta_counts.items():
             if not 0 <= i <= self.g // 2 or c < 0:
                 raise ValueError("delta_counts maps 0..floor(g/2) to counts")
@@ -212,29 +204,6 @@ def nu(m: int) -> Fraction:
     return Fraction(m + 1) - Fraction(1, m + 1)
 
 
-def canonical_class_bound(g: int, g_C: int, s: int) -> int:
-    """(2g - 2)(2*g_C - 2 + s); audits treat it as a strict upper bound."""
-    return (2 * g - 2) * (2 * g_C - 2 + s)
-
-
-def omega_upper_bound(g: int, g_C: int, s: int, r: Fraction, n: int) -> Fraction:
-    """Upper bound for omega_sq from an n-fold cyclic base change:
-
-        (2g-2)(2*g_C-2+s) + 3r/n^2 - (2g-2)s/n,
-
-    admissible whenever n >= 1 and 2*g_C - 2 + s*(n-1)/n >= 0.
-    """
-    if n < 1:
-        raise PreconditionViolated("n must be a positive integer")
-    if Fraction(2 * g_C - 2) + Fraction(s * (n - 1), n) < 0:
-        raise PreconditionViolated(f"n = {n} is inadmissible for g_C = {g_C}, s = {s}")
-    return (
-        Fraction(canonical_class_bound(g, g_C, s))
-        + 3 * Fraction(r) / n**2
-        - Fraction((2 * g - 2) * s, n)
-    )
-
-
 # ---------------------------------------------------------------------------
 # audits
 
@@ -261,18 +230,28 @@ class AuditReport:
         return [c for c in self.checks if c.status == "fail"]
 
 
-_FIVE = Fraction(5)
-_TWELVE = Fraction(12)
-
-
 def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
           profiles: list[FiberNodeProfile] | None = None) -> AuditReport:
-    """Run every applicable identity and inequality against one record.
+    """Audit one record against these identities and bounds, in this order:
 
-    Failures are report entries, never exceptions.  Checks that need data
-    the record does not carry (positive chi for slopes, a hyperbolic base
-    and semi-stability for speed bounds, optional nodes and fiber profiles)
-    are reported as skipped.
+    - noether-identity: delta = 12*chi - omega_sq;
+    - slope-lower, slope-upper, slope-12-iff-smooth: slope_lower(g) <=
+      omega_sq/chi <= slope_upper(), with equality at the top exactly when
+      s = 0 (these need chi > 0);
+    - arakelov-speed, canonical-class: speed < arakelov_speed(g) and
+      omega_sq < canonical_class_bound(g, g_C, s), both strict (these need
+      semi-stability and a hyperbolic base);
+    - five-fibers: s >= 5 over a rational base with s > 0;
+    - node-ratio: r_f(nodes) <= (3g - 3)s, when nodes are supplied;
+    - fiber-profile-<i>: each supplied profile has fiber_delta nodes, and
+      non-separating ones exactly when it is not of compact type.
+
+    The paper's non-hyperelliptic and low-base-genus clauses (nonhyp_slope,
+    nonhyp_speed, low_base_speed in fibrato.bounds) are not audited yet;
+    ROADMAP.md item 3 adds them.
+
+    Failures are report entries, never exceptions.  A check whose data the
+    record does not carry is reported as skipped, with the reason as note.
 
     The identities and bounds on the record's own quantities are decided on
     integer numerators and (positive) denominators; a Fraction is built only
@@ -294,15 +273,15 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
         # lambda = omega_sq / chi = lam_n / lam_d with lam_d > 0
         lam_n, lam_d = omega_n * chi_d, omega_d * chi_n
         lam = Fraction(lam_n, lam_d)
-        add(AuditCheck("slope-lower", _status(4 * (g - 1) * lam_d <= lam_n * g),
-                       Fraction(4 * (g - 1), g), lam))
-        add(AuditCheck("slope-upper", _status(lam_n <= 12 * lam_d), lam, _TWELVE))
-        add(AuditCheck(
-            "slope-12-iff-smooth",
-            _status((lam_n == 12 * lam_d) == (s == 0)),
-            lam, _TWELVE,
-            note=f"s = {s}",
-        ))
+        lower, upper = slope_lower(g), slope_upper()
+        add(AuditCheck("slope-lower",
+                       _status(lower.numerator * lam_d <= lam_n * lower.denominator),
+                       lower, lam))
+        # lambda and the upper bound over one common denominator
+        lam_c, upper_c = lam_n * upper.denominator, upper.numerator * lam_d
+        add(AuditCheck("slope-upper", _status(lam_c <= upper_c), lam, upper))
+        add(AuditCheck("slope-12-iff-smooth", _status((lam_c == upper_c) == (s == 0)),
+                       lam, upper, note=f"s = {s}"))
     else:
         note = "chi = 0" if chi_n == 0 else "chi < 0"
         for name in ("slope-lower", "slope-upper", "slope-12-iff-smooth"):
@@ -310,9 +289,12 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
 
     denom = 2 * g_C - 2 + s
     if inv.semistable and denom > 0:
-        # speed = 2*chi / denom < g
-        add(AuditCheck("arakelov-speed", _status(2 * chi_n < g * chi_d * denom),
-                       Fraction(2 * chi_n, chi_d * denom), Fraction(g), strict=True))
+        # speed = 2*chi / denom < arakelov_speed(g)
+        arakelov = arakelov_speed(g)
+        add(AuditCheck("arakelov-speed",
+                       _status(2 * chi_n * arakelov.denominator
+                               < arakelov.numerator * chi_d * denom),
+                       Fraction(2 * chi_n, chi_d * denom), arakelov, strict=True))
         bound = canonical_class_bound(g, g_C, s)
         add(AuditCheck("canonical-class", _status(omega_n < bound * omega_d),
                        inv.omega_sq, Fraction(bound), strict=True))
@@ -322,7 +304,7 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
         add(AuditCheck("canonical-class", "skipped", strict=True, note=note))
 
     if g_C == 0 and s > 0:
-        add(AuditCheck("five-fibers", _status(s >= 5), _FIVE, Fraction(s)))
+        add(AuditCheck("five-fibers", _status(s >= 5), Fraction(5), Fraction(s)))
     else:
         add(AuditCheck("five-fibers", "skipped", note="applies over a rational base with s > 0"))
 

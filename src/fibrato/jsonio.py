@@ -36,11 +36,12 @@ _REQUIRED = object()
 # files and versioned documents
 
 def load(path: str):
-    """Parse the JSON document in a file, or on standard input when path is "-"."""
+    """Parse the JSON document in a file, or on standard input when path is
+    "-"; either is read as strict UTF-8, whatever the locale."""
     name = "<stdin>" if path == "-" else path
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()

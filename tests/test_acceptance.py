@@ -13,6 +13,7 @@ import json
 from fractions import Fraction
 
 from fibrato.bounds import (
+    canonical_class_bound,
     decimal3,
     low_base_speed_at,
     nonhyp_slope,
@@ -34,7 +35,6 @@ from fibrato.datum import CriticalFiber, GenusGDatum, invariants
 from fibrato.fibration import (
     FibrationInvariants,
     audit,
-    canonical_class_bound,
     slope,
     speed,
 )

@@ -1,16 +1,19 @@
-"""Bound catalog, Harder-Narasimhan arithmetic, and table emitters."""
+"""Slope and speed bounds, Harder-Narasimhan arithmetic, and table emitters."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fibrato
 from fibrato.bounds import (
     BadIndexSequence,
     HNProfile,
     PreconditionViolated,
     arakelov_speed,
-    bound,
     castelnuovo_holds,
     decimal3,
     double_cover_slope,
@@ -40,7 +43,20 @@ from fibrato.bounds import (
 
 
 # ---------------------------------------------------------------------------
-# the catalog
+# slope and speed bounds
+
+def test_bounds_imports_no_other_fibrato_module():
+    # bounds is the bottom of the import graph: every other module may call it
+    src = os.path.dirname(os.path.dirname(fibrato.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, fibrato.bounds; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'fibrato'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["fibrato", "fibrato.bounds"]
+
 
 def test_slope_bounds():
     assert slope_lower(2) == 2
@@ -149,16 +165,6 @@ def test_few_fibers_speed():
     assert few_fibers_speed(2, 6) == Fraction(3, 2)
     with pytest.raises(PreconditionViolated):
         few_fibers_speed(3, 5)  # odd g*s
-
-
-def test_bound_front_door():
-    b = bound("arakelov_speed", g=5)
-    assert b.value == 5 and b.strict and b.kind == "upper"
-    b = bound("slope_lower", g=3)
-    assert b.value == Fraction(8, 3) and not b.strict and b.kind == "lower"
-    assert "Xiao" in bound("double_cover_slope", g=5, gamma=1).source
-    with pytest.raises(KeyError):
-        bound("no_such_bound", g=3)
 
 
 # ---------------------------------------------------------------------------

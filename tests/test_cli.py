@@ -37,6 +37,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _stdin(text):
+    """A standard input holding text as UTF-8 bytes, as a real one does."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -215,7 +220,7 @@ def _main_on_stdin(argv, text=""):
     """main(argv) with text on stdin; hypothesis tests cannot take capsys."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stdin", io.StringIO(text))
+        mp.setattr(sys, "stdin", _stdin(text))
         mp.setattr(sys, "stdout", out)
         mp.setattr(sys, "stderr", err)
         code = main(argv)
@@ -427,7 +432,7 @@ def test_emit_json_pipes_into_datum_with_identical_invariants(
     emitted = capsys.readouterr().out
     assert code == 0
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(emitted))
+    monkeypatch.setattr("sys.stdin", _stdin(emitted))
     code = main(["datum", "-", "--json"])
     datum_doc = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -583,6 +588,17 @@ def test_input_that_is_not_utf8_exits_2(capsys, monkeypatch, tmp_path, path):
     assert (code, out) == (2, "")
     assert err == (f"error: cannot read {name}: 'utf-8' codec can't decode byte 0xff "
                    "in position 0: invalid start byte\n")
+
+
+def test_stdin_that_is_not_utf8_exits_2_under_the_c_locale():
+    # the C locale gives the interpreter's own stdin the surrogateescape
+    # handler; the reader decodes the bytes strictly, as it does a file
+    env = {k: v for k, v in _child_env(LC_ALL="C").items() if k != "PYTHONIOENCODING"}
+    done = subprocess.run([sys.executable, "-m", "fibrato.cli", "hurwitz", "-"],
+                          input=b"\xff\xfe{}", capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == (b"error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xff "
+                           b"in position 0: invalid start byte\n")
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +831,7 @@ def test_unreadable_json_exits_2(capsys, tmp_path, text):
 def test_datum_reads_stdin_dash(capsys, monkeypatch, tmp_path):
     fam = family("genus3")
     text = json.dumps(datum_to_json(fam.datum))
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     code, out, _ = run(capsys, "datum", "-")
     assert code == 0
     assert "8/3" in out
@@ -1076,5 +1092,5 @@ def test_datum_path_builds_no_trace_tree(capsys, monkeypatch):
                 continue
             for flags in ([], ["--json"]):
                 assert run(capsys, "example", name, "--genus", str(genus), *flags)[0] in (0, 1)
-                monkeypatch.setattr("sys.stdin", io.StringIO(emitted))
+                monkeypatch.setattr("sys.stdin", _stdin(emitted))
                 assert run(capsys, "datum", "-", *flags)[0] in (0, 1)

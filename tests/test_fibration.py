@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fibrato.bounds import PreconditionViolated, canonical_class_bound, omega_upper_bound
 from fibrato.datum import CriticalFiber, GenusGDatum, invariants
 from fibrato.fibration import (
     AuditCheck,
@@ -14,15 +15,12 @@ from fibrato.fibration import (
     IsotrivialDivisionByZero,
     NonHyperbolicBase,
     NonIntegralChi,
-    PreconditionViolated,
     StableModelNodes,
     audit,
-    canonical_class_bound,
     delta_f,
     fiber_delta,
     noether_delta,
     nu,
-    omega_upper_bound,
     r_f,
     relative_from_absolute,
     slope,

@@ -79,7 +79,7 @@ def _grid_text(e, f, a, b):
 def _cli(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys, "stdin", io.StringIO(stdin))
+        mp.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8"))
         mp.setattr(sys, "stdout", out)
         mp.setattr(sys, "stderr", err)
         code = main(argv)
