@@ -1,8 +1,9 @@
 """Slope and speed bounds, Harder-Narasimhan arithmetic, and the three
 reference tables.
 
-This module is the one home of every bound formula, and it imports no other
-module of the package.  Each bound is a function returning an exact
+This module is the one home of every bound formula.  It imports no other
+module of the package when it is loaded; only table(3), when called,
+imports fibrato.constructions for the record speeds.  Each bound is a function returning an exact
 rational (the canonical-class bound, an integer), documented with its
 direction, its strictness where it is strict, and its source; outside its
 stated domain it raises PreconditionViolated.  Floating-point appears only

@@ -49,7 +49,10 @@ computed, and the factor list of each univariate polynomial.
 Infinitely-near germs repeat across inputs (y^a - z^b blows up to
 y^a - z^(b-a)), so each distinct one is charted, factored, branch-counted
 and labelled once.  An exception is never memoized.  Both walks use explicit
-stacks, so the depth cap alone bounds their depth.  even_resolve walks the
+stacks.  The even walk alone enforces the depth cap; the branch walk labels
+only points of a finished even resolution and goes no deeper than it, as
+every singular point of a strict transform is a point of the even
+resolution at the same depth.  even_resolve walks the
 records and keeps per point only its depth, its Descendant and its label;
 the pass that labels the points also takes the multiplicity sequence and
 the two sums the invariant formulas need.  The germ's classification and
@@ -507,17 +510,16 @@ class _StrictPoints:
 
     rational: (root, strict germ at [1 : root]) per rational root of the
         restriction to E, in factor-list order, the order the branch walk
-        visits them; a simple root holds a _SmoothPoint instead, with no
-        Taylor shift made;
+        visits them; a simple root holds None, as the strict transform is
+        smooth there and transverse to E, and no Taylor shift is made;
     irrational: (min_poly, exponent, singular) per irrational factor, where
         singular marks a multiple factor that divides the y-linear part: the
         strict transform is singular at its points;
     at_infinity: the strict germ at [0 : 1], or None off the origin;
     even: the non-smooth points of the even transform, the strict transform
         times E^(m mod 2); germ None marks certified A1 nodes;
-    branch: (r, delta, height) from _branch_data, once computed;
+    branch: (r, delta) from _branch_data, once computed;
     label: the ADE label from _ade_label, once computed for a negligible g.
-        Both are reused only where height <= the depth cap left.
     """
 
     rational: tuple
@@ -528,24 +530,6 @@ class _StrictPoints:
     label: str | None = None
 
 
-class _SmoothPoint:
-    """The strict germ at a simple root r of the restriction to E.  It is
-    smooth and transverse to E: for even m the even transform equals it
-    there, for odd m E crosses it in an A1 node, kept with germ None.  The
-    walks read only its multiplicity 1; the Taylor shift that spells it out
-    is made only for its text, which a DepthOverflow message may name."""
-
-    __slots__ = ("strict", "root")
-    multiplicity = 1
-
-    def __init__(self, strict, root: Fraction):
-        self.strict = strict
-        self.root = root
-
-    def __str__(self):
-        return str(Germ(_shift_second(self.strict, self.root)))
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _strict_points(g: Germ) -> _StrictPoints:
     m = g.multiplicity
@@ -554,10 +538,7 @@ def _strict_points(g: Germ) -> _StrictPoints:
     for coeffs, exp in _factor_list(_restriction(strict)):
         if len(coeffs) == 2:
             root = Fraction(-coeffs[0], coeffs[1])
-            if exp == 1:
-                rational.append((root, _SmoothPoint(strict, root)))
-            else:
-                rational.append((root, Germ(_shift_second(strict, root))))
+            rational.append((root, Germ(_shift_second(strict, root)) if exp >= 2 else None))
         else:
             singular = exp >= 2 and _divides(coeffs, _first_order_part(strict))
             irrational.append((coeffs, exp, singular))
@@ -567,9 +548,12 @@ def _strict_points(g: Germ) -> _StrictPoints:
     eps = m % 2  # for odd m, E is a component of the even transform: times y or z
     even = []
     for root, germ in sorted(rational):
-        if eps:  # E crosses a smooth point in an A1 node, germ None
-            germ = None if type(germ) is _SmoothPoint else Germ(
-                {(i + 1, j): c for (i, j), c in germ.support.items()})
+        if germ is None:  # a smooth point: for odd m, E crosses it in an A1 node
+            if eps:
+                even.append(Descendant(root, None))
+            continue
+        if eps:
+            germ = Germ({(i + 1, j): c for (i, j), c in germ.support.items()})
         even.append(Descendant(root, germ))
     if eps:  # likewise at each simple irrational direction
         even += [Descendant(ConjugateDirections(c), None) for c, exp, _ in irrational if exp == 1]
@@ -731,8 +715,9 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
 
     Records every infinitely-near point of multiplicity >= 2 (negligible
     ones included: they carry k = 1 and contribute 0 to both sums) and stops
-    when all even transforms are smooth.  Raises DepthOverflow past
-    max_depth — all well-formed branch germs resolve in a handful of steps,
+    when all even transforms are smooth.  Raises DepthOverflow when the
+    resolution would blow up a point deeper than max_depth, the root at
+    depth 0 — all well-formed branch germs resolve in a handful of steps,
     so hitting the cap signals a suspect input such as a non-reduced divisor.
     """
     nodes, labels, mults = [], [], []
@@ -753,7 +738,7 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
                 sum_k_km1 += k * (k - 1)
                 sum_km1_sq += (k - 1) ** 2
             else:
-                labels.append(_ade_label(germ, max_depth))
+                labels.append(_ade_label(germ))
     return ResolutionTrace(g, nodes, labels, tuple(mults), sum_k_km1, sum_km1_sq)
 
 
@@ -772,7 +757,7 @@ def _even_walk(g: Germ, max_depth: int) -> tuple[list, list[bool]]:
         nodes.append(node)
         interior.append(False)
         germ = desc.germ
-        if depth > max_depth and not isinstance(desc.direction, ConjugateDirections):
+        if depth > max_depth:
             raise DepthOverflow.past_cap(max_depth)
         if germ is None:
             continue  # an A1 node, or a packet of them
@@ -808,53 +793,47 @@ def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
     return even_resolve(g, max_depth).classification
 
 
-def _ade_label(g: Germ, max_depth: int) -> str:
-    """ADE label of a germ already known to be negligible.  Kept on the
-    germ's record and reused under the rule _branch_data applies to the
-    branch entry it rests on."""
+def _ade_label(g: Germ) -> str:
+    """ADE label of a germ already known to be negligible, kept on the
+    germ's record."""
     rec = _strict_points(g)
-    if rec.label is not None and rec.branch[2] <= max_depth:
-        return rec.label
-    r, delta, _ = _branch_data(g, max_depth)
-    mu = 2 * delta - r + 1
-    if g.multiplicity == 2:
-        label = f"A{mu}"
-    elif _tangent_line_count(g) >= 2:
-        label = f"D{mu}"
-    elif mu in (6, 7, 8):
-        label = f"E{mu}"
-    else:
-        raise ArithmeticError(f"unimodal tangent cone with mu={mu} for {g}")
-    rec.label = label
-    return label
+    if rec.label is None:
+        r, delta = _branch_data(g)
+        mu = 2 * delta - r + 1
+        if g.multiplicity == 2:
+            rec.label = f"A{mu}"
+        elif _tangent_line_count(g) >= 2:
+            rec.label = f"D{mu}"
+        elif mu in (6, 7, 8):
+            rec.label = f"E{mu}"
+        else:
+            raise ArithmeticError(f"unimodal tangent cone with mu={mu} for {g}")
+    return rec.label
 
 
-def _branch_data(g: Germ, max_depth: int) -> tuple[int, int, int]:
-    """Branch count, delta invariant and height of the strict-transform walk
-    below g.
+def _branch_data(g: Germ) -> tuple[int, int]:
+    """Branch count and delta invariant of g, by the walk down its strict
+    transforms.
 
     Each infinitely-near point of multiplicity m contributes m(m-1)/2 to
     delta; branches are counted where the strict transform becomes smooth.
-    The height is how many levels the walk went below g.  The walk is
-    depth-first with an explicit stack; each point's entry is kept on its
-    _StrictPoints record and reused only when depth + height <= max_depth,
-    so DepthOverflow fires exactly where the full walk would raise it.
+    The walk has no depth cap, so call it only on a germ whose even
+    resolution has finished (it then goes no deeper than that resolution);
+    on a non-reduced germ such as y^2 it does not stop.  It is depth-first
+    with an explicit stack; each point's entry is kept on its _StrictPoints
+    record and reused.
     """
-    stack = []  # (record, sums [r, delta, height], children) per point on the path
+    stack = []  # (record, sums [r, delta], children) per point on the path
     h = g
     while True:
-        depth = len(stack)
-        if depth > max_depth:
-            raise DepthOverflow(f"branch recursion exceeded {max_depth} for {h}")
         m = h.multiplicity
-        entry = (1, 0, 0)
+        entry = (1, 0)  # a smooth point: one branch
         if m > 1:
             rec = _strict_points(h)
             entry = rec.branch
-            if entry is None or depth + entry[2] > max_depth:
-                sums = [0, m * (m - 1) // 2, 0]
+            if entry is None:
+                sums = [0, m * (m - 1) // 2]
                 stack.append((rec, sums, _strict_children(h, rec, sums)))
-                entry = None
         while True:  # hand finished entries up until a point has a child left
             if entry is not None:
                 if not stack:
@@ -862,7 +841,6 @@ def _branch_data(g: Germ, max_depth: int) -> tuple[int, int, int]:
                 sums = stack[-1][1]
                 sums[0] += entry[0]
                 sums[1] += entry[1]
-                sums[2] = max(sums[2], entry[2] + 1)
             rec, sums, children = stack[-1]
             h = next(children, None)
             if h is not None:
@@ -872,10 +850,14 @@ def _branch_data(g: Germ, max_depth: int) -> tuple[int, int, int]:
 
 
 def _strict_children(h: Germ, rec: _StrictPoints, sums: list):
-    """The strict germs below h in walk order: the rational directions, then,
-    once their irrational directions are checked and counted, infinity."""
+    """The strict germs below h in walk order: the multiple rational roots,
+    then, once the smooth points at simple roots and irrational directions
+    are checked and counted, infinity."""
     for _, sub in rec.rational:
-        yield sub
+        if sub is None:
+            sums[0] += 1  # a smooth point at a simple root, one branch
+        else:
+            yield sub
     for coeffs, _, singular in rec.irrational:
         if singular:
             raise RequiresAlgebraicExtension(

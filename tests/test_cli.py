@@ -353,14 +353,27 @@ def test_example_wrong_parity_exits_2(capsys):
 
 
 def test_example_past_the_depth_cap_exits_2(capsys, monkeypatch):
-    # even_genus(64) needs more blow-ups than the default cap of 64 allows
-    code, out, err = run(capsys, "example", "even_genus", "--genus", "64")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: example: ")
+    # even_genus(66) blows up points down to depth 66, past the default cap
+    code, out, err = run(capsys, "example", "even_genus", "--genus", "66")
+    assert (code, out, err) == (2, "", "error: example: no smooth model within 64 blow-ups\n")
     monkeypatch.setenv("FIBRATO_MAX_DEPTH", "200")
-    code, out, _ = run(capsys, "example", "even_genus", "--genus", "64")
+    code, out, _ = run(capsys, "example", "even_genus", "--genus", "66")
     assert code == 0
     assert "closed-formula check: match" in out
+
+
+def test_emitted_datum_at_the_depth_cap_resolves(capsys):
+    # even_genus(64) blows up points down to depth 64, the default cap: the
+    # datum it emits resolves through `datum -` to the same invariants
+    code, report, _ = run(capsys, "example", "even_genus", "--genus", "64")
+    assert code == 0
+    code, doc, _ = run(capsys, "example", "even_genus", "--genus", "64", "--emit-json")
+    assert code == 0
+    code, out, err = _main_on_stdin(["datum", "-"], doc)
+    assert (code, err) == (0, "")
+    lines = [line for line in report.splitlines() if line.startswith(("chi = ", "speed L = "))]
+    assert len(lines) == 2
+    assert set(lines) <= set(out.splitlines())
 
 
 @pytest.mark.parametrize("name, genus", [

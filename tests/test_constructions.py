@@ -148,13 +148,16 @@ def _report_or_overflow(report, cap):
 @pytest.mark.parametrize("cap", [3, 4, 5, 8, 11])
 def test_even_genus_fails_fast_exactly_where_the_kernel_overflows(cap):
     # the A_{2g+1} chain blows up points down to depth g: past the cap the
-    # family raises the kernel's own text without resolving anything
+    # family raises the kernel's own text without resolving anything, and
+    # within it the family resolves
     for g in range(4, 2 * cap + 6, 2):
         fam = even_genus(g)
         got = _report_or_overflow(fam.report, cap)
         assert got == _report_or_overflow(lambda c: invariants(fam.datum, c), cap), (g, cap)
         if g > cap:
             assert got == f"no smooth model within {cap} blow-ups"
+        else:
+            assert not isinstance(got, str), (g, cap, got)
 
 
 def test_even_genus_past_the_cap_resolves_nothing(monkeypatch):
@@ -171,8 +174,9 @@ def _deepest_point(fam):
 
 @pytest.mark.parametrize("name", FAMILY_NAMES)
 def test_every_family_fails_fast_exactly_where_the_kernel_overflows(name):
-    # the closed-form depth is the deepest point the kernel blows up, and
-    # past the cap the family raises the kernel's own text before resolving
+    # the closed-form depth is the deepest point the kernel blows up: past
+    # the cap the family raises the kernel's own text before resolving, and
+    # within it the family resolves
     for g in range(2, 100):
         try:
             fam = family(name, g)
@@ -185,6 +189,8 @@ def test_every_family_fails_fast_exactly_where_the_kernel_overflows(name):
                 name, g, cap)
             if fam.depth > cap:
                 assert got == f"no smooth model within {cap} blow-ups", (name, g, cap)
+            else:
+                assert not isinstance(got, str), (name, g, cap, got)
 
 
 @pytest.mark.parametrize("name, g", [("odd_genus", 10 ** 8 + 1), ("even_genus", 10 ** 8),

@@ -227,20 +227,22 @@ def test_depth_overflow_respects_cap():
     with pytest.raises(DepthOverflow):
         even_resolve(g, max_depth=3)
     assert len(even_resolve(g).points) == 20
-    # the exact boundary: the labelling recursion needs one level more
-    with pytest.raises(DepthOverflow, match="branch recursion exceeded 19"):
-        even_resolve(g, max_depth=19)
-    assert even_resolve(g, max_depth=20).points[0].classification == "A39"
+    # the exact boundary: the deepest point blown up is y^2 - z^2 at depth 19
+    with pytest.raises(DepthOverflow, match="^no smooth model within 18 blow-ups$"):
+        even_resolve(g, max_depth=18)
+    assert even_resolve(g, max_depth=19).points[0].classification == "A39"
 
 
-def test_branch_memo_is_not_reused_past_the_cap():
-    # y^2 - z^38 is the strict transform of y^2 - z^40 at infinity: its entry
-    # fits the cap from depth 0 but not from depth 1.
-    _clear_kernel_memos()
-    assert _branch_data(parse_germ("y^2 - z^38"), 19)[2] == 19
-    with pytest.raises(DepthOverflow):
-        _branch_data(parse_germ("y^2 - z^40"), 19)
-    assert _branch_data(parse_germ("y^2 - z^40"), 20) == (2, 20, 20)
+@pytest.mark.parametrize("text", ["3*y^3 + 2*z^3", "y^3 - z^3"])
+def test_conjugate_packets_and_rational_nodes_meet_the_cap_alike(text):
+    # 3 + 2v^3 is irreducible: one packet of three conjugate A1 nodes at
+    # depth 1; 1 - v^3 gives one rational A1 node and a packet of two
+    g = parse_germ(text)
+    for fn in (even_resolve, classify):
+        with pytest.raises(DepthOverflow, match="^no smooth model within 0 blow-ups$"):
+            fn(g, 0)
+    assert classify(g, 1) == "D4"
+    assert even_resolve(g, 1).multiplicities() == [3, 2, 2, 2]
 
 
 def test_requires_algebraic_extension_even_branch():
@@ -563,7 +565,7 @@ def test_branch_data_milnor_number_of_brieskorn_germs(a):
         for cold in (True, False):
             if cold:
                 _clear_kernel_memos()
-            r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH)
+            r, delta = _branch_data(g)
             assert 2 * delta - r + 1 == (a - 1) * (b - 1)
 
 
@@ -590,7 +592,7 @@ def test_milnor_number_of_semi_quasi_homogeneous_germs(abg):
     # principal part y^a - z^b, mu = (a - 1)(b - 1) = 2 delta - r + 1.
     a, b, g = abg
     mu = (a - 1) * (b - 1)
-    r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH)
+    r, delta = _branch_data(g)
     assert 2 * delta - r + 1 == mu, g
     label = classify(g)
     if label[0] in "ADE":
@@ -662,7 +664,7 @@ def test_kernel_memos_keep_each_depth_cap():
     _clear_kernel_memos()
     messages = []
     for fn in (even_resolve, classify):
-        for cap, expect in ((20, "A39"), (19, None), (20, "A39"), (19, None)):
+        for cap, expect in ((19, "A39"), (18, None), (19, "A39"), (18, None)):
             if expect is None:
                 with pytest.raises(DepthOverflow) as info:
                     fn(g, cap)
@@ -671,7 +673,7 @@ def test_kernel_memos_keep_each_depth_cap():
                 got = fn(g, cap)
                 label = got if isinstance(got, str) else got.points[0].classification
                 assert label == expect, (fn.__name__, cap)
-    assert messages == ["branch recursion exceeded 19 for 2*z + z^2"] * 4
+    assert messages == ["no smooth model within 18 blow-ups"] * 4
 
 
 def test_kernel_memos_are_bounded():
@@ -763,10 +765,10 @@ def test_each_resolution_builds_fresh_trace_points():
 # ---------------------------------------------------------------------------
 # labels kept on the kernel's records, against the walk-and-label route
 
-def _fresh_label(g, max_depth):
+def _fresh_label(g):
     """The ADE label computed anew from the branch data, as _ade_label did
     before it kept labels on the records."""
-    r, delta, _ = _branch_data(g, max_depth)
+    r, delta = _branch_data(g)
     mu = 2 * delta - r + 1
     if g.multiplicity == 2:
         return f"A{mu}"
@@ -787,7 +789,7 @@ def _walked_tree(g, max_depth):
     while stack:
         node = stack.pop()
         points.append(node)
-        if node.depth > max_depth and not isinstance(node.direction, ConjugateDirections):
+        if node.depth > max_depth:
             raise DepthOverflow(f"no smooth model within {max_depth} blow-ups")
         if node.germ is None:
             continue
@@ -814,7 +816,7 @@ def _walk_and_label(g, max_depth):
         points = _walked_tree(g, max_depth) if g.multiplicity >= 2 else []
         for pt in points:
             if not pt.classification:
-                pt.classification = _fresh_label(pt.germ, max_depth)
+                pt.classification = _fresh_label(pt.germ)
         mults = [m for pt in points for m in [pt.multiplicity] * pt.count]
         return (mults, sum(pt.count * pt.k * (pt.k - 1) for pt in points),
                 sum(pt.count * (pt.k - 1) ** 2 for pt in points),
@@ -825,7 +827,7 @@ def _walk_and_label(g, max_depth):
             return "Smooth"
         if _walked_tree(g, max_depth)[0].classification:
             return "NonNegligible"
-        return _fresh_label(g, max_depth)
+        return _fresh_label(g)
     return _failure_or(resolved), _failure_or(classified)
 
 
@@ -879,6 +881,56 @@ def test_label_memo_matches_the_walk_and_label_route_on_random_germs(g, cap, oth
     elif state == "cap":
         _kernel_route(g, other)
     assert _kernel_route(g, cap) == want
+
+
+# ---------------------------------------------------------------------------
+# the branch walk, uncapped, stays within the depth of the even walk
+
+def _strict_height(g, limit):
+    """How many levels below g its strict transforms stay singular: the
+    depth of the deepest point of multiplicity >= 2 on the strict walk from
+    g, read off the _StrictPoints records alone, not through _branch_data.
+    The walk stops once it is past limit, so it ends on any germ."""
+    height, stack = 0, [(0, g)]
+    while stack and height <= limit:
+        depth, h = stack.pop()
+        height = max(height, depth)
+        rec = kernel._strict_points(h)
+        below = [sub for _, sub in rec.rational] + [rec.at_infinity]
+        stack += [(depth + 1, sub) for sub in below if sub is not None and sub.multiplicity >= 2]
+    return height
+
+
+def _labelled_heights(g):
+    """(depth, strict height, D) per point even_resolve labels through the
+    branch walk, D the depth of the deepest point of g's even resolution;
+    no points when the resolution raises."""
+    try:
+        points = even_resolve(g).points
+    except (DepthOverflow, RequiresAlgebraicExtension):
+        return []
+    deepest = max((pt.depth for pt in points), default=0)
+    return [(pt.depth, _strict_height(pt.germ, deepest - pt.depth), deepest) for pt in points
+            if pt.germ is not None and pt.classification != "NonNegligibleInterior"]
+
+
+def test_labelled_points_reach_no_deeper_than_the_even_walk_on_the_grid():
+    # every singular point of a strict transform is a point of the even
+    # resolution at the same depth, so the uncapped branch walk below a
+    # labelled point needs no cap of its own
+    seen = [hd for g in _grid_germs() for hd in _labelled_heights(g)]
+    assert all(depth + height <= deepest for depth, height, deepest in seen)
+    assert any(depth + height == deepest and height > 0 for depth, height, deepest in seen)
+
+
+@settings(max_examples=200, deadline=None)
+@given(germs())
+@example(parse_germ("y^2 - z^40"))
+@example(parse_germ("y^3 - z^3"))
+@example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"))
+def test_labelled_points_reach_no_deeper_than_the_even_walk_on_random_germs(g):
+    for depth, height, deepest in _labelled_heights(g):
+        assert depth + height <= deepest, (str(g), depth, height, deepest)
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +1020,7 @@ def _walk_then_label(g, max_depth):
     _, interior = kernel._even_walk(g, max_depth)
     if interior[0]:
         return "NonNegligible"
-    return kernel._ade_label(g, max_depth)
+    return kernel._ade_label(g)
 
 
 def test_classify_matches_the_walk_then_label_route_on_the_grid():
@@ -1053,7 +1105,7 @@ def test_milnor_number_matches_the_newton_number(g):
     vertices = _newton_vertices(support)
     assume(all(_squarefree(cs) for cs in _edge_polynomials(support, vertices)))
     try:
-        r, delta, _ = _branch_data(g, DEFAULT_MAX_DEPTH)
+        r, delta = _branch_data(g)
     except RequiresAlgebraicExtension:
         assume(False)  # no rational model: the kernel gives no mu to check
     mu = 2 * delta - r + 1

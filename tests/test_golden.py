@@ -62,7 +62,7 @@ DIGESTS = {
     "example-mod4_1": "2b8588cd72619e1952240edee5272140b1e4ef56d5844da8e61d501a232c0adc",
     "example-mod6_1": "5cc8dd5f09d4aa51b491fcdd6ad3ea2a9d3d3bea2ee03974fda3ced47c4565f5",
     "example-human": "5f9fb20904ac6986aabed78de68c8125699b7f92959a449f69e48d7daccc38a4",
-    "kernel-cap3": "a5e0e317f812b92aecc04c14113cd1bdae811473de201ab20009f8d9e5a1d707",
+    "kernel-cap3": "759784fa60d10c8867c11ab802d6f494d297f39b2a52adff290b3ce729c6b909",
     "audit-human": "d21abf67d3d19f01920ed60fe1a73f397863e2215b5a82942d5b35d1934bc826",
     "audit-json": "27fad7253025d1ba763111ceabaaf2b34a868a406910641d913e33551064f1ad",
     "datum-human": "f8429029f9b3b03f4cfdcc0987d1df74b963450dae17dc26eed80fff0b28f0f1",
