@@ -39,27 +39,35 @@ met by the acceptance grid, the record families or the search sweep is one.
 The divisibility test for a multiple irrational direction is an integer
 pseudo-remainder.
 
-One chart pass per germ serves both walks over the infinitely-near points:
-it finds the points of the strict transform on E (rational directions with
-their strict germs, irrational factors, the point at infinity), and the even
-blow-up and the branch count both read them.  The kernel keeps two
-process-wide memos, each bounded by MEMO_SIZE entries: that chart record of
-each germ, which also holds the germ's branch entry and ADE label once
-computed, and the factor list of each univariate polynomial.
-Infinitely-near germs repeat across inputs (y^a - z^b blows up to
-y^a - z^(b-a)), so each distinct one is charted, factored, branch-counted
-and labelled once.  An exception is never memoized.  Both walks use explicit
-stacks.  The even walk alone enforces the depth cap; the branch walk labels
-only points of a finished even resolution and goes no deeper than it, as
-every singular point of a strict transform is a point of the even
-resolution at the same depth.  even_resolve walks the
-records and keeps per point only its depth, its Descendant and its label;
-the pass that labels the points also takes the multiplicity sequence and
-the two sums the invariant formulas need.  The germ's classification and
-its cluster heads are read from the flat records, so the datum path never
-builds a tree; only a reader of ``points`` or ``root`` makes a trace build
-its own tree of fresh TracePoints.  The Germ and Descendant objects inside
-may be shared between traces, and they are read-only.
+One chart pass per germ finds the points of its even transform on E.  The
+kernel keeps two process-wide memos, each bounded by MEMO_SIZE entries: that
+chart record of each germ, and the factor list of each univariate
+polynomial.  Infinitely-near germs repeat across inputs (y^a - z^b blows up
+to y^a - z^(b-a)), so each distinct one is charted and factored once.  An
+exception is never memoized.  One walk, with an explicit stack, visits the
+points of the even resolution and enforces the depth cap.  even_resolve
+keeps per point only its depth, its Descendant and whether it is
+NonNegligibleInterior, and takes the multiplicity sequence and the two sums
+the invariant formulas need.
+
+The ADE labels of the negligible points are read off these records alone,
+with no memo and no second walk, in one pass from children to parents, on
+the first read of a trace's classification, cluster heads or points.  The
+label of a negligible point is A, D or E with index its Milnor number mu:
+
+    an A1 node has mu = 1, a packet of them mu = 1 per direction;
+    a point of multiplicity 3 has mu = 1 + the sum of its children's mu.
+        E is part of its even transform, so its children are the points of
+        the strict transform on E, one per tangent line: it is D with two
+        or more children (a packet counts by its size) and E with one;
+    a point of multiplicity 2 is A, with mu = 2 + its child's mu when it
+        has a child.  A leaf has mu = 1 when its 2-jet is two distinct
+        lines, and mu = 2 (a cusp) when it is a double line.
+
+The datum path never builds a tree; only a reader of ``points`` or ``root``
+makes a trace build its own tree of fresh TracePoints.  The Germ and
+Descendant objects inside may be shared between traces, and they are
+read-only.
 """
 
 from __future__ import annotations
@@ -503,31 +511,23 @@ class Descendant:
         return self.direction.count if isinstance(self.direction, ConjugateDirections) else 1
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class _StrictPoints:
     """The points of E over the origin of a germ g of multiplicity m >= 2,
     read off the strict transform in charts 1 and 2 once.
 
-    rational: (root, strict germ at [1 : root]) per rational root of the
-        restriction to E, in factor-list order, the order the branch walk
-        visits them; a simple root holds None, as the strict transform is
-        smooth there and transverse to E, and no Taylor shift is made;
-    irrational: (min_poly, exponent, singular) per irrational factor, where
-        singular marks a multiple factor that divides the y-linear part: the
-        strict transform is singular at its points;
-    at_infinity: the strict germ at [0 : 1], or None off the origin;
+    irrational: (min_poly, exponent, singular) per irrational factor of the
+        restriction to E, where singular marks a multiple factor that
+        divides the y-linear part: the strict transform is singular at its
+        points;
     even: the non-smooth points of the even transform, the strict transform
-        times E^(m mod 2); germ None marks certified A1 nodes;
-    branch: (r, delta) from _branch_data, once computed;
-    label: the ADE label from _ade_label, once computed for a negligible g.
+        times E^(m mod 2); germ None marks certified A1 nodes.  A simple
+        rational root gets no Taylor shift, as the strict transform is
+        smooth there and transverse to E.
     """
 
-    rational: tuple
     irrational: tuple
-    at_infinity: Germ | None
     even: tuple
-    branch: tuple | None = None
-    label: str | None = None
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -563,7 +563,7 @@ def _strict_points(g: Germ) -> _StrictPoints:
             germ = Germ({(i, j + 1): c for (i, j), c in germ.support.items()})
         even.append(Descendant(INFINITY, germ))
     even = tuple(d for d in even if d.germ is None or d.germ.multiplicity >= 2)
-    return _StrictPoints(tuple(rational), tuple(irrational), at_infinity, even)
+    return _StrictPoints(tuple(irrational), even)
 
 
 def _even_points(g: Germ) -> tuple[Descendant, ...]:
@@ -627,30 +627,38 @@ class ResolutionTrace:
     in depth-first order, plus the derived sums the invariant formulas need.
 
     even_resolve keeps each point as its depth, its Descendant on the
-    kernel's record (the root's direction is None) and its label, and takes
-    the multiplicity sequence and the sums in the pass that labels the
-    points: sum_k_km1 is the sum of k_i*(k_i - 1) and sum_km1_sq the sum of
-    (k_i - 1)^2 over all points, k_i = floor(m_i/2).  The germ's
-    classification and its cluster heads are read from the flat records,
-    and the TracePoint tree ``points`` is built on its first read.
+    kernel's record (the root's direction is None) and whether it is
+    NonNegligibleInterior, with the multiplicity sequence and the sums:
+    sum_k_km1 is the sum of k_i*(k_i - 1) and sum_km1_sq the sum of
+    (k_i - 1)^2 over all points, k_i = floor(m_i/2).  The labels are
+    computed from these records alone by _labels on the first read of the
+    classification, the cluster heads or the TracePoint tree ``points``,
+    and the tree is built on its first read.
     """
 
-    __slots__ = ("germ", "sum_k_km1", "sum_km1_sq", "_mults", "_nodes", "_labels", "_points")
+    __slots__ = ("germ", "sum_k_km1", "sum_km1_sq", "_mults", "_nodes", "_interior",
+                 "_labels", "_points")
 
-    def __init__(self, germ: Germ, nodes: list, labels: list, mults: tuple[int, ...],
+    def __init__(self, germ: Germ, nodes: list, interior: list[bool], mults: tuple[int, ...],
                  sum_k_km1: int, sum_km1_sq: int):
         self.germ = germ
         self.sum_k_km1 = sum_k_km1
         self.sum_km1_sq = sum_km1_sq
         self._mults = mults
         self._nodes = nodes
-        self._labels = labels
+        self._interior = interior
+        self._labels = None
         self._points = None
+
+    def _point_labels(self) -> list[str]:
+        if self._labels is None:
+            self._labels = _labels(self._nodes, self._interior)
+        return self._labels
 
     @property
     def points(self) -> list[TracePoint]:
         if self._points is None:
-            self._points = _trace_points(self._nodes, self._labels)
+            self._points = _trace_points(self._nodes, self._point_labels())
         return self._points
 
     @property
@@ -661,23 +669,21 @@ class ResolutionTrace:
     def classification(self) -> str:
         """"Smooth" for a germ of multiplicity <= 1, "NonNegligible" when the
         root is a NonNegligibleInterior point, otherwise the root's ADE label."""
-        if not self._labels:
+        if not self._nodes:
             return "Smooth"
-        label = self._labels[0]
-        return "NonNegligible" if label == "NonNegligibleInterior" else label
+        return "NonNegligible" if self._interior[0] else self._point_labels()[0]
 
     def clusters(self) -> list[str]:
         """The labels of the cluster heads in depth-first order.  A cluster
         head is a point that is not NonNegligibleInterior and is the root or
         a child of a NonNegligibleInterior point; its subtree is negligible."""
         heads = []
-        interior = []  # per depth on the path to the last point: is it interior
-        for (depth, _), label in zip(self._nodes, self._labels):
-            inner = label == "NonNegligibleInterior"
-            if not inner and (depth == 0 or interior[depth - 1]):
+        path = []  # per depth on the path to the last point: is it interior
+        for (depth, _), inner, label in zip(self._nodes, self._interior, self._point_labels()):
+            if not inner and (depth == 0 or path[depth - 1]):
                 heads.append(label)
-            del interior[depth:]
-            interior.append(inner)
+            del path[depth:]
+            path.append(inner)
         return heads
 
     def multiplicities(self) -> list[int]:
@@ -710,6 +716,42 @@ def _trace_points(nodes, labels) -> list[TracePoint]:
     return points
 
 
+def _labels(nodes, interior) -> list[str]:
+    """The label of each point, "NonNegligibleInterior" or ADE, by the mu
+    rule of the module docstring.  The pass runs from the last point to the
+    first, so each point's children come before it, and per depth d it
+    sums the mu and the count of the points at depth d whose parent is
+    still to come."""
+    labels = ["A1"] * len(nodes)
+    mu_below = [0] * (len(nodes) + 1)
+    count_below = [0] * (len(nodes) + 1)
+    for idx in range(len(nodes) - 1, -1, -1):
+        depth, desc = nodes[idx]
+        germ = desc.germ
+        mu, count = mu_below[depth + 1], count_below[depth + 1]
+        mu_below[depth + 1] = count_below[depth + 1] = 0
+        if germ is None:  # A1 nodes
+            mu_below[depth] += desc.count
+            count_below[depth] += desc.count
+            continue
+        if interior[idx]:
+            labels[idx] = "NonNegligibleInterior"
+            continue
+        if germ.multiplicity == 3:
+            mu += 1
+            labels[idx] = f"D{mu}" if count >= 2 else f"E{mu}"
+        else:
+            if count:
+                mu += 2
+            else:  # a leaf: its 2-jet a*y^2 + b*y*z + c*z^2 is two lines or one
+                jet = germ.support.get
+                mu = 1 if jet((1, 1), 0) ** 2 != 4 * jet((2, 0), 0) * jet((0, 2), 0) else 2
+            labels[idx] = f"A{mu}"
+        mu_below[depth] += mu
+        count_below[depth] += 1
+    return labels
+
+
 def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace:
     """Resolve the germ by repeated even blow-ups.
 
@@ -720,26 +762,22 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     depth 0 — all well-formed branch germs resolve in a handful of steps,
     so hitting the cap signals a suspect input such as a non-reduced divisor.
     """
-    nodes, labels, mults = [], [], []
+    nodes, interior, mults = [], [], []
     sum_k_km1 = sum_km1_sq = 0
     if g.multiplicity >= 2:
         nodes, interior = _even_walk(g, max_depth)
-        for (_, desc), inner in zip(nodes, interior):  # parents before children
+        for _, desc in nodes:
             germ = desc.germ
             if germ is None:  # A1 nodes, k = 1 each: no sum changes
-                labels.append("A1")
                 mults += [2] * desc.count
                 continue
             m = germ.multiplicity
             mults.append(m)
-            if inner:  # m > 3 only here; elsewhere k = 1 adds 0 to the sums
-                labels.append("NonNegligibleInterior")
+            if m > 3:  # elsewhere k = 1 adds 0 to the sums
                 k = m // 2
                 sum_k_km1 += k * (k - 1)
                 sum_km1_sq += (k - 1) ** 2
-            else:
-                labels.append(_ade_label(germ))
-    return ResolutionTrace(g, nodes, labels, tuple(mults), sum_k_km1, sum_km1_sq)
+    return ResolutionTrace(g, nodes, interior, tuple(mults), sum_k_km1, sum_km1_sq)
 
 
 def _even_walk(g: Germ, max_depth: int) -> tuple[list, list[bool]]:
@@ -774,110 +812,15 @@ def _even_walk(g: Germ, max_depth: int) -> tuple[list, list[bool]]:
     return nodes, interior
 
 
-# ---------------------------------------------------------------------------
-# ADE classification of negligible germs
-
 def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
     """Classify a germ: "Smooth", "A<m>", "D<m>", "E6"/"E7"/"E8", or
     "NonNegligible".
 
     A germ is negligible when its multiplicity and those of all its
     infinitely-near points are <= 3; negligible germs are rational double
-    points of the double cover and match an ADE normal form.  The label is
-    computed from coordinate-free data: delta invariant and branch count
-    give the Milnor number mu = 2*delta - r + 1 (the ADE index), and for
-    multiplicity 3 the number of distinct tangent-cone lines separates D
-    (>= 2 lines) from E (one line).  This is the classification of the
-    germ's even resolution, and it raises what even_resolve raises.
+    points of the double cover and match an ADE normal form, whose index is
+    the Milnor number mu.  This is the classification of the germ's even
+    resolution, read off its records by the mu rule of the module
+    docstring, and it raises what even_resolve raises.
     """
     return even_resolve(g, max_depth).classification
-
-
-def _ade_label(g: Germ) -> str:
-    """ADE label of a germ already known to be negligible, kept on the
-    germ's record."""
-    rec = _strict_points(g)
-    if rec.label is None:
-        r, delta = _branch_data(g)
-        mu = 2 * delta - r + 1
-        if g.multiplicity == 2:
-            rec.label = f"A{mu}"
-        elif _tangent_line_count(g) >= 2:
-            rec.label = f"D{mu}"
-        elif mu in (6, 7, 8):
-            rec.label = f"E{mu}"
-        else:
-            raise ArithmeticError(f"unimodal tangent cone with mu={mu} for {g}")
-    return rec.label
-
-
-def _branch_data(g: Germ) -> tuple[int, int]:
-    """Branch count and delta invariant of g, by the walk down its strict
-    transforms.
-
-    Each infinitely-near point of multiplicity m contributes m(m-1)/2 to
-    delta; branches are counted where the strict transform becomes smooth.
-    The walk has no depth cap, so call it only on a germ whose even
-    resolution has finished (it then goes no deeper than that resolution);
-    on a non-reduced germ such as y^2 it does not stop.  It is depth-first
-    with an explicit stack; each point's entry is kept on its _StrictPoints
-    record and reused.
-    """
-    stack = []  # (record, sums [r, delta], children) per point on the path
-    h = g
-    while True:
-        m = h.multiplicity
-        entry = (1, 0)  # a smooth point: one branch
-        if m > 1:
-            rec = _strict_points(h)
-            entry = rec.branch
-            if entry is None:
-                sums = [0, m * (m - 1) // 2]
-                stack.append((rec, sums, _strict_children(h, rec, sums)))
-        while True:  # hand finished entries up until a point has a child left
-            if entry is not None:
-                if not stack:
-                    return entry
-                sums = stack[-1][1]
-                sums[0] += entry[0]
-                sums[1] += entry[1]
-            rec, sums, children = stack[-1]
-            h = next(children, None)
-            if h is not None:
-                break
-            stack.pop()
-            entry = rec.branch = tuple(sums)
-
-
-def _strict_children(h: Germ, rec: _StrictPoints, sums: list):
-    """The strict germs below h in walk order: the multiple rational roots,
-    then, once the smooth points at simple roots and irrational directions
-    are checked and counted, infinity."""
-    for _, sub in rec.rational:
-        if sub is None:
-            sums[0] += 1  # a smooth point at a simple root, one branch
-        else:
-            yield sub
-    for coeffs, _, singular in rec.irrational:
-        if singular:
-            raise RequiresAlgebraicExtension(
-                f"singular irrational point {coeffs} in strict transform of {h}"
-            )
-        sums[0] += len(coeffs) - 1  # smooth points, one branch each
-    if rec.at_infinity is not None:
-        yield rec.at_infinity
-
-
-def _tangent_line_count(g: Germ) -> int:
-    """Distinct lines (over the algebraic closure) in the tangent cone."""
-    m = g.multiplicity
-    lead = {(i, j): c for (i, j), c in g.support.items() if i + j == m}
-    coeffs = [0] * (m + 1)
-    for (i, j), c in lead.items():
-        coeffs[j] = c
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    distinct = sum(len(q) - 1 for q, _ in _factor_list(tuple(coeffs)))
-    if len(coeffs) - 1 < m:
-        distinct += 1  # the line y = 0 at infinity of the direction chart
-    return distinct

@@ -31,7 +31,7 @@ from fibrato import constructions
 from fibrato import datum as datum_mod
 from fibrato import germs as kernel
 from fibrato.cli import main
-from fibrato.germs import _branch_data, _factor_list, _shift_second
+from fibrato.germs import _factor_list, _shift_second
 from fibrato.oracle import binomial_oracle
 
 
@@ -559,14 +559,15 @@ def test_integer_shift_matches_fraction_shift(support, p, q):
 
 @pytest.mark.parametrize("a", range(2, 11))
 def test_branch_data_milnor_number_of_brieskorn_germs(a):
-    # Milnor (1968): mu(y^a - z^b) = (a - 1)(b - 1), and mu = 2 delta - r + 1.
+    # Milnor (1968): mu(y^a - z^b) = (a - 1)(b - 1), and mu = 2 delta - r + 1
+    # by the strict walk; an ADE label has index mu.
     for b in range(2, 11):
         g = parse_germ(f"y^{a} - z^{b}")
-        for cold in (True, False):
-            if cold:
-                _clear_kernel_memos()
-            r, delta = _branch_data(g)
-            assert 2 * delta - r + 1 == (a - 1) * (b - 1)
+        mu = (a - 1) * (b - 1)
+        assert _strict_mu(g) == mu
+        label = classify(g)
+        if label[0] in "ADE":
+            assert int(label[1:]) == mu, (str(g), label)
 
 
 @st.composite
@@ -592,8 +593,7 @@ def test_milnor_number_of_semi_quasi_homogeneous_germs(abg):
     # principal part y^a - z^b, mu = (a - 1)(b - 1) = 2 delta - r + 1.
     a, b, g = abg
     mu = (a - 1) * (b - 1)
-    r, delta = _branch_data(g)
-    assert 2 * delta - r + 1 == mu, g
+    assert _strict_mu(g) == mu, g
     label = classify(g)
     if label[0] in "ADE":
         assert int(label[1:]) == mu, (g, label)
@@ -603,7 +603,7 @@ def test_milnor_number_of_semi_quasi_homogeneous_germs(abg):
 # process-wide kernel memos
 
 def _clear_kernel_memos():
-    kernel._strict_points.cache_clear()  # the branch entries live on its records
+    kernel._strict_points.cache_clear()
     kernel._factors.cache_clear()
 
 
@@ -694,27 +694,38 @@ def test_kernel_memos_are_bounded():
     assert memo.cache_info().currsize == kernel.MEMO_SIZE
 
 
-def test_resolving_again_misses_no_kernel_memo(monkeypatch):
-    writes = []  # branch entries stored on the kernel's records
-    set_slot = kernel._StrictPoints.__setattr__
+def _memo_misses():
+    return kernel._strict_points.cache_info().misses, kernel._factors.cache_info().misses
 
-    def record_write(rec, name, value):
-        if name == "branch" and value is not None:
-            writes.append(value)
-        set_slot(rec, name, value)
 
-    monkeypatch.setattr(kernel._StrictPoints, "__setattr__", record_write)
+def test_resolving_again_misses_no_kernel_memo():
     for text in ("y^7 - z^4", "z*(y^3 - z^5)", "y^3 - z^3", "(y^2 - z^3)*(y^2 + z^3)"):
         g = parse_germ(text)
         _clear_kernel_memos()
         first = _kernel_view(g)
-        before = (kernel._strict_points.cache_info().misses,
-                  kernel._factors.cache_info().misses, len(writes))
+        before = _memo_misses()
         assert _kernel_view(g) == first
-        after = (kernel._strict_points.cache_info().misses,
-                 kernel._factors.cache_info().misses, len(writes))
-        assert after == before, text
-        assert before[2] > 0, text  # the first run did store branch entries
+        assert _memo_misses() == before, text
+
+
+def test_reading_labels_reads_no_kernel_memo():
+    # labels, cluster heads and the tree come from the trace's own records
+    for text in ("y^7 - z^4", "z*(y^3 - z^5)", "y^3 - z^3", "y^2 - z^40", "y*(y^2 + z^3)"):
+        trace = even_resolve(parse_germ(text))
+        before = (kernel._strict_points.cache_info(), kernel._factors.cache_info())
+        _ = (trace.classification, trace.clusters(), trace.points)
+        assert (kernel._strict_points.cache_info(), kernel._factors.cache_info()) == before, text
+
+
+def test_a_long_negligible_chain_is_charted_once_per_point():
+    # the chain y^2 - z^8400, y^2 - z^8398, ..., y^2 - z^2 outgrows MEMO_SIZE:
+    # labelling it reads no memo, so it stays linear in its length
+    assert kernel.MEMO_SIZE < 4200
+    _clear_kernel_memos()
+    trace = even_resolve(parse_germ("y^2 - z^8400"), 4201)
+    assert trace.classification == "A8399"
+    assert trace.clusters() == ["A8399"]
+    assert kernel._strict_points.cache_info().misses == 4200
 
 
 def test_simple_rational_roots_cost_no_chart_record():
@@ -763,26 +774,64 @@ def test_each_resolution_builds_fresh_trace_points():
 
 
 # ---------------------------------------------------------------------------
-# labels kept on the kernel's records, against the walk-and-label route
+# labels read off the even resolution, against the strict walk
 
-def _fresh_label(g):
-    """The ADE label computed anew from the branch data, as _ade_label did
-    before it kept labels on the records."""
-    r, delta = _branch_data(g)
-    mu = 2 * delta - r + 1
+def _strict_branch_data(g):
+    """(r, delta) of g by the walk down its strict transforms, which shares
+    only the chart and factoring helpers with the kernel: each point of
+    multiplicity m adds m(m-1)/2 to delta, and a branch is counted where a
+    strict transform is smooth.  It ends on reduced germs only."""
+    m = g.multiplicity
+    if m <= 1:
+        return 1, 0
+    r, delta = 0, m * (m - 1) // 2
+    strict = kernel._chart1(g.support, m)
+    below = []
+    for coeffs, exp in _factor_list(kernel._restriction(strict)):
+        if len(coeffs) == 2 and exp >= 2:
+            below.append(Germ(_shift_second(strict, Fraction(-coeffs[0], coeffs[1]))))
+        elif exp >= 2 and kernel._divides(coeffs, kernel._first_order_part(strict)):
+            raise RequiresAlgebraicExtension(f"singular irrational point {coeffs} below {g}")
+        else:
+            r += len(coeffs) - 1  # smooth points, one branch each
+    strict2 = kernel._chart2(g.support, m)
+    if all(i + j for i, j in strict2):
+        below.append(Germ(strict2))
+    for h in below:
+        hr, hdelta = _strict_branch_data(h)
+        r, delta = r + hr, delta + hdelta
+    return r, delta
+
+
+def _strict_mu(g):
+    """The Milnor number 2*delta - r + 1."""
+    r, delta = _strict_branch_data(g)
+    return 2 * delta - r + 1
+
+
+def _tangent_line_count(g):
+    """Distinct lines (over the algebraic closure) in the tangent cone."""
+    m = g.multiplicity
+    coeffs = [0] * (m + 1)
+    for (i, j), c in g.support.items():
+        if i + j == m:
+            coeffs[j] = c
+    while coeffs[-1] == 0:
+        coeffs.pop()  # a form of lower degree in z has the factor y: the line y = 0
+    return sum(len(q) - 1 for q, _ in _factor_list(tuple(coeffs))) + (len(coeffs) <= m)
+
+
+def _strict_label(g):
+    """The ADE label of a negligible germ by the strict walk: index mu, and
+    at multiplicity 3 the tangent lines separate D (>= 2) from E (one)."""
     if g.multiplicity == 2:
-        return f"A{mu}"
-    if kernel._tangent_line_count(g) >= 2:
-        return f"D{mu}"
-    if mu not in (6, 7, 8):
-        raise ArithmeticError(f"unimodal tangent cone with mu={mu} for {g}")
-    return f"E{mu}"
+        return f"A{_strict_mu(g)}"
+    return f"{'D' if _tangent_line_count(g) >= 2 else 'E'}{_strict_mu(g)}"
 
 
 def _walked_tree(g, max_depth):
     """A tree of fresh TracePoints over even_blow_up, interior points marked,
-    the rest unlabelled: the walk even_resolve made before it kept points
-    as records."""
+    the rest labelled by the strict walk."""
     m = g.multiplicity
     points = []
     stack = [kernel.TracePoint(0, m, m // 2, "", None, g)]
@@ -807,16 +856,16 @@ def _walked_tree(g, max_depth):
         if node.multiplicity > 3 or any(
                 child.classification == "NonNegligibleInterior" for child in node.children):
             node.classification = "NonNegligibleInterior"
+    for node in points:
+        if not node.classification:
+            node.classification = _strict_label(node.germ)
     return points
 
 
 def _walk_and_label(g, max_depth):
-    """(points, classification) by the walk-and-label route."""
+    """(points, classification) by even_blow_up and the strict walk."""
     def resolved():
         points = _walked_tree(g, max_depth) if g.multiplicity >= 2 else []
-        for pt in points:
-            if not pt.classification:
-                pt.classification = _fresh_label(pt.germ)
         mults = [m for pt in points for m in [pt.multiplicity] * pt.count]
         return (mults, sum(pt.count * pt.k * (pt.k - 1) for pt in points),
                 sum(pt.count * (pt.k - 1) ** 2 for pt in points),
@@ -825,9 +874,8 @@ def _walk_and_label(g, max_depth):
     def classified():
         if g.multiplicity <= 1:
             return "Smooth"
-        if _walked_tree(g, max_depth)[0].classification:
-            return "NonNegligible"
-        return _fresh_label(g)
+        label = _walked_tree(g, max_depth)[0].classification
+        return "NonNegligible" if label == "NonNegligibleInterior" else label
     return _failure_or(resolved), _failure_or(classified)
 
 
@@ -843,94 +891,36 @@ def _kernel_route(g, max_depth):
 def _failure_or(fn, *args):
     try:
         return fn(*args)
-    except (DepthOverflow, RequiresAlgebraicExtension, ArithmeticError) as exc:
+    except (DepthOverflow, RequiresAlgebraicExtension) as exc:
         return type(exc).__name__, str(exc)
 
 
 LABEL_CAPS = (1, 2, 3, 5, 8, 64)
 
 
-def test_label_memo_matches_the_walk_and_label_route_on_the_grid():
-    grid = _grid_germs()
-    want = {(g, cap): _walk_and_label(g, cap) for cap in LABEL_CAPS for g in grid}
-    _clear_kernel_memos()
-    for cap in LABEL_CAPS + LABEL_CAPS[::-1]:  # warmed by other germs and caps
-        for g in grid:
-            assert _kernel_route(g, cap) == want[g, cap], (str(g), cap)
+def test_labels_match_the_strict_walk_on_the_grid():
+    seen = set()
     for cap in LABEL_CAPS:
-        for g in grid:
-            _clear_kernel_memos()
-            assert _kernel_route(g, cap) == want[g, cap], (str(g), cap)
-    assert {view[0][0] for view in want.values() if isinstance(view[0][0], str)} == {
-        "DepthOverflow"}
+        for g in _grid_germs():
+            want = _walk_and_label(g, cap)
+            assert _kernel_route(g, cap) == want, (str(g), cap)
+            if isinstance(want[0][0], list):
+                seen |= {view[3][0] for view in want[0][3]}
+            else:
+                seen.add(want[0][0])
+    assert seen == {"A", "D", "E", "N", "DepthOverflow"}
 
 
 @settings(max_examples=200, deadline=None)
-@given(germs(), st.integers(1, 70), st.integers(1, 70), st.sampled_from(["cold", "warm", "cap"]))
-@example(parse_germ("y^2 - z^40"), 19, 20, "cap")
-@example(parse_germ("y^2 - z^40"), 20, 19, "cap")
-@example(parse_germ("z*(y^2 - z^30)"), 15, 16, "cap")
-@example(parse_germ("y^3 - z^5"), 1, 70, "cap")
-@example(parse_germ("y^7 - z^4"), 2, 1, "cold")
-@example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"), 64, 1, "warm")
-def test_label_memo_matches_the_walk_and_label_route_on_random_germs(g, cap, other, state):
-    # memos cleared, warm from earlier examples, or warmed on g at another cap
-    want = _walk_and_label(g, cap)
-    if state == "cold":
-        _clear_kernel_memos()
-    elif state == "cap":
-        _kernel_route(g, other)
-    assert _kernel_route(g, cap) == want
-
-
-# ---------------------------------------------------------------------------
-# the branch walk, uncapped, stays within the depth of the even walk
-
-def _strict_height(g, limit):
-    """How many levels below g its strict transforms stay singular: the
-    depth of the deepest point of multiplicity >= 2 on the strict walk from
-    g, read off the _StrictPoints records alone, not through _branch_data.
-    The walk stops once it is past limit, so it ends on any germ."""
-    height, stack = 0, [(0, g)]
-    while stack and height <= limit:
-        depth, h = stack.pop()
-        height = max(height, depth)
-        rec = kernel._strict_points(h)
-        below = [sub for _, sub in rec.rational] + [rec.at_infinity]
-        stack += [(depth + 1, sub) for sub in below if sub is not None and sub.multiplicity >= 2]
-    return height
-
-
-def _labelled_heights(g):
-    """(depth, strict height, D) per point even_resolve labels through the
-    branch walk, D the depth of the deepest point of g's even resolution;
-    no points when the resolution raises."""
-    try:
-        points = even_resolve(g).points
-    except (DepthOverflow, RequiresAlgebraicExtension):
-        return []
-    deepest = max((pt.depth for pt in points), default=0)
-    return [(pt.depth, _strict_height(pt.germ, deepest - pt.depth), deepest) for pt in points
-            if pt.germ is not None and pt.classification != "NonNegligibleInterior"]
-
-
-def test_labelled_points_reach_no_deeper_than_the_even_walk_on_the_grid():
-    # every singular point of a strict transform is a point of the even
-    # resolution at the same depth, so the uncapped branch walk below a
-    # labelled point needs no cap of its own
-    seen = [hd for g in _grid_germs() for hd in _labelled_heights(g)]
-    assert all(depth + height <= deepest for depth, height, deepest in seen)
-    assert any(depth + height == deepest and height > 0 for depth, height, deepest in seen)
-
-
-@settings(max_examples=200, deadline=None)
-@given(germs())
-@example(parse_germ("y^2 - z^40"))
-@example(parse_germ("y^3 - z^3"))
-@example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"))
-def test_labelled_points_reach_no_deeper_than_the_even_walk_on_random_germs(g):
-    for depth, height, deepest in _labelled_heights(g):
-        assert depth + height <= deepest, (str(g), depth, height, deepest)
+@given(germs(), st.integers(1, 70))
+@example(parse_germ("y^2 - z^40"), 19)
+@example(parse_germ("y^2 - z^40"), 18)
+@example(parse_germ("z*(y^2 - z^30)"), 15)
+@example(parse_germ("y^3 - z^5"), 1)
+@example(parse_germ("y^7 - z^4"), 2)
+@example(parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5"), 64)
+def test_labels_match_the_strict_walk_on_random_germs(g, cap):
+    assert _kernel_route(g, cap) == _walk_and_label(g, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +1010,7 @@ def _walk_then_label(g, max_depth):
     _, interior = kernel._even_walk(g, max_depth)
     if interior[0]:
         return "NonNegligible"
-    return kernel._ade_label(g)
+    return _strict_label(g)
 
 
 def test_classify_matches_the_walk_then_label_route_on_the_grid():
@@ -1105,10 +1095,9 @@ def test_milnor_number_matches_the_newton_number(g):
     vertices = _newton_vertices(support)
     assume(all(_squarefree(cs) for cs in _edge_polynomials(support, vertices)))
     try:
-        r, delta = _branch_data(g)
+        mu = _strict_mu(g)
     except RequiresAlgebraicExtension:
-        assume(False)  # no rational model: the kernel gives no mu to check
-    mu = 2 * delta - r + 1
+        assume(False)  # no rational model: the strict walk gives no mu to check
     assert mu == _newton_number(vertices), (g, vertices)
     label = classify(g)
     if label[0] in "ADE":
