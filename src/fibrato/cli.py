@@ -159,12 +159,11 @@ def _trace_point_json(point) -> dict:
         "classification": point.classification,
         "direction": _direction_json(point.direction),
         "count": point.count,
-        "children": [_trace_point_json(c) for c in point.children],
     }
 
 
 def _trace_lines(trace):
-    # trace.points is the tree in depth-first order, indented by depth
+    # trace.points are the points in depth-first order, indented by depth
     for point in trace.points:
         head = ("  " * point.depth
                 + f"- depth {point.depth}: multiplicity {point.multiplicity} "
@@ -190,7 +189,7 @@ def _cmd_resolve(args) -> int:
             terminal_smooth=True,
             sum_k_km1=trace.sum_k_km1,
             sum_km1_sq=trace.sum_km1_sq,
-            trace=_trace_point_json(trace.root) if trace.root else None,
+            points=[_trace_point_json(point) for point in trace.points],
         )))
     else:
         print(f"germ: {germ}")

@@ -64,16 +64,16 @@ label of a negligible point is A, D or E with index its Milnor number mu:
         has a child.  A leaf has mu = 1 when its 2-jet is two distinct
         lines, and mu = 2 (a cusp) when it is a double line.
 
-The datum path never builds a tree; only a reader of ``points`` or ``root``
-makes a trace build its own tree of fresh TracePoints.  The Germ and
-Descendant objects inside may be shared between traces, and they are
-read-only.
+The datum path builds no point records; only a reader of ``points`` makes a
+trace build its own tuple of fresh, frozen TracePoints, in depth-first order,
+whose depths give back the tree.  The Germ and Descendant objects inside may
+be shared between traces, and they are read-only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -205,7 +205,10 @@ def parse_germ(text: str) -> Germ:
     term once expanded).
     """
     tokens = _tokenize(text)
-    result, pos = _parse_expr(tokens, 0)
+    try:
+        result, pos = _parse_expr(tokens, 0)
+    except RecursionError:  # each '(' costs three frames of _parse_*
+        raise GermSyntaxError("parentheses nested too deeply") from None
     if tokens[pos] is not None:
         raise GermSyntaxError(f"trailing input at token {tokens[pos]!r}")
     if (0, 0) in result:
@@ -602,9 +605,9 @@ def even_blow_up(g: Germ) -> list[Descendant]:
 # ---------------------------------------------------------------------------
 # full even resolution
 
-@dataclass
+@dataclass(frozen=True)
 class TracePoint:
-    """One infinitely-near point of the even resolution.
+    """One infinitely-near point of the even resolution, a read-only record.
 
     count > 1 marks a packet of conjugate points sharing the same data; germ
     is None at certified A1 nodes, such a packet or a simple rational root.
@@ -619,7 +622,6 @@ class TracePoint:
     direction: object
     germ: Germ | None
     count: int = 1
-    children: list["TracePoint"] = field(default_factory=list)
 
 
 class ResolutionTrace:
@@ -632,8 +634,8 @@ class ResolutionTrace:
     sum_k_km1 is the sum of k_i*(k_i - 1) and sum_km1_sq the sum of
     (k_i - 1)^2 over all points, k_i = floor(m_i/2).  The labels are
     computed from these records alone by _labels on the first read of the
-    classification, the cluster heads or the TracePoint tree ``points``,
-    and the tree is built on its first read.
+    classification, the cluster heads or ``points``.  ``points`` is built on
+    its first read: a tuple of fresh, frozen TracePoints in depth-first order.
     """
 
     __slots__ = ("germ", "sum_k_km1", "sum_km1_sq", "_mults", "_nodes", "_interior",
@@ -656,14 +658,10 @@ class ResolutionTrace:
         return self._labels
 
     @property
-    def points(self) -> list[TracePoint]:
+    def points(self) -> tuple[TracePoint, ...]:
         if self._points is None:
             self._points = _trace_points(self._nodes, self._point_labels())
         return self._points
-
-    @property
-    def root(self) -> TracePoint | None:
-        return self.points[0] if self._nodes else None
 
     @property
     def classification(self) -> str:
@@ -702,18 +700,12 @@ class ResolutionTrace:
         return f"ResolutionTrace(germ={self.germ!r}, points={self.points!r})"
 
 
-def _trace_points(nodes, labels) -> list[TracePoint]:
-    points, path = [], []  # path: the points from the root down to the last one
+def _trace_points(nodes, labels) -> tuple[TracePoint, ...]:
+    points = []
     for (depth, desc), label in zip(nodes, labels):
-        germ = desc.germ
-        m = 2 if germ is None else germ.multiplicity
-        point = TracePoint(depth, m, m // 2, label, desc.direction, germ, desc.count)
-        del path[depth:]
-        if path:
-            path[-1].children.append(point)
-        path.append(point)
-        points.append(point)
-    return points
+        m = 2 if desc.germ is None else desc.germ.multiplicity
+        points.append(TracePoint(depth, m, m // 2, label, desc.direction, desc.germ, desc.count))
+    return tuple(points)
 
 
 def _labels(nodes, interior) -> list[str]:

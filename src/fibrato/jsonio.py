@@ -276,7 +276,7 @@ def _germs(value, path: str) -> list[tuple[Germ, int]]:
         text = _germ_text(text, where)
         try:
             germ = _parsed(text)
-        except (ValueError, RecursionError) as exc:  # bad syntax, or nested too deep
+        except ValueError as exc:  # GermSyntaxError and ZeroPolynomial among them
             raise InputError(f"{where}: {exc}") from None
         count = len(list(run))
         runs.append((germ, count))

@@ -78,8 +78,12 @@ def test_resolve_json_document(capsys):
     assert doc["terminal_smooth"] is True
     assert doc["sum_k_km1"] == 4
     assert doc["sum_km1_sq"] == 2
-    assert doc["trace"]["depth"] == 0
-    assert doc["trace"]["children"][0]["multiplicity"] == 4
+    assert "trace" not in doc
+    assert [(pt["depth"], pt["multiplicity"], pt["k"], pt["count"]) for pt in doc["points"]] == [
+        (0, 4, 2, 1), (1, 4, 2, 1)]
+    assert [pt["classification"] for pt in doc["points"]] == ["NonNegligibleInterior"] * 2
+    code, out, _ = run(capsys, "resolve", "y - z^2", "--json")
+    assert code == 0 and json.loads(out)["points"] == []
 
 
 def test_resolve_a_series_classification(capsys):
@@ -148,6 +152,7 @@ def test_resolve_deep_nesting_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: germ '((((")
+    assert err.endswith("': parentheses nested too deeply\n")
 
 
 def _child_env(**extra):
@@ -164,7 +169,8 @@ def _fresh_process(*argv):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_resolution_deeper_than_the_recursion_limit_exits_2(capsys, monkeypatch, tmp_path):
+def test_resolution_deeper_than_the_recursion_limit_resolves_and_writes_json(
+        capsys, monkeypatch, tmp_path):
     # the kernel walks with explicit stacks, so only the cap limits the depth:
     # y^2 - z^2400 has 1,200 points, more than the interpreter's recursion limit
     monkeypatch.setenv("FIBRATO_MAX_DEPTH", "5000")
@@ -179,14 +185,20 @@ def test_resolution_deeper_than_the_recursion_limit_exits_2(capsys, monkeypatch,
         code, out, err = run(capsys, "datum", write_json(tmp_path, "deep.json", datum_to_json(datum)))
         assert code in (0, 1) and err == ""
         assert f"F: {text} -> multiplicities" in out
-    # a trace of 500 points resolves, but is nested too deep to write as JSON
-    code, out, err = run(capsys, "resolve", "y^2 - z^1000", "--json")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: germ 'y^2 - z^1000': maximum recursion depth exceeded")
-    # the failed calls left no wrong memo entry behind
+    # the JSON trace is a flat list of points, so a trace of 2,000 points
+    # writes, and Python's own reader reads it back
+    code, out, err = run(capsys, "resolve", "y^2 - z^4000", "--json")
+    assert (code, err) == (0, "")
+    points = json.loads(out)["points"]
+    assert len(points) == 2000
+    assert [pt["depth"] for pt in points] == list(range(2000))
+    assert points[0]["classification"] == "A3999"
+    # the calls left no wrong memo entry behind
     code, out, err = run(capsys, "resolve", "y^2 - z^1000", "--trace")
     assert code == 0 and "classification: A999" in out
     assert (code, out, err) == _fresh_process("resolve", "y^2 - z^1000", "--trace")
+    code, out, err = run(capsys, "resolve", "y^2 - z^4000", "--json")
+    assert (code, out, err) == _fresh_process("resolve", "y^2 - z^4000", "--json")
 
 
 def test_resolve_irrational_point_exits_2(capsys):
@@ -818,7 +830,8 @@ COUNT_0 = ("profiles", 0, "delta_counts", "0")
     ("audit", COUNT_0[:-1], {"x": 1},
      "record: profiles[0].delta_counts: key 'x' is not a non-negative integer"),
     ("audit", COUNT_0[:-1], {"9" * 5000: 1}, "is not a non-negative integer"),
-    ("datum", GERMS_0, ["(" * 2000 + "y" + ")" * 2000], "datum: critical_fibers[0].germs[0]: "),
+    ("datum", GERMS_0, ["(" * 2000 + "y" + ")" * 2000],
+     "datum: critical_fibers[0].germs[0]: parentheses nested too deeply"),
     ("audit", ("chi",), "1.5", "record: chi: cannot parse '1.5' as a rational"),
 ], ids=["negligible", "simple_ramification", "c0_in_branch", "hyperelliptic", "semistable",
         "count-null", "count-float", "count-key", "count-long-key", "germ-deep", "chi-decimal"])
@@ -1075,14 +1088,14 @@ def test_every_family_name_is_reachable(capsys):
 
 
 # ---------------------------------------------------------------------------
-# only readers of the TracePoint tree build it
+# only readers of a trace's points build its TracePoint records
 
 def test_datum_path_builds_no_trace_tree(capsys, monkeypatch):
     def refuse(*args):
-        raise AssertionError("a TracePoint tree was built")
+        raise AssertionError("TracePoint records were built")
 
     monkeypatch.setattr(germs_mod, "_trace_points", refuse)
-    datum_mod._resolved.cache_clear()  # a remembered trace may hold its tree already
+    datum_mod._resolved.cache_clear()  # a remembered trace may hold its records already
     with pytest.raises(AssertionError):
         run(capsys, "resolve", "y^8 - z^4", "--trace")
 

@@ -20,8 +20,8 @@ from fibrato.datum import (
 )
 from fibrato.fibration import NonHyperbolicBase, audit
 from fibrato.jsonio import datum_from_json, datum_to_json
-from fibrato.germs import (DEFAULT_MAX_DEPTH, DepthOverflow, RequiresAlgebraicExtension,
-                           even_resolve, parse_germ)
+from fibrato.germs import (DEFAULT_MAX_DEPTH, DepthOverflow, GermSyntaxError,
+                           RequiresAlgebraicExtension, even_resolve, parse_germ)
 
 
 def _marker(label="F"):
@@ -437,7 +437,7 @@ def test_failed_resolution_leaves_no_memo_entry(germ, max_depth, error):
 def test_failed_parse_leaves_no_memo_entry():
     _clear_memos()
     for text in ("y^^2", "0", "(" * 2000 + "y" + ")" * 2000):
-        with pytest.raises((ValueError, RecursionError)):
+        with pytest.raises(GermSyntaxError):
             CriticalFiber("F", (text,))
         assert datum_mod._parsed.cache_info().currsize == 0
 

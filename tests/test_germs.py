@@ -6,6 +6,7 @@ shares no code with the resolution engine.
 """
 
 import re
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -31,6 +32,7 @@ from fibrato import constructions
 from fibrato import datum as datum_mod
 from fibrato import germs as kernel
 from fibrato.cli import main
+from fibrato.datum import CriticalFiber
 from fibrato.germs import _factor_list, _shift_second
 from fibrato.oracle import binomial_oracle
 
@@ -179,7 +181,7 @@ def test_resolution_multiplicity_sequences(text, mults):
 
 def test_smooth_germ_has_empty_trace():
     trace = even_resolve(parse_germ("y - z^2"))
-    assert trace.points == []
+    assert trace.points == ()
 
 
 def test_trace_depths_and_k():
@@ -609,7 +611,7 @@ def _clear_kernel_memos():
 
 def _point_view(pt):
     return (pt.depth, pt.multiplicity, pt.k, pt.classification, repr(pt.direction),
-            str(pt.germ), pt.count, len(pt.children))
+            str(pt.germ), pt.count)
 
 
 def _outcome(fn, *args):
@@ -709,7 +711,7 @@ def test_resolving_again_misses_no_kernel_memo():
 
 
 def test_reading_labels_reads_no_kernel_memo():
-    # labels, cluster heads and the tree come from the trace's own records
+    # labels, cluster heads and the points come from the trace's own records
     for text in ("y^7 - z^4", "z*(y^3 - z^5)", "y^3 - z^3", "y^2 - z^40", "y*(y^2 + z^3)"):
         trace = even_resolve(parse_germ(text))
         before = (kernel._strict_points.cache_info(), kernel._factors.cache_info())
@@ -760,8 +762,10 @@ def test_traces_compare_by_germ_and_points():
     assert one == two and one is not two
     assert one != even_resolve(parse_germ("y^6 - z^4"))
     assert repr(one) == f"ResolutionTrace(germ={g!r}, points={one.points!r})"
-    two.points[1].classification = "changed"
-    assert one != two
+    assert type(one.points) is tuple
+    with pytest.raises(FrozenInstanceError):
+        two.points[1].classification = "changed"
+    assert one == two
 
 
 def test_each_resolution_builds_fresh_trace_points():
@@ -769,7 +773,9 @@ def test_each_resolution_builds_fresh_trace_points():
     one, two = even_resolve(g), even_resolve(g)
     assert one is not two
     assert not {id(pt) for pt in one.points} & {id(pt) for pt in two.points}
-    one.points[0].classification = "changed"
+    assert one.points == two.points
+    with pytest.raises(FrozenInstanceError):
+        one.points[0].classification = "changed"
     assert even_resolve(g).points[0].classification == "NonNegligibleInterior"
 
 
@@ -829,12 +835,27 @@ def _strict_label(g):
     return f"{'D' if _tangent_line_count(g) >= 2 else 'E'}{_strict_mu(g)}"
 
 
+@dataclass
+class _Node:
+    """A point of a test-local resolution tree, with the fields of a
+    TracePoint and its children."""
+
+    depth: int
+    multiplicity: int
+    k: int
+    classification: str
+    direction: object
+    germ: Germ | None
+    count: int = 1
+    children: list["_Node"] = field(default_factory=list)
+
+
 def _walked_tree(g, max_depth):
-    """A tree of fresh TracePoints over even_blow_up, interior points marked,
-    the rest labelled by the strict walk."""
+    """A tree of _Nodes over even_blow_up, interior points marked, the rest
+    labelled by the strict walk; its points in depth-first order."""
     m = g.multiplicity
     points = []
-    stack = [kernel.TracePoint(0, m, m // 2, "", None, g)]
+    stack = [_Node(0, m, m // 2, "", None, g)]
     while stack:
         node = stack.pop()
         points.append(node)
@@ -844,12 +865,10 @@ def _walked_tree(g, max_depth):
             continue
         for desc in even_blow_up(node.germ):
             if desc.germ is None:
-                child = kernel.TracePoint(node.depth + 1, 2, 1, "A1", desc.direction, None,
-                                          count=desc.count)
+                child = _Node(node.depth + 1, 2, 1, "A1", desc.direction, None, count=desc.count)
             else:
                 mult = desc.germ.multiplicity
-                child = kernel.TracePoint(node.depth + 1, mult, mult // 2, "", desc.direction,
-                                          desc.germ)
+                child = _Node(node.depth + 1, mult, mult // 2, "", desc.direction, desc.germ)
             node.children.append(child)
         stack.extend(reversed(node.children))
     for node in reversed(points):
@@ -882,7 +901,6 @@ def _walk_and_label(g, max_depth):
 def _kernel_route(g, max_depth):
     def resolved():
         trace = even_resolve(g, max_depth)
-        assert trace.root is (trace.points[0] if trace.points else None)
         return (trace.multiplicities(), trace.sum_k_km1, trace.sum_km1_sq,
                 [_point_view(pt) for pt in trace.points])
     return _failure_or(resolved), _failure_or(classify, g, max_depth)
@@ -926,21 +944,40 @@ def test_labels_match_the_strict_walk_on_random_germs(g, cap):
 # ---------------------------------------------------------------------------
 # classification and cluster heads from the flat records, against the tree
 
+def _rebuilt_tree(points):
+    """The root of a tree of _Nodes over the flat points, or None: each point
+    is a child of the last point before it one level up, as the depths of a
+    depth-first order say."""
+    nodes, path = [], []  # path: the nodes from the root down to the last one
+    for pt in points:
+        assert pt.depth <= len(path) and (pt.depth == 0) == (not nodes)
+        node = _Node(pt.depth, pt.multiplicity, pt.k, pt.classification, pt.direction,
+                     pt.germ, pt.count)
+        del path[pt.depth:]
+        if path:
+            path[-1].children.append(node)
+        path.append(node)
+        nodes.append(node)
+    return nodes[0] if nodes else None
+
+
 def _tree_label(trace):
-    """The germ's label read off the root TracePoint, as datum did before
+    """The germ's label read off the root of the tree, as datum did before
     traces reported their own."""
-    if trace.root is None:
+    root = _rebuilt_tree(trace.points)
+    if root is None:
         return "Smooth"
-    if trace.root.classification == "NonNegligibleInterior":
+    if root.classification == "NonNegligibleInterior":
         return "NonNegligible"
-    return trace.root.classification
+    return root.classification
 
 
 def _tree_cluster_heads(trace):
-    """The labels of the cluster heads by a walk down the TracePoint tree
-    through the NonNegligibleInterior points, as datum made it."""
+    """The labels of the cluster heads by a walk down the tree through the
+    NonNegligibleInterior points, as datum made it."""
     heads = []
-    stack = trace.points[:1]  # the root, if any
+    root = _rebuilt_tree(trace.points)
+    stack = [] if root is None else [root]
     while stack:
         node = stack.pop()
         if node.classification == "NonNegligibleInterior":
@@ -965,7 +1002,7 @@ def _flat_matches_tree(g, cap):
         return None
     label, heads = trace.classification, trace.clusters()
     offences = datum_mod._cluster_offences(trace)
-    assert trace._points is None  # the flat answers built no tree
+    assert trace._points is None  # the flat answers built no point records
     assert label == _tree_label(trace), (str(g), cap)
     assert heads == _tree_cluster_heads(trace), (str(g), cap)
     assert offences == _tree_offences(g, trace), (str(g), cap)
@@ -1272,7 +1309,17 @@ def test_parser_matches_the_closure_parser(text):
     want = _raised(_closure_parse, text)
     if want[0] == "ok":
         want = _raised(Germ, want[1])
+    elif want[0] == "RecursionError":  # parse_germ names this failure itself
+        want = "GermSyntaxError", "parentheses nested too deeply"
     assert got == want, text
+
+
+@pytest.mark.parametrize("depth", [400, 2000, 100_000])
+def test_deep_nesting_is_a_syntax_error(depth):
+    text = "(" * depth + "y" + ")" * depth
+    for read in (parse_germ, lambda text: CriticalFiber("F", (text,))):
+        with pytest.raises(GermSyntaxError, match="^parentheses nested too deeply$"):
+            read(text)
 
 
 @settings(max_examples=500, deadline=None)

@@ -50,10 +50,10 @@ from fibrato.germs import (
 )
 
 DIGESTS = {
-    "resolve-e0f0": "2e9bb525f33f7af77fc4fc5a64dd6c27d8f026a97e4ddaf8ff6fc23fe37df95f",
-    "resolve-e0f1": "c0389ef00673b9fd901e1b6ec6fd48249dc32e18553722319d1543af86b484d8",
-    "resolve-e1f0": "45e169b7663cab2351566daa9c1b1e4e4610511d5e7ee78323464f66adfe74b0",
-    "resolve-e1f1": "694cfb66fd9fd9fd279ec1c4ff48951a25d75433607a91a92f858cb77bdc8317",
+    "resolve-e0f0": "b04f465d34b781b4b7c535db0c68ec8113865d2a35c617f873ce8affe146270b",
+    "resolve-e0f1": "1e2e42f5aa0781106fcea8e6ed448715ae594f3d46207eb59f0260729345561b",
+    "resolve-e1f0": "35ca8cdb252cbe85e1e6c1f6e8c8db0b92922fc089fd32ea639460873521beb6",
+    "resolve-e1f1": "bccb5c660ce75126511121fcff268476c040cb3c029ddafbe7c14337f1bb3f6e",
     "example-genus2": "c493549fa503a271aeb62ed23b903e659d639de62c147bd83b3decc9119d0362",
     "example-genus3": "49dd25360bef3ee3601148dbab943e84e0eaacfa0f3dc370601aa64ababf79e9",
     "example-odd_genus": "201779307e826f0aab8180d261a0472f274436725d88e7432a4c4b6a020082f5",

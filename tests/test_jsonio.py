@@ -118,7 +118,7 @@ def _per_entry_error(entries):
             return f"{where} must be a germ string, got {type(value).__name__}"
         try:
             parse_germ(value)
-        except (ValueError, RecursionError) as exc:
+        except ValueError as exc:
             return f"{where}: {exc}"
     return None
 
