@@ -43,17 +43,20 @@ One chart pass per germ finds the points of its even transform on E.  The
 kernel keeps two process-wide memos, each bounded by MEMO_SIZE entries: that
 chart record of each germ, and the factor list of each univariate
 polynomial.  Infinitely-near germs repeat across inputs (y^a - z^b blows up
-to y^a - z^(b-a)), so each distinct one is charted and factored once.  An
-exception is never memoized.  One walk, with an explicit stack, visits the
-points of the even resolution and enforces the depth cap.  even_resolve
-keeps per point only its depth, its Descendant and whether it is
-NonNegligibleInterior, and takes the multiplicity sequence and the two sums
-the invariant formulas need.
+to y^a - z^(b-a)), so each distinct one is charted and factored once.
 
-The ADE labels of the negligible points are read off these records alone,
-with no memo and no second walk, in one pass from children to parents, on
-the first read of a trace's classification, cluster heads or points.  The
-label of a negligible point is A, D or E with index its Milnor number mu:
+Once the even resolution of a germ has gone through without an exception,
+its chart record also keeps a summary of it, built from the summaries of its
+points on E, to which it holds direct references: its height (the depth of
+its deepest point, the germ at depth 0), the two sums the invariant formulas
+need, whether it is NonNegligibleInterior, and its label.  So each germ is
+resolved once per process: a resolution that meets a summarized germ at
+depth d goes no deeper, and overflows the depth cap when d + its height
+does.  The walk, with an explicit stack, keeps the depth-first order of its
+checks, so the first failure it meets is the one raised.  An exception is
+never memoized, and a germ that does not resolve gets no summary.
+
+The label of a negligible point is A, D or E with index its Milnor number mu:
 
     an A1 node has mu = 1, a packet of them mu = 1 per direction;
     a point of multiplicity 3 has mu = 1 + the sum of its children's mu.
@@ -64,10 +67,12 @@ label of a negligible point is A, D or E with index its Milnor number mu:
         has a child.  A leaf has mu = 1 when its 2-jet is two distinct
         lines, and mu = 2 (a cusp) when it is a double line.
 
-The datum path builds no point records; only a reader of ``points`` makes a
-trace build its own tuple of fresh, frozen TracePoints, in depth-first order,
-whose depths give back the tree.  The Germ and Descendant objects inside may
-be shared between traces, and they are read-only.
+A trace reads its multiplicities, cluster heads and points off the
+summaries, each by one walk with an explicit stack.  The datum path builds
+no point records; only a reader of ``points`` makes a trace build its own
+tuple of fresh, frozen TracePoints, in depth-first order, whose depths give
+back the tree.  The Germ, Descendant and summary objects inside may be
+shared between traces, and they are read-only.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import index
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
@@ -138,14 +144,15 @@ class Germ:
 
     Invariants: support nonempty; gcd of coefficients 1; the coefficient of
     the (j, i)-minimal monomial is positive.  multiplicity is the minimal
-    total degree over the support.
+    total degree over the support.  Exponents and coefficients must be
+    integers (operator.index): anything else raises TypeError.
     """
 
     __slots__ = ("support", "multiplicity", "_hash")
 
     def __init__(self, support):
         # one sorted pass over (j, i, c) puts the terms in canonical order
-        terms = sorted([(int(j), int(i), int(c)) for (i, j), c in support.items() if c])
+        terms = sorted([(index(j), index(i), index(c)) for (i, j), c in support.items() if c])
         if not terms:
             raise ZeroPolynomial("all terms cancel")
         if terms[0][0] < 0 or min([i for _, i, _ in terms]) < 0:
@@ -202,13 +209,17 @@ def parse_germ(text: str) -> Germ:
     factor := 'y'['^' integer] | 'z'['^' integer] | '(' expr ')'.
     Integers are ASCII digits.  Whitespace is insignificant; a leading sign
     is tolerated.  The polynomial must vanish at the origin (no constant
-    term once expanded).
+    term once expanded).  Parentheses nest at most _MAX_NESTING (100) deep,
+    whatever the depth of the caller's stack.
     """
     tokens = _tokenize(text)
-    try:
-        result, pos = _parse_expr(tokens, 0)
-    except RecursionError:  # each '(' costs three frames of _parse_*
-        raise GermSyntaxError("parentheses nested too deeply") from None
+    if tokens.count("(") > _MAX_NESTING:  # each '(' costs three frames of _parse_*
+        depth = 0
+        for tok in tokens:
+            depth += (tok == "(") - (tok == ")")
+            if depth > _MAX_NESTING:
+                raise GermSyntaxError("parentheses nested too deeply")
+    result, pos = _parse_expr(tokens, 0)
     if tokens[pos] is not None:
         raise GermSyntaxError(f"trailing input at token {tokens[pos]!r}")
     if (0, 0) in result:
@@ -275,6 +286,10 @@ def _parse_factor(tokens, pos):
 
 
 _FACTOR_START = ("y", "z", "(")
+
+#: The deepest nesting of parentheses parse_germ reads, well within the
+#: interpreter's recursion limit.
+_MAX_NESTING = 100
 
 #: One token per match: an ASCII integer, a symbol, or an illegal character.
 _TOKEN = re.compile(r"[0-9]+|[yz^*+()-]|\S")
@@ -514,7 +529,7 @@ class Descendant:
         return self.direction.count if isinstance(self.direction, ConjugateDirections) else 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class _StrictPoints:
     """The points of E over the origin of a germ g of multiplicity m >= 2,
     read off the strict transform in charts 1 and 2 once.
@@ -526,11 +541,14 @@ class _StrictPoints:
     even: the non-smooth points of the even transform, the strict transform
         times E^(m mod 2); germ None marks certified A1 nodes.  A simple
         rational root gets no Taylor shift, as the strict transform is
-        smooth there and transverse to E.
+        smooth there and transverse to E;
+    summary: the _Summary of g's even resolution, set by _summary once it
+        has gone through, else None.
     """
 
     irrational: tuple
     even: tuple
+    summary: _Summary | None = None
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -569,9 +587,9 @@ def _strict_points(g: Germ) -> _StrictPoints:
     return _StrictPoints(tuple(irrational), even)
 
 
-def _even_points(g: Germ) -> tuple[Descendant, ...]:
-    """The non-smooth points of the even transform of g, multiplicity >= 2."""
-    pts = _strict_points(g)
+def _even_points(g: Germ, pts: _StrictPoints) -> tuple[Descendant, ...]:
+    """The non-smooth points of the even transform of g, multiplicity >= 2,
+    from its chart record pts."""
     for coeffs, exp, singular in pts.irrational:
         if g.multiplicity % 2 and exp >= 2:
             raise RequiresAlgebraicExtension(
@@ -599,7 +617,7 @@ def even_blow_up(g: Germ) -> list[Descendant]:
     """
     if g.multiplicity < 2:
         raise ValueError("even_blow_up requires multiplicity >= 2")
-    return list(_even_points(g))
+    return list(_even_points(g, _strict_points(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,70 +642,151 @@ class TracePoint:
     count: int = 1
 
 
+class _Summary:
+    """The even resolution of a germ of multiplicity m >= 2 that resolves.
+
+    below holds a (Descendant, _Summary) pair per point of the germ's even
+    transform on E (its chart record's ``even``), the last one first, as a
+    depth-first walk stacks them; the _Summary is None at A1 nodes.  height
+    is the depth of the deepest point below the germ, 0 at a leaf;
+    sum_k_km1 and sum_km1_sq sum k*(k - 1) and (k - 1)^2, k = floor(m_i/2),
+    over all its points; interior says whether a multiplicity > 3 lies in it
+    (a NonNegligibleInterior point); label and mu follow the mu rule of the
+    module docstring.
+    """
+
+    __slots__ = ("below", "height", "sum_k_km1", "sum_km1_sq", "interior", "mu", "label")
+
+    def __init__(self, germ: Germ, below: tuple):
+        m = germ.multiplicity
+        k = m // 2
+        self.below = below
+        height = mu = count = 0
+        sum_k_km1, sum_km1_sq, interior = k * (k - 1), (k - 1) ** 2, m > 3
+        for desc, s in below:
+            count += desc.count
+            if s is None:  # A1 nodes, mu = 1 each
+                mu += desc.count
+                continue
+            height = max(height, s.height)
+            sum_k_km1 += s.sum_k_km1
+            sum_km1_sq += s.sum_km1_sq
+            interior = interior or s.interior
+            mu += s.mu
+        self.height = height + 1 if below else 0
+        self.sum_k_km1, self.sum_km1_sq, self.interior = sum_k_km1, sum_km1_sq, interior
+        if self.interior:
+            self.label = "NonNegligibleInterior"
+        elif m == 3:
+            mu += 1
+            self.label = f"D{mu}" if count >= 2 else f"E{mu}"
+        else:
+            if count:
+                mu += 2
+            else:  # a leaf: its 2-jet a*y^2 + b*y*z + c*z^2 is two lines or one
+                jet = germ.support.get
+                mu = 1 if jet((1, 1), 0) ** 2 != 4 * jet((2, 0), 0) * jet((0, 2), 0) else 2
+            self.label = f"A{mu}"
+        self.mu = mu
+
+
+def _summary(g: Germ, max_depth: int) -> _Summary:
+    """The summary of the even resolution of g (multiplicity >= 2), from the
+    summaries on the chart records, made where missing, children first.
+    Raises DepthOverflow when a point lies deeper than max_depth, and
+    RequiresAlgebraicExtension from _even_points, whichever a depth-first
+    walk meets first."""
+    done = []  # the summaries of the subtrees walked, in depth-first order
+    stack = [(0, g, None)]
+    while stack:
+        depth, germ, pts = stack.pop()
+        if pts is not None:  # all its children are summed up: sum up germ
+            pts.summary = _Summary(germ, tuple([(d, None if d.germ is None else done.pop())
+                                                for d in reversed(pts.even)]))
+            done.append(pts.summary)
+            continue
+        if depth > max_depth:
+            raise DepthOverflow.past_cap(max_depth)
+        pts = _strict_points(germ)
+        if pts.summary is not None:
+            if depth + pts.summary.height > max_depth:
+                raise DepthOverflow.past_cap(max_depth)
+            done.append(pts.summary)
+            continue
+        descs = _even_points(germ, pts)
+        if descs and depth == max_depth:  # its first child lies past the cap
+            raise DepthOverflow.past_cap(max_depth)
+        stack.append((depth, germ, pts))
+        stack += [(depth + 1, d.germ, None) for d in reversed(descs) if d.germ is not None]
+    return done[0]
+
+
 class ResolutionTrace:
     """Even-resolution record: all infinitely-near points of multiplicity >= 2
     in depth-first order, plus the derived sums the invariant formulas need.
 
-    even_resolve keeps each point as its depth, its Descendant on the
-    kernel's record (the root's direction is None) and whether it is
-    NonNegligibleInterior, with the multiplicity sequence and the sums:
     sum_k_km1 is the sum of k_i*(k_i - 1) and sum_km1_sq the sum of
-    (k_i - 1)^2 over all points, k_i = floor(m_i/2).  The labels are
-    computed from these records alone by _labels on the first read of the
-    classification, the cluster heads or ``points``.  ``points`` is built on
-    its first read: a tuple of fresh, frozen TracePoints in depth-first order.
+    (k_i - 1)^2 over all points, k_i = floor(m_i/2).  They, the
+    classification and the cluster heads come from the summary of the root
+    (None for a smooth germ); the multiplicities and ``points`` by a walk
+    over the summaries below it.  ``points`` is built on its first read: a
+    tuple of fresh, frozen TracePoints in depth-first order.
     """
 
-    __slots__ = ("germ", "sum_k_km1", "sum_km1_sq", "_mults", "_nodes", "_interior",
-                 "_labels", "_points")
+    __slots__ = ("germ", "sum_k_km1", "sum_km1_sq", "_root", "_points")
 
-    def __init__(self, germ: Germ, nodes: list, interior: list[bool], mults: tuple[int, ...],
-                 sum_k_km1: int, sum_km1_sq: int):
+    def __init__(self, germ: Germ, root: _Summary | None):
         self.germ = germ
-        self.sum_k_km1 = sum_k_km1
-        self.sum_km1_sq = sum_km1_sq
-        self._mults = mults
-        self._nodes = nodes
-        self._interior = interior
-        self._labels = None
+        self.sum_k_km1 = root.sum_k_km1 if root else 0
+        self.sum_km1_sq = root.sum_km1_sq if root else 0
+        self._root = root
         self._points = None
-
-    def _point_labels(self) -> list[str]:
-        if self._labels is None:
-            self._labels = _labels(self._nodes, self._interior)
-        return self._labels
 
     @property
     def points(self) -> tuple[TracePoint, ...]:
         if self._points is None:
-            self._points = _trace_points(self._nodes, self._point_labels())
+            self._points = _trace_points(self.germ, self._root)
         return self._points
 
     @property
     def classification(self) -> str:
         """"Smooth" for a germ of multiplicity <= 1, "NonNegligible" when the
         root is a NonNegligibleInterior point, otherwise the root's ADE label."""
-        if not self._nodes:
+        if self._root is None:
             return "Smooth"
-        return "NonNegligible" if self._interior[0] else self._point_labels()[0]
+        return "NonNegligible" if self._root.interior else self._root.label
 
     def clusters(self) -> list[str]:
         """The labels of the cluster heads in depth-first order.  A cluster
         head is a point that is not NonNegligibleInterior and is the root or
         a child of a NonNegligibleInterior point; its subtree is negligible."""
         heads = []
-        path = []  # per depth on the path to the last point: is it interior
-        for (depth, _), inner, label in zip(self._nodes, self._interior, self._point_labels()):
-            if not inner and (depth == 0 or path[depth - 1]):
-                heads.append(label)
-            del path[depth:]
-            path.append(inner)
+        stack = [] if self._root is None else [self._root]
+        while stack:
+            s = stack.pop()
+            if s is None:
+                heads.append("A1")
+            elif s.interior:
+                stack += [kid for _, kid in s.below]
+            else:
+                heads.append(s.label)
         return heads
 
     def multiplicities(self) -> list[int]:
         """The multiplicity sequence, conjugate packets expanded; a new list
         on each call."""
-        return list(self._mults)
+        if self._root is None:
+            return []
+        mults = [self.germ.multiplicity]
+        stack = list(self._root.below)
+        while stack:
+            desc, s = stack.pop()
+            if s is None:
+                mults += [2] * desc.count
+            else:
+                mults.append(desc.germ.multiplicity)
+                stack += s.below
+        return mults
 
     def __eq__(self, other):
         if not isinstance(other, ResolutionTrace):
@@ -700,48 +799,18 @@ class ResolutionTrace:
         return f"ResolutionTrace(germ={self.germ!r}, points={self.points!r})"
 
 
-def _trace_points(nodes, labels) -> tuple[TracePoint, ...]:
+def _trace_points(germ: Germ, root: _Summary | None) -> tuple[TracePoint, ...]:
     points = []
-    for (depth, desc), label in zip(nodes, labels):
-        m = 2 if desc.germ is None else desc.germ.multiplicity
-        points.append(TracePoint(depth, m, m // 2, label, desc.direction, desc.germ, desc.count))
+    stack = [] if root is None else [(0, Descendant(None, germ), root)]
+    while stack:
+        depth, desc, s = stack.pop()
+        if s is None:
+            points.append(TracePoint(depth, 2, 1, "A1", desc.direction, None, desc.count))
+            continue
+        m = desc.germ.multiplicity
+        points.append(TracePoint(depth, m, m // 2, s.label, desc.direction, desc.germ))
+        stack += [(depth + 1, d, kid) for d, kid in s.below]
     return tuple(points)
-
-
-def _labels(nodes, interior) -> list[str]:
-    """The label of each point, "NonNegligibleInterior" or ADE, by the mu
-    rule of the module docstring.  The pass runs from the last point to the
-    first, so each point's children come before it, and per depth d it
-    sums the mu and the count of the points at depth d whose parent is
-    still to come."""
-    labels = ["A1"] * len(nodes)
-    mu_below = [0] * (len(nodes) + 1)
-    count_below = [0] * (len(nodes) + 1)
-    for idx in range(len(nodes) - 1, -1, -1):
-        depth, desc = nodes[idx]
-        germ = desc.germ
-        mu, count = mu_below[depth + 1], count_below[depth + 1]
-        mu_below[depth + 1] = count_below[depth + 1] = 0
-        if germ is None:  # A1 nodes
-            mu_below[depth] += desc.count
-            count_below[depth] += desc.count
-            continue
-        if interior[idx]:
-            labels[idx] = "NonNegligibleInterior"
-            continue
-        if germ.multiplicity == 3:
-            mu += 1
-            labels[idx] = f"D{mu}" if count >= 2 else f"E{mu}"
-        else:
-            if count:
-                mu += 2
-            else:  # a leaf: its 2-jet a*y^2 + b*y*z + c*z^2 is two lines or one
-                jet = germ.support.get
-                mu = 1 if jet((1, 1), 0) ** 2 != 4 * jet((2, 0), 0) * jet((0, 2), 0) else 2
-            labels[idx] = f"A{mu}"
-        mu_below[depth] += mu
-        count_below[depth] += 1
-    return labels
 
 
 def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace:
@@ -754,54 +823,7 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     depth 0 — all well-formed branch germs resolve in a handful of steps,
     so hitting the cap signals a suspect input such as a non-reduced divisor.
     """
-    nodes, interior, mults = [], [], []
-    sum_k_km1 = sum_km1_sq = 0
-    if g.multiplicity >= 2:
-        nodes, interior = _even_walk(g, max_depth)
-        for _, desc in nodes:
-            germ = desc.germ
-            if germ is None:  # A1 nodes, k = 1 each: no sum changes
-                mults += [2] * desc.count
-                continue
-            m = germ.multiplicity
-            mults.append(m)
-            if m > 3:  # elsewhere k = 1 adds 0 to the sums
-                k = m // 2
-                sum_k_km1 += k * (k - 1)
-                sum_km1_sq += (k - 1) ** 2
-    return ResolutionTrace(g, nodes, interior, tuple(mults), sum_k_km1, sum_km1_sq)
-
-
-def _even_walk(g: Germ, max_depth: int) -> tuple[list, list[bool]]:
-    """The infinitely-near points of g (multiplicity >= 2) in depth-first
-    order, as (depth, Descendant) pairs, and per point whether it heads a
-    subtree with a multiplicity > 3 (a NonNegligibleInterior point)."""
-    nodes, interior = [], []
-    path = []  # the indices of the points from the root down to the last one
-    stack = [(0, Descendant(None, g))]
-    while stack:
-        node = stack.pop()
-        depth, desc = node
-        del path[depth:]
-        path.append(len(nodes))
-        nodes.append(node)
-        interior.append(False)
-        germ = desc.germ
-        if depth > max_depth:
-            raise DepthOverflow.past_cap(max_depth)
-        if germ is None:
-            continue  # an A1 node, or a packet of them
-        if germ.multiplicity > 3:  # interior, and so is every point above it;
-            # marking stops at a marked point, as the points above it are marked
-            for idx in reversed(path):
-                if interior[idx]:
-                    break
-                interior[idx] = True
-        descs = _even_points(germ)
-        if descs:
-            depth += 1
-            stack.extend([(depth, d) for d in reversed(descs)])
-    return nodes, interior
+    return ResolutionTrace(g, _summary(g, max_depth) if g.multiplicity >= 2 else None)
 
 
 def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:

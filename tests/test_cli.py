@@ -155,6 +155,31 @@ def test_resolve_deep_nesting_exits_2(capsys):
     assert err.endswith("': parentheses nested too deeply\n")
 
 
+def _called_deeper(frames, fn, *args):
+    """fn(*args), called the given number of stack frames below the caller."""
+    return fn(*args) if frames == 0 else _called_deeper(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize("depth", [100, 101, 320])
+def test_resolve_and_datum_agree_on_nested_germs_at_any_stack_depth(capsys, tmp_path, depth):
+    # the parser caps the nesting by the text alone, so `resolve` and
+    # `datum` give one verdict, however deep the caller's stack
+    text = "(" * depth + "y^2 - z^3" + ")" * depth
+    doc = with_field(datum_to_json(family("genus2").datum), GERMS_0, [text])
+    path = write_json(tmp_path, "d.json", doc)
+    for argv in (["resolve", text], ["datum", path]):
+        outcomes = []
+        for frames in (0, 300):
+            code = _called_deeper(frames, main, argv)
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv[0]
+        code, out, err = outcomes[0]
+        if depth <= 100:
+            assert code <= 1 and out and not err, argv[0]
+        else:
+            assert (code, out) == (2, "") and err.endswith(": parentheses nested too deeply\n")
+
+
 def _child_env(**extra):
     """The environment of a CLI child process that imports this checkout."""
     src = os.path.dirname(os.path.dirname(fibrato.__file__))

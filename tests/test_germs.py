@@ -73,6 +73,16 @@ def test_parse_nested_parentheses():
     assert g.support == {(2, 0): 1, (0, 2): -1}
 
 
+@pytest.mark.parametrize("support", [
+    {(2, 0): Fraction(5, 2), (0, 3): -1},
+    {(2.7, 0): 1, (0, 3): -1},
+    {(2, 0): "3", (0, 3): -1},
+], ids=["fraction-coefficient", "float-exponent", "string-coefficient"])
+def test_germ_rejects_non_integers(support):
+    with pytest.raises(TypeError):
+        Germ(support)
+
+
 def test_canonical_content_and_sign():
     assert parse_germ("2*y^2 - 2*z^4") == parse_germ("y^2 - z^4")
     assert parse_germ("z^4 - y^2") == parse_germ("y^2 - z^4")
@@ -711,7 +721,8 @@ def test_resolving_again_misses_no_kernel_memo():
 
 
 def test_reading_labels_reads_no_kernel_memo():
-    # labels, cluster heads and the points come from the trace's own records
+    # labels, cluster heads and the points are read off the summaries the
+    # resolution holds, with no memo lookup
     for text in ("y^7 - z^4", "z*(y^3 - z^5)", "y^3 - z^3", "y^2 - z^40", "y*(y^2 + z^3)"):
         trace = even_resolve(parse_germ(text))
         before = (kernel._strict_points.cache_info(), kernel._factors.cache_info())
@@ -744,6 +755,44 @@ def test_simple_rational_roots_cost_no_chart_record():
     datum_mod._resolved.cache_clear()
     constructions.even_genus(6).report()
     assert kernel._strict_points.cache_info().misses == 8
+
+
+def _chart_lookups(fn, *args):
+    """(hits, misses) of the chart-record memo during fn(*args)."""
+    before = kernel._strict_points.cache_info()
+    fn(*args)
+    after = kernel._strict_points.cache_info()
+    return after.hits - before.hits, after.misses - before.misses
+
+
+def test_a_summarized_germ_resolves_with_one_chart_lookup():
+    # a chart record keeps the summary of its germ's even resolution, so a
+    # germ met again is not walked down: y^2 - z^120 lies on the chain of
+    # y^2 - z^122, and even_genus(60) shares that chain with even_genus(62)
+    # and adds only y^61 - z^61
+    _clear_kernel_memos()
+    even_resolve(parse_germ("y^2 - z^122"))
+    assert _chart_lookups(even_resolve, parse_germ("y^2 - z^120")) == (1, 0)
+    trace = even_resolve(parse_germ("y^2 - z^120"))
+    assert trace.classification == "A119" and trace.multiplicities() == [2] * 60
+    _clear_kernel_memos()
+    datum_mod._parsed.cache_clear()
+    datum_mod._resolved.cache_clear()
+    constructions.even_genus(62).report()
+    assert _chart_lookups(constructions.even_genus(60).report) == (1, 1)
+
+
+def test_a_summary_meets_the_depth_cap_like_the_walk():
+    # a summarized germ at depth d overflows exactly when d + its height
+    # passes the cap: y^2 - z^40 has height 19
+    _clear_kernel_memos()
+    even_resolve(parse_germ("y^2 - z^40"))
+    g = parse_germ("y^2 - z^42")
+    with pytest.raises(DepthOverflow, match="^no smooth model within 19 blow-ups$"):
+        even_resolve(g, 19)
+    assert even_resolve(g, 20).classification == "A41"
+    with pytest.raises(DepthOverflow, match="^no smooth model within 0 blow-ups$"):
+        even_resolve(g, 0)
 
 
 def test_even_blow_up_returns_a_fresh_list():
@@ -1040,12 +1089,12 @@ def test_trace_classification_and_clusters_match_the_tree_on_random_germs(g, cap
 # classify reads the trace, against the walk-then-label route it replaced
 
 def _walk_then_label(g, max_depth):
-    """classify as it was before it read the trace: the kernel's walk, then
-    the root's label alone."""
+    """classify as it was before it read the trace: a walk down the even
+    resolution (the test's own, over even_blow_up), then the root's label
+    alone."""
     if g.multiplicity <= 1:
         return "Smooth"
-    _, interior = kernel._even_walk(g, max_depth)
-    if interior[0]:
+    if _walked_tree(g, max_depth)[0].classification == "NonNegligibleInterior":
         return "NonNegligible"
     return _strict_label(g)
 
@@ -1312,6 +1361,22 @@ def test_parser_matches_the_closure_parser(text):
     elif want[0] == "RecursionError":  # parse_germ names this failure itself
         want = "GermSyntaxError", "parentheses nested too deeply"
     assert got == want, text
+
+
+def _called_deeper(frames, fn, *args):
+    """fn(*args), called the given number of stack frames below the caller."""
+    return fn(*args) if frames == 0 else _called_deeper(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize("depth", [1, 100, 101, 320])
+def test_nesting_verdict_does_not_depend_on_the_callers_stack(depth):
+    text = "(" * depth + "y^2 - z^3" + ")" * depth
+    want = ("ok", parse_germ("y^2 - z^3")) if depth <= 100 else (
+        "GermSyntaxError", "parentheses nested too deeply")
+    for frames in (0, 300):
+        assert _called_deeper(frames, _raised, parse_germ, text) == want, frames
+        fiber = _called_deeper(frames, _raised, CriticalFiber, "F", (text,))
+        assert fiber[0] == want[0] and (fiber[0] == "ok" or fiber == want), frames
 
 
 @pytest.mark.parametrize("depth", [400, 2000, 100_000])
