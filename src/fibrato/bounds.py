@@ -1,5 +1,4 @@
-"""Slope and speed bounds, Harder-Narasimhan arithmetic, and the three
-reference tables.
+"""Slope and speed bounds and the three reference tables.
 
 This module is the one home of every bound formula.  It imports no other
 module of the package when it is loaded; only table(3), when called,
@@ -24,17 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "HNProfile",
     "Table",
     "TableRow",
-    "BadIndexSequence",
     "PreconditionViolated",
     "slope_lower",
     "slope_upper",
     "nonhyp_slope",
-    "double_cover_slope",
     "hn_castelnuovo_slope",
-    "luzuo_slope",
     "kodaira_speed",
     "arakelov_speed",
     "canonical_class_bound",
@@ -43,16 +38,8 @@ __all__ = [
     "low_base_speed_at",
     "optimal_base_change",
     "nonhyp_speed",
-    "few_fibers_speed",
-    "teich_hyp_one_zero",
-    "teich_hyp_two_zeros",
     "teich_max",
     "minimal_m",
-    "hn_chi",
-    "xiao_lower_bound",
-    "hodge_partial_sums",
-    "hodge_partial_sum_check",
-    "castelnuovo_holds",
     "decimal3",
     "table",
     "render_markdown",
@@ -62,10 +49,6 @@ __all__ = [
 
 class PreconditionViolated(ValueError):
     """An operation was called outside its stated domain."""
-
-
-class BadIndexSequence(ValueError):
-    """Index sequences must be non-empty, strictly increasing, within 1..n."""
 
 
 def _need(condition: bool, what: str):
@@ -96,19 +79,6 @@ def hn_castelnuovo_slope(g: int) -> Fraction:
     """9(g-1)/(2g+1) for non-hyperelliptic fibrations, 3 <= g <= 12."""
     _need(3 <= g <= 12, "3 <= g <= 12")
     return Fraction(9 * (g - 1), 2 * g + 1)
-
-
-def double_cover_slope(g: int, gamma: int) -> Fraction:
-    """4(g-1)/(g-gamma), Xiao's lower slope bound when the general fiber
-    doubly covers a genus-gamma curve; at least 4 as soon as gamma >= 1."""
-    _need(0 <= gamma < g, "0 <= gamma < g")
-    return Fraction(4 * (g - 1), g - gamma)
-
-
-def luzuo_slope(g: int) -> Fraction:
-    """18(g-1)/(4g+3), the Lu-Zuo bound for hyperelliptic fibrations."""
-    _need(g >= 2, "g >= 2")
-    return Fraction(18 * (g - 1), 4 * g + 3)
 
 
 def nonhyp_slope(g: int) -> Fraction:
@@ -206,29 +176,6 @@ def nonhyp_speed(g: int) -> Fraction:
     return Fraction(2 * (2 * g - 2)) / nonhyp_slope(g)
 
 
-def few_fibers_speed(g: int, s: int) -> Fraction:
-    """g - 2/(s-2) over the projective line with few singular fibers.
-
-    Needs s >= 5 and g*s even (the branch divisor of the associated
-    double cover must have even bidegree)."""
-    _need(g >= 2, "g >= 2")
-    _need(s >= 5, "s >= 5")
-    _need(g * s % 2 == 0, "g*s even")
-    return g - Fraction(2, s - 2)
-
-
-def teich_hyp_one_zero(g: int) -> Fraction:
-    """g^2/(2g-1): Teichmueller curves of hyperelliptic type, one zero."""
-    _need(g >= 2, "g >= 2")
-    return Fraction(g * g, 2 * g - 1)
-
-
-def teich_hyp_two_zeros(g: int) -> Fraction:
-    """(g+1)/2: Teichmueller curves of hyperelliptic type, two zeros."""
-    _need(g >= 2, "g >= 2")
-    return Fraction(g + 1, 2)
-
-
 def teich_max(g: int) -> Fraction:
     """(g+1)/2, the maximal speed among Teichmueller curves."""
     _need(g >= 2, "g >= 2")
@@ -240,128 +187,6 @@ def minimal_m(g_C: int, s: int) -> int:
     _need(s >= 1, "s >= 1")
     _need(2 * g_C - 2 + s > 0, "2*g_C-2+s > 0")
     return -((-(2 * g_C - 2 + s)) // s)
-
-
-# ---------------------------------------------------------------------------
-# Harder-Narasimhan profiles
-
-@dataclass(frozen=True)
-class HNProfile:
-    """Ranks and slopes of the Harder-Narasimhan filtration of the Hodge
-    bundle, with optional degrees.
-
-    Conventions: r_1 < ... < r_n = g; mu_1 > ... > mu_n >= 0 with
-    mu_{n+1} := 0; when degrees are present, d_1 <= ... <= d_n with
-    d_n = 2g - 2 and d_{n+1} := 2g - 2.
-    """
-
-    ranks: tuple[int, ...]
-    slopes: tuple[Fraction, ...]
-    degrees: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "slopes", tuple(Fraction(m) for m in self.slopes))
-        if self.degrees is not None:
-            object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if not self.ranks or len(self.ranks) != len(self.slopes):
-            raise ValueError("ranks and slopes must be non-empty and aligned")
-        if self.ranks[0] < 1 or any(a >= b for a, b in zip(self.ranks, self.ranks[1:])):
-            raise ValueError("ranks must be positive and strictly increasing")
-        if any(a <= b for a, b in zip(self.slopes, self.slopes[1:])):
-            raise ValueError("slopes must be strictly decreasing")
-        if self.slopes[-1] < 0:
-            raise ValueError("the smallest slope must be non-negative")
-        if self.degrees is not None:
-            if len(self.degrees) != len(self.ranks):
-                raise ValueError("degrees must align with ranks")
-            if any(a > b for a, b in zip(self.degrees, self.degrees[1:])):
-                raise ValueError("degrees must be non-decreasing")
-            if self.degrees[-1] != 2 * self.g - 2:
-                raise ValueError("the last degree must be 2g - 2")
-
-    @property
-    def g(self) -> int:
-        return self.ranks[-1]
-
-    @property
-    def n(self) -> int:
-        return len(self.ranks)
-
-
-def hn_chi(p: HNProfile) -> Fraction:
-    """Degree of the Hodge bundle: sum of r_i (mu_i - mu_{i+1})."""
-    slopes = p.slopes + (Fraction(0),)
-    return sum(
-        (r * (slopes[i] - slopes[i + 1]) for i, r in enumerate(p.ranks)),
-        Fraction(0),
-    )
-
-
-def hodge_partial_sums(p: HNProfile) -> list[Fraction]:
-    """deg E_i = sum over j <= i of (r_j - r_{j-1}) mu_j, with r_0 = 0."""
-    out = []
-    acc = Fraction(0)
-    prev = 0
-    for r, mu in zip(p.ranks, p.slopes):
-        acc += (r - prev) * mu
-        prev = r
-        out.append(acc)
-    return out
-
-
-def hodge_partial_sum_check(p: HNProfile, g_C: int, s: int, claimed) -> bool:
-    """Whether deg E_i/(2*g_C-2+s) <= claimed[i] for every filtration step,
-    with equality required at the full bundle."""
-    denom = 2 * g_C - 2 + s
-    _need(denom > 0, "2*g_C-2+s > 0")
-    claimed = [Fraction(c) for c in claimed]
-    if len(claimed) != p.n:
-        raise ValueError("one claimed partial sum per filtration step")
-    sums = hodge_partial_sums(p)
-    if sums[-1] / denom != claimed[-1]:
-        return False
-    return all(d / denom <= c for d, c in zip(sums, claimed))
-
-
-def xiao_lower_bound(p: HNProfile, indices) -> Fraction:
-    """Certified lower bound for omega_sq from an increasing index sequence:
-
-        sum_j (d_{i_j} + d_{i_{j+1}}) (mu_{i_j} - mu_{i_{j+1}}),
-
-    indices 1-based into the profile, with i_{k+1} := n + 1,
-    d_{n+1} := 2g - 2 and mu_{n+1} := 0.
-    """
-    if p.degrees is None:
-        raise PreconditionViolated("requires a profile with degrees")
-    idx = list(indices)
-    if not idx or any(a >= b for a, b in zip(idx, idx[1:])):
-        raise BadIndexSequence("indices must be non-empty and strictly increasing")
-    if idx[0] < 1 or idx[-1] > p.n:
-        raise BadIndexSequence(f"indices must lie in 1..{p.n}")
-    degrees = p.degrees + (2 * p.g - 2,)
-    slopes = p.slopes + (Fraction(0),)
-    idx = [i - 1 for i in idx] + [p.n]
-    total = Fraction(0)
-    for here, there in zip(idx, idx[1:]):
-        total += (degrees[here] + degrees[there]) * (slopes[here] - slopes[there])
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Castelnuovo degree test
-
-def castelnuovo_holds(d: int, r: int, g: int) -> bool:
-    """Whether degree d is admissible for a birationally embedded curve of
-    genus g spanned by a rank-r step: d >= g/m + (m+1)r/2 + (m-1)/2 with
-    m = floor((d-1)/(r-1)).  Any (d, r, g) passing this also has d >= 2r.
-    """
-    _need(2 <= r <= g - 1, "2 <= r <= g-1")
-    _need(d >= 1, "d >= 1")
-    m = (d - 1) // (r - 1)
-    if m < 1:
-        return False
-    return Fraction(d) >= Fraction(g, m) + Fraction((m + 1) * r, 2) + Fraction(m - 1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ The high-speed families and their speeds:
     mod6_1      (g = 1 mod 6) L = g - 2*floor(g/6)
 
 ``best_known`` maximizes over the five clauses that are ever optimal and
-names the winning construction.  Every speed strictly exceeds (g+1)/2.
+names the winning construction.  Every speed strictly exceeds the
+Teichmueller maximum teich_max(g) = (g+1)/2 of fibrato.bounds.
 """
 
 from __future__ import annotations

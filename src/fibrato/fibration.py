@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 from .bounds import arakelov_speed, canonical_class_bound, slope_lower, slope_upper
 
@@ -31,15 +32,11 @@ __all__ = [
     "speed",
     "base_degree",
     "noether_delta",
-    "relative_from_absolute",
     "fiber_delta",
     "r_f",
-    "delta_f",
-    "nu",
     "audit",
     "IsotrivialDivisionByZero",
     "NonHyperbolicBase",
-    "NonIntegralChi",
 ]
 
 
@@ -49,10 +46,6 @@ class IsotrivialDivisionByZero(ZeroDivisionError):
 
 class NonHyperbolicBase(ValueError):
     """Speed needs a hyperbolic base orbifold: 2*g_C - 2 + s > 0."""
-
-
-class NonIntegralChi(ValueError):
-    """Chern inputs with c1^2 + c2 not divisible by 12 are inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -73,9 +66,14 @@ class FibrationInvariants:
     semistable: bool = True
 
     def __post_init__(self):
-        if self.g < 2:
+        # search and families build a record per operation: ints pass at once
+        g, g_C, s = self.g, self.g_C, self.s
+        if not (type(g) is int and type(g_C) is int and type(s) is int):
+            _index_fields(self, ("g", "g_C", "s"))
+            g, g_C, s = self.g, self.g_C, self.s
+        if g < 2:
             raise ValueError("fiber genus must be at least 2")
-        if self.g_C < 0 or self.s < 0:
+        if g_C < 0 or s < 0:
             raise ValueError("base genus and fiber count must be non-negative")
         for name in ("chi", "omega_sq", "delta"):
             value = getattr(self, name)
@@ -98,8 +96,11 @@ class FiberNodeProfile:
     delta_counts: dict[int, int]
 
     def __post_init__(self):
+        _index_fields(self, ("g", "g_geo", "l"))
+        counts = {index(i): index(c) for i, c in self.delta_counts.items()}
+        object.__setattr__(self, "delta_counts", counts)
         fiber_delta(self.g, self.g_geo, self.l)
-        for i, c in self.delta_counts.items():
+        for i, c in counts.items():
             if not 0 <= i <= self.g // 2 or c < 0:
                 raise ValueError("delta_counts maps 0..floor(g/2) to counts")
 
@@ -121,10 +122,17 @@ class StableModelNodes:
     node_indices: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(sorted(int(m) for m in self.node_indices))
+        entries = tuple(sorted(index(m) for m in self.node_indices))
         if entries and entries[0] < 0:
             raise ValueError("node indices are non-negative")
         object.__setattr__(self, "node_indices", entries)
+
+
+def _index_fields(record, names) -> None:
+    """Store each named field as an int; TypeError unless it is an integer
+    (operator.index), so that 2.5 or "2" is never read as 2."""
+    for name in names:
+        object.__setattr__(record, name, index(getattr(record, name)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +170,6 @@ def noether_delta(omega_sq, chi) -> Fraction:
                     chi.denominator * omega_sq.denominator)
 
 
-def relative_from_absolute(c1_sq, c2, g: int, g_C: int):
-    """(omega_sq, chi, delta) from the Chern numbers of the total space."""
-    if g < 2:
-        raise ValueError("fiber genus must be at least 2")
-    c1_sq = Fraction(c1_sq)
-    c2 = Fraction(c2)
-    if (c1_sq + c2) % 12 != 0:
-        raise NonIntegralChi(f"c1^2 + c2 = {c1_sq + c2} is not divisible by 12")
-    base = (g_C - 1) * (g - 1)
-    return (
-        c1_sq - 8 * base,
-        (c1_sq + c2) / 12 - base,
-        c2 - 4 * base,
-    )
-
-
 def fiber_delta(g: int, g_geo: int, l: int) -> int:
     """Nodes of a fiber with l components of total geometric genus g_geo."""
     if not 0 <= g_geo <= g:
@@ -190,18 +182,6 @@ def fiber_delta(g: int, g_geo: int, l: int) -> int:
 def r_f(nodes: StableModelNodes) -> Fraction:
     """Sum of 1/(m_q + 1) over the nodes of the stable model."""
     return sum((Fraction(1, m + 1) for m in nodes.node_indices), Fraction(0))
-
-
-def delta_f(nodes: StableModelNodes) -> int:
-    """Sum of (m_q + 1): nodes of the fibration counted on its own model."""
-    return sum(m + 1 for m in nodes.node_indices)
-
-
-def nu(m: int) -> Fraction:
-    """Local contribution (m + 1) - 1/(m + 1) of a stable-model node."""
-    if m < 0:
-        raise ValueError("node index is non-negative")
-    return Fraction(m + 1) - Fraction(1, m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +223,9 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
       semi-stability and a hyperbolic base);
     - five-fibers: s >= 5 over a rational base with s > 0;
     - node-ratio: r_f(nodes) <= (3g - 3)s, when nodes are supplied;
-    - fiber-profile-<i>: each supplied profile has fiber_delta nodes, and
-      non-separating ones exactly when it is not of compact type.
+    - fiber-profile-<i>: each supplied profile is a fiber of the record's
+      genus g (a note names both genera when it is not), has fiber_delta
+      nodes, and non-separating ones exactly when it is not of compact type.
 
     The paper's non-hyperelliptic and low-base-genus clauses (nonhyp_slope,
     nonhyp_speed, low_base_speed in fibrato.bounds) are not audited yet;
@@ -318,10 +299,11 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
     if profiles:
         for idx, prof in enumerate(profiles):
             expected = fiber_delta(prof.g, prof.g_geo, prof.l)
-            ok = (prof.total_nodes == expected
+            ok = (prof.g == g and prof.total_nodes == expected
                   and (prof.delta_counts.get(0, 0) == 0) == prof.is_compact_type)
+            note = "" if prof.g == g else f"profile genus {prof.g}, record genus {g}"
             add(AuditCheck(f"fiber-profile-{idx}", _status(ok),
-                           Fraction(prof.total_nodes), Fraction(expected)))
+                           Fraction(prof.total_nodes), Fraction(expected), note=note))
     else:
         add(AuditCheck("fiber-profile", "skipped", note="no fiber profiles supplied"))
 

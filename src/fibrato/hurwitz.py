@@ -20,6 +20,7 @@ never "No".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 __all__ = [
     "BranchDatum",
@@ -62,8 +63,16 @@ class BranchDatum:
     partitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # TypeError unless every field is an integer (operator.index), so
+        # that 2.9 or "2" is never read as 2
+        names = ("g_target", "m", "d") if self.g_source is None else (
+            "g_source", "g_target", "m", "d")
+        for name in names:
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, index(value))
         object.__setattr__(
-            self, "partitions", tuple(tuple(int(x) for x in p) for p in self.partitions)
+            self, "partitions", tuple(tuple(index(x) for x in p) for p in self.partitions)
         )
         if self.g_source is not None and self.g_source < 0:
             raise ValueError("source genus must be non-negative")

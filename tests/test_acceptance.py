@@ -4,7 +4,8 @@
 criterion; add ``-s`` (or ``-rA``) to also see the explicit
 ``PASS criterion-NN`` lines emitted on success.  Every expected number here
 is frozen into the test body; nothing is recomputed from the code under
-test except the values being checked.
+test except the values being checked and ``teich_max``, the named
+Teichmueller reference (pinned to (g+1)/2 in test_bounds.py).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fibrato.bounds import (
     nonhyp_speed,
     optimal_base_change,
     table,
+    teich_max,
 )
 from fibrato.cli import main
 from fibrato.constructions import (
@@ -146,9 +148,9 @@ def test_criterion_03_record_clauses_to_genus_41():
         for fam, clause in _designated(g):
             computed = fam.report().speed
             assert computed == clause, (g, fam.name)
-            assert computed > Fraction(g + 1, 2), (g, fam.name)
+            assert computed > teich_max(g), (g, fam.name)
     _pass(3, "every record clause for g in 2..41 is met exactly and "
-             "exceeds (g+1)/2")
+             "exceeds teich_max(g) = (g+1)/2")
 
 
 # ---------------------------------------------------------------------------

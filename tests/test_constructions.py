@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fibrato.bounds import low_base_speed, minimal_m
+from fibrato.bounds import low_base_speed, minimal_m, teich_max
 from fibrato.constructions import (
     FAMILY_NAMES,
     BestKnown,
@@ -302,7 +302,7 @@ def test_all_families_validate_and_match_expected_values():
     for fam in _admissible_instances():
         g = fam.datum.g
         rep = _check_family(fam)
-        assert rep.speed > Fraction(g + 1, 2), (fam.name, g)
+        assert rep.speed > teich_max(g), (fam.name, g)
         assert rep.speed < g, (fam.name, g)
 
 
@@ -367,7 +367,7 @@ def test_best_known_frozen_small_genera():
 def test_best_known_exceeds_half_genus_plus_one():
     for g in range(2, 42):
         record = best_known(g)
-        assert record.value > Fraction(g + 1, 2), g
+        assert record.value > teich_max(g), g
         assert record.value < g, g
 
 

@@ -14,20 +14,17 @@ from fibrato.fibration import (
     FibrationInvariants,
     IsotrivialDivisionByZero,
     NonHyperbolicBase,
-    NonIntegralChi,
     StableModelNodes,
     audit,
-    delta_f,
     fiber_delta,
     noether_delta,
-    nu,
     r_f,
-    relative_from_absolute,
     slope,
     speed,
 )
 from fibrato.germs import DepthOverflow, RequiresAlgebraicExtension
-from fibrato.jsonio import audit_report_to_json
+from fibrato.hurwitz import BranchDatum
+from fibrato.jsonio import audit_input_from_json, audit_report_to_json
 
 
 def _inv(g=3, g_C=0, s=5, chi=3, omega_sq=8, delta=28, **kw):
@@ -84,27 +81,6 @@ def test_noether_delta():
     assert noether_delta(omega, g) == 4 + 4 * n + 4 * (g - 1)
 
 
-def test_relative_from_absolute_locally_trivial():
-    for g, g_C in ((2, 3), (5, 0), (7, 1)):
-        base = (g_C - 1) * (g - 1)
-        assert relative_from_absolute(8 * base, 4 * base, g, g_C) == (0, 0, 0)
-
-
-def test_relative_from_absolute_extremal_surface():
-    # c1^2 = 3*c2 with c2 = 4(g-1)(g_C-1) gives chi = (g-1)(2*g_C-2)/6
-    g, g_C = 7, 3
-    base = (g_C - 1) * (g - 1)
-    omega, chi, delta = relative_from_absolute(12 * base, 4 * base, g, g_C)
-    assert chi == Fraction((g - 1) * (2 * g_C - 2), 6)
-    assert omega == 4 * base
-    assert delta == 0
-
-
-def test_relative_from_absolute_rejects_non_integral():
-    with pytest.raises(NonIntegralChi):
-        relative_from_absolute(5, 5, 3, 1)
-
-
 def test_fiber_delta():
     assert fiber_delta(3, 3, 4) == 3
     assert fiber_delta(5, 0, 1) == 5
@@ -120,11 +96,7 @@ def test_fiber_delta():
 def test_stable_model_sums():
     nodes = StableModelNodes((0, 0, 1))
     assert r_f(nodes) == Fraction(5, 2)
-    assert delta_f(nodes) == 4
-    empty = StableModelNodes(())
-    assert r_f(empty) == 0 and delta_f(empty) == 0
-    assert nu(0) == 0
-    assert nu(1) == Fraction(3, 2)
+    assert r_f(StableModelNodes(())) == 0
     with pytest.raises(ValueError):
         StableModelNodes((-1,))
 
@@ -243,6 +215,37 @@ def test_audit_fiber_profiles():
     assert checks["fiber-profile-1"].status == "fail"
 
 
+def test_audit_fails_a_profile_of_another_genus():
+    # a singular fiber of a genus-6 fibration has arithmetic genus 6
+    doc = {"schema_version": 1, "g": 6, "g_C": 0, "s": 6, "chi": "6", "omega_sq": "20",
+           "delta": "52", "hyperelliptic": True,
+           "profiles": [{"g": 2, "g_geo": 0, "l": 1, "delta_counts": {"0": 2}},
+                        {"g": 6, "g_geo": 4, "l": 1, "delta_counts": {"0": 2}}]}
+    report = audit(*audit_input_from_json(doc))
+    checks = _by_name(report)
+    assert checks["fiber-profile-0"].status == "fail"
+    assert checks["fiber-profile-0"].note == "profile genus 2, record genus 6"
+    assert checks["fiber-profile-1"].status == "pass"
+    assert checks["fiber-profile-1"].note == ""
+    assert not report.passed
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BranchDatum(None, 0, 2, 2, ((2.9,), (2,))),
+    lambda: BranchDatum(None, 0, 2, 2, (("2",), (2,))),
+    lambda: BranchDatum(None, 0, 2.0, 2, ((2,), (2,))),
+    lambda: StableModelNodes((1.7, "3")),
+    lambda: FiberNodeProfile(3, 2.5, 1, {}),
+    lambda: FiberNodeProfile(3, 2, 1, {0: 1.0}),
+    lambda: FibrationInvariants(2.5, 0, 5, 1, 1, 11),
+    lambda: FibrationInvariants(3, 0, 5.0, 1, 1, 11),
+], ids=["branch-part-float", "branch-part-text", "branch-m-float", "nodes",
+        "profile-g_geo", "profile-count", "record-g", "record-s"])
+def test_records_reject_non_integers(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         FiberNodeProfile(3, 4, 1, {})
@@ -348,10 +351,11 @@ def _fraction_audit(inv, nodes=None, profiles=None):
     if profiles:
         for idx, prof in enumerate(profiles):
             expected = prof.g - prof.g_geo + prof.l - 1
-            ok = (prof.total_nodes == expected
+            ok = (prof.g == inv.g and prof.total_nodes == expected
                   and (prof.delta_counts.get(0, 0) == 0) == prof.is_compact_type)
+            note = "" if prof.g == inv.g else f"profile genus {prof.g}, record genus {inv.g}"
             add(AuditCheck(f"fiber-profile-{idx}", status(ok),
-                           Fraction(prof.total_nodes), Fraction(expected)))
+                           Fraction(prof.total_nodes), Fraction(expected), note=note))
     else:
         add(AuditCheck("fiber-profile", "skipped", note="no fiber profiles supplied"))
     return checks
@@ -387,13 +391,13 @@ def _audit_inputs(draw):
                               semistable=draw(st.booleans()))
     nodes = draw(st.none() | st.lists(st.integers(0, 6), max_size=8).map(
         lambda ms: StableModelNodes(tuple(ms))))
-    profiles = draw(st.none() | st.lists(_profiles(), max_size=3))
+    profiles = draw(st.none() | st.lists(_profiles(g), max_size=3))
     return inv, nodes, profiles
 
 
 @st.composite
-def _profiles(draw):
-    g = draw(st.integers(2, 5))
+def _profiles(draw, record_g):
+    g = draw(st.just(record_g) | st.integers(2, 5))
     g_geo = draw(st.integers(0, g))
     counts = draw(st.dictionaries(st.integers(0, g // 2), st.integers(0, 4), max_size=3))
     return FiberNodeProfile(g, g_geo, draw(st.integers(1, 3)), counts)

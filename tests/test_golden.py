@@ -18,7 +18,8 @@ exit code fails the group that shows it:
   positive, zero, negative and non-integral, non-integral omega^2, s = 0
   (slope 12), a rational base with fewer than five fibers, non-hyperbolic
   bases, records that are not semi-stable, forged deltas, and stable-model
-  nodes and fiber profiles that pass and fail;
+  nodes and fiber profiles that pass and fail, profiles of the record's
+  genus and of another;
 * ``datum-human``, ``datum-json``: ``datum -`` without and with ``--json`` on
   the 66 data that
   ``example <family> --genus g --emit-json`` prints for g = 2..41;
@@ -63,8 +64,8 @@ DIGESTS = {
     "example-mod6_1": "5cc8dd5f09d4aa51b491fcdd6ad3ea2a9d3d3bea2ee03974fda3ced47c4565f5",
     "example-human": "5f9fb20904ac6986aabed78de68c8125699b7f92959a449f69e48d7daccc38a4",
     "kernel-cap3": "759784fa60d10c8867c11ab802d6f494d297f39b2a52adff290b3ce729c6b909",
-    "audit-human": "d21abf67d3d19f01920ed60fe1a73f397863e2215b5a82942d5b35d1934bc826",
-    "audit-json": "27fad7253025d1ba763111ceabaaf2b34a868a406910641d913e33551064f1ad",
+    "audit-human": "03f60ebf5b1d2bfd890f05148163c20b83c5d74f1052dee2957568511da8af58",
+    "audit-json": "141337e804bda53d6c55ed52e75cea11e4229e7cb5976933c4e7ab49cab20a94",
     "datum-human": "f8429029f9b3b03f4cfdcc0987d1df74b963450dae17dc26eed80fff0b28f0f1",
     "datum-json": "a79b543ea3c79444aafe94753569bd7f1eb23c187e412f2083a662ea1957d141",
     "search-human": "f85845f62c148f3f94d1a22e0f78ef716f118ebf5366597c3b9f555b93063d6d",
