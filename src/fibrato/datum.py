@@ -28,11 +28,11 @@ of type A and the ramification over the critical values is declared simple.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby
+from operator import index
 
 from .fibration import FibrationInvariants, base_degree
 from .germs import (
@@ -147,9 +147,10 @@ class GenusGDatum:
             value = getattr(self, name)
             if type(value) is int:
                 continue
-            if not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            try:  # operator.index, like every other record
+                object.__setattr__(self, name, index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.g < 2:
             raise ValueError(f"fiber genus must be >= 2, got {self.g}")
         if self.g_C < 0:

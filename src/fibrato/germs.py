@@ -39,22 +39,27 @@ met by the acceptance grid, the record families or the search sweep is one.
 The divisibility test for a multiple irrational direction is an integer
 pseudo-remainder.
 
-One chart pass per germ finds the points of its even transform on E.  The
-kernel keeps two process-wide memos, each bounded by MEMO_SIZE entries: that
-chart record of each germ, and the factor list of each univariate
-polynomial.  Infinitely-near germs repeat across inputs (y^a - z^b blows up
-to y^a - z^(b-a)), so each distinct one is charted and factored once.
+One chart pass per germ finds the points of its even transform on E and
+decides once whether blowing it up needs an algebraic extension.  Its chart
+record is the kernel's one object per germ.  The kernel keeps two
+process-wide memos, each bounded by MEMO_SIZE entries: that chart record of
+each germ, and the factor list of each univariate polynomial.
+Infinitely-near germs repeat across inputs (y^a - z^b blows up to
+y^a - z^(b-a)), so each distinct one is charted and factored once while its
+record stays in the memo.  A chain longer than MEMO_SIZE is charted again
+when a later resolution starts inside it after its records were evicted.
 
 Once the even resolution of a germ has gone through without an exception,
-its chart record also keeps a summary of it, built from the summaries of its
+its chart record also holds a summary of it, built from the records of its
 points on E, to which it holds direct references: its height (the depth of
 its deepest point, the germ at depth 0), the two sums the invariant formulas
 need, whether it is NonNegligibleInterior, and its label.  So each germ is
 resolved once per process: a resolution that meets a summarized germ at
 depth d goes no deeper, and overflows the depth cap when d + its height
 does.  The walk, with an explicit stack, keeps the depth-first order of its
-checks, so the first failure it meets is the one raised.  An exception is
-never memoized, and a germ that does not resolve gets no summary.
+checks, so the first failure it meets is the one raised; a record's verdict
+is raised afresh at each visit.  A germ that does not resolve gets no
+summary.
 
 The label of a negligible point is A, D or E with index its Milnor number mu:
 
@@ -68,17 +73,17 @@ The label of a negligible point is A, D or E with index its Milnor number mu:
         lines, and mu = 2 (a cusp) when it is a double line.
 
 A trace reads its multiplicities, cluster heads and points off the
-summaries, each by one walk with an explicit stack.  The datum path builds
+records, each by one walk with an explicit stack.  The datum path builds
 no point records; only a reader of ``points`` makes a trace build its own
 tuple of fresh, frozen TracePoints, in depth-first order, whose depths give
-back the tree.  The Germ, Descendant and summary objects inside may be
+back the tree.  The Germ, Descendant and chart records inside may be
 shared between traces, and they are read-only.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -374,25 +379,15 @@ def _shift_second(support, r: Fraction):
     return {ij: c for ij, c in acc.items() if c}
 
 
-def _restriction(support):
-    """Coefficients of the restriction to {first var = 0}, low degree first."""
-    if not support:
-        return ()
-    deg = max(j for i, j in support if i == 0)
-    out = [0] * (deg + 1)
-    for (i, j), c in support.items():
-        if i == 0:
-            out[j] = c
-    return tuple(out)
-
-
-def _first_order_part(support):
-    """Coefficients of d/d(first var) restricted to {first var = 0}."""
-    rows = {j: c for (i, j), c in support.items() if i == 1}
-    if not rows:
+def _row(support, i):
+    """Coefficients of the terms of degree i in the first variable, as a
+    polynomial in the second, low degree first; (0,) when there are none.
+    Row 0 is the restriction to {first var = 0}, row 1 the first-order part."""
+    row = {j: c for (a, j), c in support.items() if a == i}
+    if not row:
         return (0,)
-    out = [0] * (max(rows) + 1)
-    for j, c in rows.items():
+    out = [0] * (max(row) + 1)
+    for j, c in row.items():
         out[j] = c
     return tuple(out)
 
@@ -529,44 +524,95 @@ class Descendant:
         return self.direction.count if isinstance(self.direction, ConjugateDirections) else 1
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _StrictPoints:
-    """The points of E over the origin of a germ g of multiplicity m >= 2,
-    read off the strict transform in charts 1 and 2 once.
+    """The chart record of a germ g of multiplicity m >= 2, the kernel's one
+    object per germ: the points of E over the origin, read off the strict
+    transform in charts 1 and 2 once, and the summary of g's even resolution
+    once it has gone through.  It compares by identity.
 
-    irrational: (min_poly, exponent, singular) per irrational factor of the
-        restriction to E, where singular marks a multiple factor that
-        divides the y-linear part: the strict transform is singular at its
-        points;
+    error: the text of the RequiresAlgebraicExtension that blowing up g
+        raises, else None: for odd m, the first multiple irrational factor
+        of the restriction to E; for even m, where a simple root is a smooth
+        point of the transform, the first multiple one that divides the
+        y-linear part, as the strict transform is singular at its points;
     even: the non-smooth points of the even transform, the strict transform
         times E^(m mod 2); germ None marks certified A1 nodes.  A simple
         rational root gets no Taylor shift, as the strict transform is
         smooth there and transverse to E;
-    summary: the _Summary of g's even resolution, set by _summary once it
-        has gone through, else None.
+    below: None until g resolves, then a (Descendant, record) pair per point
+        of ``even``, the last one first, as a depth-first walk stacks them;
+        the record is None at A1 nodes;
+    height: the depth of the deepest point below g, 0 at a leaf;
+    sum_k_km1, sum_km1_sq: the sums of k*(k - 1) and (k - 1)^2,
+        k = floor(m_i/2), over all points of the resolution;
+    interior: whether a multiplicity > 3 lies in it (a NonNegligibleInterior
+        point); mu and label follow the mu rule of the module docstring.
     """
 
-    irrational: tuple
+    error: str | None
     even: tuple
-    summary: _Summary | None = None
+    below: tuple | None = field(default=None, repr=False)
+    height: int = 0
+    sum_k_km1: int = 0
+    sum_km1_sq: int = 0
+    interior: bool = False
+    mu: int = 0
+    label: str = ""
+
+    def sum_up(self, g: Germ, below: tuple) -> None:
+        """Summarize g's resolution from below, its points paired with their
+        summarized records."""
+        m = g.multiplicity
+        k = m // 2
+        height = mu = count = 0
+        sum_k_km1, sum_km1_sq, interior = k * (k - 1), (k - 1) ** 2, m > 3
+        for desc, s in below:
+            count += desc.count
+            if s is None:  # A1 nodes, mu = 1 each
+                mu += desc.count
+                continue
+            height = max(height, s.height)
+            sum_k_km1 += s.sum_k_km1
+            sum_km1_sq += s.sum_km1_sq
+            interior = interior or s.interior
+            mu += s.mu
+        if interior:
+            self.label = "NonNegligibleInterior"
+        elif m == 3:
+            mu += 1
+            self.label = f"D{mu}" if count >= 2 else f"E{mu}"
+        else:
+            if count:
+                mu += 2
+            else:  # a leaf: its 2-jet a*y^2 + b*y*z + c*z^2 is two lines or one
+                jet = g.support.get
+                mu = 1 if jet((1, 1), 0) ** 2 != 4 * jet((2, 0), 0) * jet((0, 2), 0) else 2
+            self.label = f"A{mu}"
+        self.height = height + 1 if below else 0
+        self.sum_k_km1, self.sum_km1_sq = sum_k_km1, sum_km1_sq
+        self.interior, self.mu, self.below = interior, mu, below
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _strict_points(g: Germ) -> _StrictPoints:
     m = g.multiplicity
+    eps = m % 2  # for odd m, E is a component of the even transform: times y or z
     strict = _chart1(g.support, m)
-    rational, irrational = [], []
-    for coeffs, exp in _factor_list(_restriction(strict)):
+    rational, simple, error = [], [], None
+    for coeffs, exp in _factor_list(_row(strict, 0)):
         if len(coeffs) == 2:
             root = Fraction(-coeffs[0], coeffs[1])
             rational.append((root, Germ(_shift_second(strict, root)) if exp >= 2 else None))
-        else:
-            singular = exp >= 2 and _divides(coeffs, _first_order_part(strict))
-            irrational.append((coeffs, exp, singular))
+        elif exp == 1:
+            simple.append(coeffs)
+        elif error is None and eps:
+            error = f"multiple irrational direction {coeffs} on E for {g}"
+        elif error is None and _divides(coeffs, _row(strict, 1)):
+            error = f"singular irrational direction {coeffs} for {g}"
     strict2 = _chart2(g.support, m)
     at_infinity = Germ(strict2) if all(i + j for i, j in strict2) else None
 
-    eps = m % 2  # for odd m, E is a component of the even transform: times y or z
     even = []
     for root, germ in sorted(rational):
         if germ is None:  # a smooth point: for odd m, E crosses it in an A1 node
@@ -577,32 +623,14 @@ def _strict_points(g: Germ) -> _StrictPoints:
             germ = Germ({(i + 1, j): c for (i, j), c in germ.support.items()})
         even.append(Descendant(root, germ))
     if eps:  # likewise at each simple irrational direction
-        even += [Descendant(ConjugateDirections(c), None) for c, exp, _ in irrational if exp == 1]
+        even += [Descendant(ConjugateDirections(c), None) for c in simple]
     if at_infinity is not None:
         germ = at_infinity
         if eps:
             germ = Germ({(i, j + 1): c for (i, j), c in germ.support.items()})
         even.append(Descendant(INFINITY, germ))
     even = tuple(d for d in even if d.germ is None or d.germ.multiplicity >= 2)
-    return _StrictPoints(tuple(irrational), even)
-
-
-def _even_points(g: Germ, pts: _StrictPoints) -> tuple[Descendant, ...]:
-    """The non-smooth points of the even transform of g, multiplicity >= 2,
-    from its chart record pts."""
-    for coeffs, exp, singular in pts.irrational:
-        if g.multiplicity % 2 and exp >= 2:
-            raise RequiresAlgebraicExtension(
-                f"multiple irrational direction {coeffs} on E for {g}"
-            )
-        # for even m a simple root is a smooth point of the transform
-        # (p' != 0 there); a multiple one is singular when it divides the
-        # y-linear part
-        if singular:
-            raise RequiresAlgebraicExtension(
-                f"singular irrational direction {coeffs} for {g}"
-            )
-    return pts.even
+    return _StrictPoints(error, even)
 
 
 def even_blow_up(g: Germ) -> list[Descendant]:
@@ -617,7 +645,10 @@ def even_blow_up(g: Germ) -> list[Descendant]:
     """
     if g.multiplicity < 2:
         raise ValueError("even_blow_up requires multiplicity >= 2")
-    return list(_even_points(g, _strict_points(g)))
+    pts = _strict_points(g)
+    if pts.error is not None:
+        raise RequiresAlgebraicExtension(pts.error)
+    return list(pts.even)
 
 
 # ---------------------------------------------------------------------------
@@ -642,82 +673,35 @@ class TracePoint:
     count: int = 1
 
 
-class _Summary:
-    """The even resolution of a germ of multiplicity m >= 2 that resolves.
-
-    below holds a (Descendant, _Summary) pair per point of the germ's even
-    transform on E (its chart record's ``even``), the last one first, as a
-    depth-first walk stacks them; the _Summary is None at A1 nodes.  height
-    is the depth of the deepest point below the germ, 0 at a leaf;
-    sum_k_km1 and sum_km1_sq sum k*(k - 1) and (k - 1)^2, k = floor(m_i/2),
-    over all its points; interior says whether a multiplicity > 3 lies in it
-    (a NonNegligibleInterior point); label and mu follow the mu rule of the
-    module docstring.
-    """
-
-    __slots__ = ("below", "height", "sum_k_km1", "sum_km1_sq", "interior", "mu", "label")
-
-    def __init__(self, germ: Germ, below: tuple):
-        m = germ.multiplicity
-        k = m // 2
-        self.below = below
-        height = mu = count = 0
-        sum_k_km1, sum_km1_sq, interior = k * (k - 1), (k - 1) ** 2, m > 3
-        for desc, s in below:
-            count += desc.count
-            if s is None:  # A1 nodes, mu = 1 each
-                mu += desc.count
-                continue
-            height = max(height, s.height)
-            sum_k_km1 += s.sum_k_km1
-            sum_km1_sq += s.sum_km1_sq
-            interior = interior or s.interior
-            mu += s.mu
-        self.height = height + 1 if below else 0
-        self.sum_k_km1, self.sum_km1_sq, self.interior = sum_k_km1, sum_km1_sq, interior
-        if self.interior:
-            self.label = "NonNegligibleInterior"
-        elif m == 3:
-            mu += 1
-            self.label = f"D{mu}" if count >= 2 else f"E{mu}"
-        else:
-            if count:
-                mu += 2
-            else:  # a leaf: its 2-jet a*y^2 + b*y*z + c*z^2 is two lines or one
-                jet = germ.support.get
-                mu = 1 if jet((1, 1), 0) ** 2 != 4 * jet((2, 0), 0) * jet((0, 2), 0) else 2
-            self.label = f"A{mu}"
-        self.mu = mu
-
-
-def _summary(g: Germ, max_depth: int) -> _Summary:
-    """The summary of the even resolution of g (multiplicity >= 2), from the
-    summaries on the chart records, made where missing, children first.
+def _summary(g: Germ, max_depth: int) -> _StrictPoints:
+    """The chart record of g (multiplicity >= 2) with its resolution summed
+    up, summing up the records below it where missing, children first.
     Raises DepthOverflow when a point lies deeper than max_depth, and
-    RequiresAlgebraicExtension from _even_points, whichever a depth-first
-    walk meets first."""
-    done = []  # the summaries of the subtrees walked, in depth-first order
+    RequiresAlgebraicExtension at a record with an error, whichever a
+    depth-first walk meets first."""
+    done = []  # the records of the subtrees walked, in depth-first order
     stack = [(0, g, None)]
     while stack:
         depth, germ, pts = stack.pop()
         if pts is not None:  # all its children are summed up: sum up germ
-            pts.summary = _Summary(germ, tuple([(d, None if d.germ is None else done.pop())
-                                                for d in reversed(pts.even)]))
-            done.append(pts.summary)
+            pts.sum_up(germ, tuple([(d, None if d.germ is None else done.pop())
+                                    for d in reversed(pts.even)]))
+            done.append(pts)
             continue
         if depth > max_depth:
             raise DepthOverflow.past_cap(max_depth)
         pts = _strict_points(germ)
-        if pts.summary is not None:
-            if depth + pts.summary.height > max_depth:
+        if pts.below is not None:
+            if depth + pts.height > max_depth:
                 raise DepthOverflow.past_cap(max_depth)
-            done.append(pts.summary)
+            done.append(pts)
             continue
-        descs = _even_points(germ, pts)
-        if descs and depth == max_depth:  # its first child lies past the cap
+        if pts.error is not None:
+            raise RequiresAlgebraicExtension(pts.error)
+        if pts.even and depth == max_depth:  # its first child lies past the cap
             raise DepthOverflow.past_cap(max_depth)
         stack.append((depth, germ, pts))
-        stack += [(depth + 1, d.germ, None) for d in reversed(descs) if d.germ is not None]
+        stack += [(depth + 1, d.germ, None) for d in reversed(pts.even) if d.germ is not None]
     return done[0]
 
 
@@ -727,15 +711,15 @@ class ResolutionTrace:
 
     sum_k_km1 is the sum of k_i*(k_i - 1) and sum_km1_sq the sum of
     (k_i - 1)^2 over all points, k_i = floor(m_i/2).  They, the
-    classification and the cluster heads come from the summary of the root
-    (None for a smooth germ); the multiplicities and ``points`` by a walk
-    over the summaries below it.  ``points`` is built on its first read: a
-    tuple of fresh, frozen TracePoints in depth-first order.
+    classification and the cluster heads come from the root's summarized
+    chart record (None for a smooth germ); the multiplicities and ``points``
+    by a walk over the records below it.  ``points`` is built on its first
+    read: a tuple of fresh, frozen TracePoints in depth-first order.
     """
 
     __slots__ = ("germ", "sum_k_km1", "sum_km1_sq", "_root", "_points")
 
-    def __init__(self, germ: Germ, root: _Summary | None):
+    def __init__(self, germ: Germ, root: _StrictPoints | None):
         self.germ = germ
         self.sum_k_km1 = root.sum_k_km1 if root else 0
         self.sum_km1_sq = root.sum_km1_sq if root else 0
@@ -799,7 +783,7 @@ class ResolutionTrace:
         return f"ResolutionTrace(germ={self.germ!r}, points={self.points!r})"
 
 
-def _trace_points(germ: Germ, root: _Summary | None) -> tuple[TracePoint, ...]:
+def _trace_points(germ: Germ, root: _StrictPoints | None) -> tuple[TracePoint, ...]:
     points = []
     stack = [] if root is None else [(0, Descendant(None, germ), root)]
     while stack:

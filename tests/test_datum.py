@@ -99,6 +99,15 @@ def test_datum_basic_type_checks():
         GenusGDatum(g=3, g_C=-1, e=0, n=4, critical_fibers=(_marker(),))
     with pytest.raises(ValueError):
         GenusGDatum(g=3, g_C=0, e=0, n=4, critical_fibers=(_marker(),), declared_m=-1)
+    with pytest.raises(TypeError, match=r"^n must be an integer, got 4\.0$"):
+        GenusGDatum(g=3, g_C=0, e=0, n=4.0, critical_fibers=(_marker(),))
+
+    class Three:  # an integer by __index__ alone, as every record reads it
+        def __index__(self):
+            return 3
+
+    datum = GenusGDatum(g=Three(), g_C=0, e=0, n=4, critical_fibers=(_marker(),))
+    assert type(datum.g) is int and datum.g == 3
 
 
 def test_validate_accepts_basic_datum():

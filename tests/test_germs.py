@@ -257,18 +257,43 @@ def test_conjugate_packets_and_rational_nodes_meet_the_cap_alike(text):
     assert even_resolve(g, 1).multiplicities() == [3, 2, 2, 2]
 
 
+def _raises_each_time(germ, cap, exc, text):
+    # the second resolution finds the chart record in the memo and raises
+    # its verdict afresh, with the same text
+    for _ in range(2):
+        with pytest.raises(exc, match=f"^{re.escape(text)}$"):
+            even_resolve(germ, cap)
+
+
 def test_requires_algebraic_extension_even_branch():
     # (z^2 - 2y^2)(z^2 - 2y^2 + y^5): the transform is singular at v^2 = 2
     germ = parse_germ("z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7")
-    with pytest.raises(RequiresAlgebraicExtension):
-        even_resolve(germ)
+    _raises_each_time(germ, DEFAULT_MAX_DEPTH, RequiresAlgebraicExtension,
+                      f"singular irrational direction (-2, 0, 1) for {germ}")
 
 
 def test_requires_algebraic_extension_odd_branch():
     # y*(z^2 - 2y^2)^2 restricts to a multiple irrational factor on E
     germ = parse_germ("y*z^4 - 4*y^3*z^2 + 4*y^5")
-    with pytest.raises(RequiresAlgebraicExtension):
-        even_resolve(germ)
+    _raises_each_time(germ, DEFAULT_MAX_DEPTH, RequiresAlgebraicExtension,
+                      "multiple irrational direction (-2, 0, 1) on E for "
+                      "4*y^5 - 4*y^3*z^2 + y*z^4")
+
+
+def test_requires_algebraic_extension_below_the_root():
+    # the root blows up to one point at infinity, whose transform is
+    # singular at v^2 = 2: the cap decides which failure comes first
+    germ = parse_germ("z^12 - 4*y^2*z^8 + 4*y^4*z^4 + y^5*z^7 - 2*y^7*z")
+    kernel._strict_points.cache_clear()
+    _raises_each_time(germ, 0, DepthOverflow, "no smooth model within 0 blow-ups")
+    for cap in (1, 64):
+        _raises_each_time(germ, cap, RequiresAlgebraicExtension,
+                          "singular irrational direction (-2, 0, 1) for "
+                          "4*y^4 - 2*y^7 - 4*y^2*z^2 + z^4 + y^5*z^4")
+    record = kernel._strict_points(germ)
+    (child,) = record.even
+    assert record.error is None and kernel._strict_points(child.germ).error is not None
+    assert record.below is None and kernel._strict_points(child.germ).below is None
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +867,10 @@ def _strict_branch_data(g):
     r, delta = 0, m * (m - 1) // 2
     strict = kernel._chart1(g.support, m)
     below = []
-    for coeffs, exp in _factor_list(kernel._restriction(strict)):
+    for coeffs, exp in _factor_list(kernel._row(strict, 0)):
         if len(coeffs) == 2 and exp >= 2:
             below.append(Germ(_shift_second(strict, Fraction(-coeffs[0], coeffs[1]))))
-        elif exp >= 2 and kernel._divides(coeffs, kernel._first_order_part(strict)):
+        elif exp >= 2 and kernel._divides(coeffs, kernel._row(strict, 1)):
             raise RequiresAlgebraicExtension(f"singular irrational point {coeffs} below {g}")
         else:
             r += len(coeffs) - 1  # smooth points, one branch each
