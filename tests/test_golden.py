@@ -24,7 +24,15 @@ exit code fails the group that shows it:
   the 66 data that
   ``example <family> --genus g --emit-json`` prints for g = 2..41;
 * ``search-human``, ``search-json``: ``search`` for g = 2..8, max-n 8 and 16,
-  germ grids 4x4 and 8x8.
+  germ grids 4x4 and 8x8;
+* ``tables``: ``tables`` 1, 2, 3 and all, as markdown, CSV and ``--json``;
+* ``hurwitz-human``, ``hurwitz-json``: ``hurwitz -`` without and with
+  ``--json`` on branch data that are compatible and Realizable, compatible and
+  Unknown, of odd parity, of negative genus, and declared with a source genus
+  other than the solved one;
+* ``datum-failing-human``, ``datum-failing-json``: ``datum -`` without and
+  with ``--json`` on data that fail validation and on valid data over a base
+  that is not hyperbolic, where the speed is undefined.
 
 To see a digest, run this file with ``-k <group>`` and read the assertion.
 """
@@ -70,6 +78,11 @@ DIGESTS = {
     "datum-json": "a79b543ea3c79444aafe94753569bd7f1eb23c187e412f2083a662ea1957d141",
     "search-human": "f85845f62c148f3f94d1a22e0f78ef716f118ebf5366597c3b9f555b93063d6d",
     "search-json": "a7574c557d32038f448603d65e74e5885d9ecd3585abac3eee7c55ea52cb4ca7",
+    "tables": "46c52491569d85db0bf0ec11c6f9888dc2888bf63e6d18ba33e37940ec5e6997",
+    "hurwitz-human": "91c0cfcbac90d9dad327d8a18097eb56b6c6ceb1a55db6bee4a2fff190444fe9",
+    "hurwitz-json": "ed95d4b6e9b5822f8298a59d1a332b5c8f25fa8b7819d740f2e3d2f770a5b592",
+    "datum-failing-human": "42909561292d19008275f08d57bbf85cac773188829666e14552e6cbb74aa15f",
+    "datum-failing-json": "372f6f5d1349a5b4f4754106e7b41502dfadc31f8efd96cb31bc17d65248dd0f",
 }
 
 
@@ -120,6 +133,39 @@ def _audit_records():
     return records
 
 
+# (g_source, g_target, m, d, partitions): compatible over P^1 with a full
+# cyclic point (Realizable), declared or not; compatible over an elliptic
+# curve and over P^1 without a full cyclic point (Unknown); odd m*d - parts;
+# a negative solved genus; a declared source genus other than the solved one
+_BRANCH_DATA = (
+    (None, 0, 4, 2, [[2], [2], [2], [2]]), (1, 0, 4, 2, [[2], [2], [2], [2]]),
+    (None, 0, 3, 4, [[4], [4], [2, 2]]),
+    (None, 1, 2, 2, [[2], [2]]), (2, 1, 2, 2, [[2], [2]]), (None, 0, 4, 3, [[2, 1]] * 4),
+    (None, 0, 3, 2, [[2], [2], [2]]), (0, 1, 1, 3, [[2, 1]]),
+    (None, 0, 2, 2, [[1, 1], [1, 1]]), (None, 0, 0, 3, []),
+    (5, 0, 4, 2, [[2], [2], [2], [2]]), (0, 1, 2, 2, [[2], [2]]),
+)
+
+# cover data that fail validation (odd branch class, e past n/(g+1) or, with
+# the negative section in the branch divisor, past n/g, no critical fiber, a
+# fiber of smooth germs, several at once), then valid data over a rational
+# base with one or two critical fibers, where 2*g_C - 2 + s <= 0
+_FAILING_DATA = (
+    {"g": 2, "g_C": 1, "e": 0, "n": 5, "critical_fibers": [{"label": "a", "germs": ["y^2 - z^2"]}]},
+    {"g": 2, "g_C": 1, "e": 2, "n": 4, "critical_fibers": [{"label": "a", "germs": ["y^2 - z^2"]}]},
+    {"g": 2, "g_C": 1, "e": 3, "n": 5, "c0_in_branch": True,
+     "critical_fibers": [{"label": "a", "germs": ["y^2 - z^2"]}]},
+    {"g": 3, "g_C": 1, "e": 0, "n": 4, "critical_fibers": []},
+    {"g": 2, "g_C": 1, "e": 0, "n": 4,
+     "critical_fibers": [{"label": "a", "germs": ["y - z^2", "z"]}, {"label": "b", "germs": []}]},
+    {"g": 4, "g_C": 0, "e": 1, "n": 2, "critical_fibers": [{"label": "c", "germs": ["y"]}]},
+    {"g": 2, "g_C": 0, "e": 0, "n": 6, "critical_fibers": [{"label": "a", "germs": ["y^2 - z^2"]}]},
+    {"g": 3, "g_C": 0, "e": 0, "n": 4,
+     "critical_fibers": [{"label": "a", "germs": ["y^2 - z^4", "y^2 - z^4"]},
+                         {"label": "b", "negligible": True}]},
+)
+
+
 def _example_data():
     for name in FAMILY_NAMES:
         for g in range(2, 42):
@@ -149,7 +195,18 @@ def _records(group):
                 for family in FAMILY_NAMES for g in range(2, 42)]
     if kind == "example":
         return [_cli(["example", name, "--genus", str(g), "--json"]) for g in range(2, 42)]
-    flags = ["--json"] if name == "json" else []
+    flags = ["--json"] if group.endswith("json") else []
+    if kind == "tables":
+        return [_cli(["tables", which, *fmt]) for which in ("1", "2", "3", "all")
+                for fmt in (["--format", "md"], ["--format", "csv"], ["--json"])]
+    if kind == "hurwitz":
+        docs = [json.dumps({"schema_version": 1, "g_source": g_source, "g_target": g_target,
+                            "m": m, "d": d, "partitions": partitions})
+                for g_source, g_target, m, d, partitions in _BRANCH_DATA]
+        return [(doc, *_cli(["hurwitz", "-", *flags], doc)) for doc in docs]
+    if group.startswith("datum-failing"):
+        docs = [json.dumps({"schema_version": 1, **doc}) for doc in _FAILING_DATA]
+        return [(doc, *_cli(["datum", "-", *flags], doc)) for doc in docs]
     if kind == "audit":
         return [(record, *_cli(["audit", "-", *flags], record)) for record in _audit_records()]
     if kind == "datum":
