@@ -11,10 +11,11 @@ Subcommands:
 * ``search``   -- experimental sweep over binomial germ data at fixed genus
 
 Every subcommand prints a human-readable report by default and a machine
-document under ``--json``.  Numeric output is exact (``p/q``) with 3-decimal
-renderings alongside.  Exit status: 0 on success/pass, 1 when a check or
-audit fails, 2 on any other failure: malformed input, an unresolvable germ,
-or an input too large to compute or write out.  Such a failure prints one
+document, which ``fibrato.jsonio`` writes, under ``--json``.  Numeric output
+is exact (``p/q``) with 3-decimal renderings alongside.  Exit status: 0 on
+success/pass, 1 when a check or audit fails, 2 on any other failure:
+malformed input, an unresolvable germ, or an input too large to compute or
+write out.  Such a failure prints one
 ``error:`` line on stderr and nothing on stdout; ``_run`` is the one place
 that maps a failure to that line and status.  When the reader of standard
 output goes away early (``fibrato ... | head -1``) the command stops quietly
@@ -36,7 +37,7 @@ from fractions import Fraction
 from fibrato import __version__
 from fibrato import constructions, datum as datum_mod, fibration, germs, hurwitz
 from fibrato import jsonio
-from fibrato.bounds import decimal3, render_csv, render_markdown, table
+from fibrato.bounds import PreconditionViolated, decimal3, render_csv, render_markdown, table
 from fibrato.germs import (
     ConjugateDirections,
     DEFAULT_MAX_DEPTH,
@@ -86,10 +87,6 @@ def _print_invariants(report: datum_mod.DatumInvariantsReport) -> None:
     print(f"speed L = {_pretty(report.speed)}")
 
 
-def _semistable_json(verdict: datum_mod.SemistableVerdict) -> dict:
-    return {"passed": verdict.passed, "failures": list(verdict.failures)}
-
-
 def _read(path: str, from_json, kind: str):
     """Load a JSON document and read it; reader errors name the kind."""
     obj = jsonio.load(path)
@@ -133,33 +130,13 @@ def _cmd_audit(args) -> int:
 # resolve
 
 def _direction_text(direction) -> str:
+    # a Fraction, or "infinity", prints as itself
     if direction is None:
         return "origin"
-    if direction == germs.INFINITY:
-        return "infinity"
     if isinstance(direction, ConjugateDirections):
         return ("conjugate directions, min-poly coefficients "
                 f"{list(direction.min_poly)}")
-    return str(Fraction(direction))
-
-
-def _direction_json(direction):
-    if direction is None:
-        return None
-    if isinstance(direction, ConjugateDirections):
-        return {"conjugate_min_poly": list(direction.min_poly)}
-    return _direction_text(direction)
-
-
-def _trace_point_json(point) -> dict:
-    return {
-        "depth": point.depth,
-        "multiplicity": point.multiplicity,
-        "k": point.k,
-        "classification": point.classification,
-        "direction": _direction_json(point.direction),
-        "count": point.count,
-    }
+    return str(direction)
 
 
 def _trace_lines(trace):
@@ -177,45 +154,24 @@ def _trace_lines(trace):
 def _cmd_resolve(args) -> int:
     germ = germs.parse_germ(args.germ)
     trace = germs.even_resolve(germ, max_depth=_max_depth())
-    # "terminal_smooth" and "terminal chart smooth" state the stopping rule:
-    # even_resolve returns only once every even transform is smooth.
-    label = trace.classification
-    mults = trace.multiplicities()
     if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            germ=str(germ),
-            multiplicities=mults,
-            classification=label,
-            terminal_smooth=True,
-            sum_k_km1=trace.sum_k_km1,
-            sum_km1_sq=trace.sum_km1_sq,
-            points=[_trace_point_json(point) for point in trace.points],
-        )))
-    else:
-        print(f"germ: {germ}")
-        print(f"infinitely-near multiplicities: {mults if mults else '(smooth)'}")
-        print(f"classification: {label}")
-        print(f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}")
-        print("terminal chart smooth: yes")
-        if args.trace and mults:
-            print("trace:")
-            print("\n".join(_trace_lines(trace)))
+        print(jsonio.dumps(jsonio.resolution_to_json(trace)))
+        return EXIT_OK
+    mults = trace.multiplicities()
+    print(f"germ: {germ}")
+    print(f"infinitely-near multiplicities: {mults if mults else '(smooth)'}")
+    print(f"classification: {trace.classification}")
+    print(f"sum k(k-1) = {trace.sum_k_km1}, sum (k-1)^2 = {trace.sum_km1_sq}")
+    # even_resolve returns only once every even transform is smooth
+    print("terminal chart smooth: yes")
+    if args.trace and mults:
+        print("trace:")
+        print("\n".join(_trace_lines(trace)))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # example
-
-def _invariants_block(report: datum_mod.DatumInvariantsReport) -> dict:
-    inv = report.invariants
-    return {
-        "record": jsonio.record_to_json(inv),
-        "slope": None if report.slope is None else str(report.slope),
-        "speed": str(report.speed),
-        "sum_k_km1": report.sum_k_km1,
-        "sum_km1_sq": report.sum_km1_sq,
-    }
-
 
 def _cmd_example(args) -> int:
     fam = constructions.family(args.family, args.genus)
@@ -234,20 +190,7 @@ def _cmd_example(args) -> int:
                and report.speed == fam.expected_speed)
 
     if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            family=fam.name,
-            genus=inv.g,
-            datum=jsonio.datum_to_json(fam.datum),
-            computed=_invariants_block(report),
-            expected={
-                "chi": str(Fraction(fam.expected_chi)),
-                "omega_sq": str(Fraction(fam.expected_omega_sq)),
-                "slope": str(Fraction(fam.expected_slope)),
-                "speed": str(Fraction(fam.expected_speed)),
-            },
-            matches=matches,
-            semistable=_semistable_json(report.semistable),
-        )))
+        print(jsonio.dumps(jsonio.example_to_json(fam, report, matches)))
     else:
         d = fam.datum
         print(f"family: {fam.name} (genus {inv.g})")
@@ -266,28 +209,11 @@ def _cmd_example(args) -> int:
 # ---------------------------------------------------------------------------
 # tables
 
-def _table_json(t) -> dict:
-    return {
-        "table": t.which,
-        "title": t.title,
-        "genera": list(t.genera),
-        "rows": [
-            {
-                "label": row.label,
-                "cells": [{"exact": str(Fraction(v)), "decimal": d}
-                          for (v, d) in row.cells],
-            }
-            for row in t.rows
-        ],
-    }
-
-
 def _cmd_tables(args) -> int:
     which = [1, 2, 3] if args.which == "all" else [int(args.which)]
     tabs = [table(w) for w in which]
     if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            tables=[_table_json(t) for t in tabs])))
+        print(jsonio.dumps(jsonio.tables_to_json(tabs)))
         return EXIT_OK
     if args.format == "csv":
         chunks = [render_csv(t) for t in tabs]
@@ -324,13 +250,7 @@ def _cmd_hurwitz(args) -> int:
         realizability = hurwitz.is_realizable(checked)
 
     if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            datum=jsonio.branch_datum_to_json(b),
-            compatible=failure is None,
-            failure=failure,
-            solved_source_genus=solved,
-            realizability=realizability,
-        )))
+        print(jsonio.dumps(jsonio.branch_verdict_to_json(b, failure, solved, realizability)))
     else:
         parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
                          for part in b.partitions)
@@ -377,54 +297,27 @@ def _cmd_datum(args) -> int:
     d = _read(args.datum, jsonio.datum_from_json, "datum")
 
     violations = datum_mod.validate(d)
-    if violations:
-        if args.json:
-            print(jsonio.dumps(jsonio.versioned(
-                datum=jsonio.datum_to_json(d),
-                violations=violations,
-            )))
+    failure = report = audit_report = None
+    if not violations:
+        try:
+            report = datum_mod.invariants(d, max_depth=_max_depth())
+        except fibration.NonHyperbolicBase as exc:
+            failure = f"speed undefined: {exc}"
         else:
-            print("validation: FAILED")
-            for v in violations:
-                print(f"  - {v}")
-        return EXIT_CHECK_FAILED
-
-    try:
-        report = datum_mod.invariants(d, max_depth=_max_depth())
-    except fibration.NonHyperbolicBase as exc:
-        failure = f"speed undefined: {exc}"
-        if args.json:
-            print(jsonio.dumps(jsonio.versioned(
-                datum=jsonio.datum_to_json(d),
-                violations=[],
-                failure=failure,
-            )))
-        else:
-            print(failure)
-        return EXIT_CHECK_FAILED
-
-    audit_report = fibration.audit(report.invariants)
-    ok = report.semistable.passed and audit_report.passed
+            audit_report = fibration.audit(report.invariants)
 
     if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            datum=jsonio.datum_to_json(d),
-            violations=[],
-            invariants=_invariants_block(report),
-            traces=[
-                {
-                    "fiber": s.fiber_label,
-                    "germ": str(s.germ),
-                    "multiplicities": list(s.multiplicities),
-                    "classification": s.classification,
-                }
-                for s in report.traces
-            ],
-            semistable=_semistable_json(report.semistable),
-            audit=jsonio.audit_report_to_json(audit_report),
-        )))
+        print(jsonio.dumps(jsonio.datum_report_to_json(d, violations, failure, report,
+                                                       audit_report)))
+    elif violations:
+        print("validation: FAILED")
+        for v in violations:
+            print(f"  - {v}")
+    elif failure is not None:
+        print(failure)
     else:
         _print_datum_report(d, report, audit_report)
+    ok = report is not None and report.semistable.passed and audit_report.passed
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -492,25 +385,8 @@ def _cmd_search(args) -> int:
     record = constructions.best_known(g)
 
     if args.json:
-        print(jsonio.dumps(jsonio.versioned(
-            experimental=True,
-            genus=g,
-            grid={"a_max": a_max, "b_max": b_max, "max_n": args.max_n},
-            best_known={"value": str(Fraction(record.value)),
-                        "witness": record.witness},
-            candidates=[
-                {
-                    "germ": text,
-                    "n": n,
-                    "speed": str(speed),
-                    "slope": str(rep.slope),
-                    "chi": str(rep.invariants.chi),
-                    "semistable": True,
-                }
-                for (speed, n, text, rep) in top
-            ],
-            rejected=rejected,
-        )))
+        print(jsonio.dumps(jsonio.search_to_json(g, a_max, b_max, args.max_n, record, top,
+                                                 rejected)))
     else:
         print("experimental search -- results carry no claim beyond the "
               "checks shown")
@@ -646,7 +522,7 @@ def _run(argv) -> int:
     try:
         with redirect_stdout(io.StringIO()) as buffer:
             code = args.func(args)
-    except (InputError, constructions.DomainError) as exc:
+    except (InputError, PreconditionViolated) as exc:
         failure = str(exc)
     except (GermSyntaxError, ZeroPolynomial, RequiresAlgebraicExtension, DepthOverflow,
             RecursionError) as exc:

@@ -29,15 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import PreconditionViolated
 from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, _fiber_from_runs,
                     invariants)
 from .fibration import FibrationInvariants, noether_delta
 from .germs import DEFAULT_MAX_DEPTH, DepthOverflow
 from .hurwitz import BranchDatum
-
-
-class DomainError(ValueError):
-    """Requested genus falls outside a factory's congruence domain."""
 
 
 # ---------------------------------------------------------------------------
@@ -63,16 +60,16 @@ def beauville(n: int, g_C: int = 0, branch_count: int | None = None) -> Fibratio
     several ramification points over one branch point and get a smaller |R|.
     """
     if n < 2:
-        raise DomainError(f"cover degree must be >= 2, got {n}")
+        raise PreconditionViolated(f"cover degree must be >= 2, got {n}")
     if g_C < 0:
-        raise DomainError(f"covered-curve genus must be >= 0, got {g_C}")
+        raise PreconditionViolated(f"covered-curve genus must be >= 0, got {g_C}")
     g = 2 * g_C + n - 1
     if g < 2:
-        raise DomainError(f"fiber genus must be >= 2, got {g} (n={n}, g_C={g_C})")
+        raise PreconditionViolated(f"fiber genus must be >= 2, got {g} (n={n}, g_C={g_C})")
     if branch_count is None:
         branch_count = 2 * g_C - 2 + 2 * n
     if branch_count < 1:
-        raise DomainError(f"branch count must be >= 1, got {branch_count}")
+        raise PreconditionViolated(f"branch count must be >= 1, got {branch_count}")
     chi = Fraction(g)
     omega_sq = Fraction(8 - 4 * n + 8 * (g - 1))
     delta = Fraction(4 + 4 * n + 4 * (g - 1))
@@ -152,27 +149,35 @@ def _quartic_frame(g: int) -> GenusGDatum:
 _QUARTIC_BRANCH = BranchDatum(1, 0, 3, 4, ((4,), (4,), (2, 2)))
 
 
-def odd_genus(g: int) -> Family:
-    """Speed g - floor((g+1)/4) for odd g >= 5, over a genus-1 base."""
-    if g % 2 == 0 or g < 5:
-        raise DomainError(f"odd_genus requires odd g >= 5, got {g}")
-    k = (g + 1) // 4
+def _speed_g_minus_k(name: str, k: int, datum: GenusGDatum, branch: BranchDatum, depth: int,
+                     notes: str = "") -> Family:
+    """The family of speed g - k on a frame: chi = 2g - 2k, omega^2 = 8g - 8 - 4k."""
+    g = datum.g
     chi = Fraction(2 * g - 2 * k)
     omega_sq = Fraction(8 * g - 8 - 4 * k)
     return Family(
-        name="odd_genus",
-        datum=_quartic_frame(g),
-        branch=_QUARTIC_BRANCH,
+        name=name,
+        datum=datum,
+        branch=branch,
         expected_chi=chi,
         expected_speed=Fraction(g - k),
         expected_omega_sq=omega_sq,
         expected_slope=omega_sq / chi,
-        notes=f"resolves through {k} infinitely-near points of multiplicity 4 per germ",
-        # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k for g = 1
-        # mod 4, and ends in an ordinary quadruple point at depth k - 1 for
-        # g = 3 mod 4
-        depth=k + 1 if g % 4 == 1 else k - 1,
+        notes=notes,
+        depth=depth,
     )
+
+
+def odd_genus(g: int) -> Family:
+    """Speed g - floor((g+1)/4) for odd g >= 5, over a genus-1 base."""
+    if g % 2 == 0 or g < 5:
+        raise PreconditionViolated(f"odd_genus requires odd g >= 5, got {g}")
+    k = (g + 1) // 4
+    # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k for g = 1 mod 4,
+    # and ends in an ordinary quadruple point at depth k - 1 for g = 3 mod 4
+    return _speed_g_minus_k(
+        "odd_genus", k, _quartic_frame(g), _QUARTIC_BRANCH, k + 1 if g % 4 == 1 else k - 1,
+        f"resolves through {k} infinitely-near points of multiplicity 4 per germ")
 
 
 def mod4_0(g: int) -> Family:
@@ -180,20 +185,10 @@ def mod4_0(g: int) -> Family:
     quartic germ y^{g+1} - z^4 now resolves completely through g/4 points of
     multiplicity 4 with a smooth tail."""
     if g % 4 != 0 or g < 4:
-        raise DomainError(f"mod4_0 requires g divisible by 4 with g >= 4, got {g}")
+        raise PreconditionViolated(f"mod4_0 requires g divisible by 4 with g >= 4, got {g}")
     k = g // 4
-    chi = Fraction(2 * g - 2 * k)
-    omega_sq = Fraction(8 * g - 8 - 4 * k)
-    return Family(
-        name="mod4_0",
-        datum=_quartic_frame(g),
-        branch=_QUARTIC_BRANCH,
-        expected_chi=chi,
-        expected_speed=Fraction(g - k),
-        expected_omega_sq=omega_sq,
-        expected_slope=omega_sq / chi,
-        depth=max(k - 1, 1),  # y^{g+1} - z^4 ends at depth k - 1, each A3 at 1
-    )
+    # y^{g+1} - z^4 ends at depth k - 1, each A3 at 1
+    return _speed_g_minus_k("mod4_0", k, _quartic_frame(g), _QUARTIC_BRANCH, max(k - 1, 1))
 
 
 def _cyclic_frame(g: int, d: int) -> tuple[GenusGDatum, BranchDatum]:
@@ -226,28 +221,17 @@ def mod4_1(g: int) -> Family:
     """Speed g - floor(g/4) for g = 1 mod 4, over a rational base via the
     degree-4 cover z -> z^4; s = 1 + 1 + 4 = 6."""
     if g % 4 != 1 or g < 5:
-        raise DomainError(f"mod4_1 requires g = 1 mod 4 with g >= 5, got {g}")
+        raise PreconditionViolated(f"mod4_1 requires g = 1 mod 4 with g >= 5, got {g}")
     k = g // 4
-    chi = Fraction(2 * g - 2 * k)
-    omega_sq = Fraction(8 * g - 8 - 4 * k)
-    datum, branch = _cyclic_frame(g, 4)
-    return Family(
-        name="mod4_1",
-        datum=datum,
-        branch=branch,
-        expected_chi=chi,
-        expected_speed=Fraction(g - k),
-        expected_omega_sq=omega_sq,
-        expected_slope=omega_sq / chi,
-        depth=k + 1,  # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k
-    )
+    # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k
+    return _speed_g_minus_k("mod4_1", k, *_cyclic_frame(g, 4), k + 1)
 
 
 def mod6_1(g: int) -> Family:
     """Speed g - 2*floor(g/6) for g = 1 mod 6 and g >= 7, over a rational
     base via the degree-6 cover z -> z^6; s = 1 + 1 + 6 = 8."""
     if g % 6 != 1 or g < 7:
-        raise DomainError(f"mod6_1 requires g = 1 mod 6 with g >= 7, got {g}")
+        raise PreconditionViolated(f"mod6_1 requires g = 1 mod 6 with g >= 7, got {g}")
     j = g // 6
     chi = Fraction(3 * g - 6 * j)
     omega_sq = Fraction(12 * g - 12 - 16 * j)
@@ -275,7 +259,7 @@ def even_genus(g: int) -> Family:
     blows up points down to depth g.
     """
     if g % 2 != 0 or g < 4:
-        raise DomainError(f"even_genus requires even g >= 4, got {g}")
+        raise PreconditionViolated(f"even_genus requires even g >= 4, got {g}")
     chi = Fraction(g * g, 2) + 2 * g
     omega_sq = Fraction(2 * g * g + 8 * g - 12)
     datum = GenusGDatum(
@@ -369,8 +353,6 @@ def genus2() -> Family:
     )
 
 
-FAMILY_NAMES = ("genus2", "genus3", "odd_genus", "even_genus", "mod4_0", "mod4_1", "mod6_1")
-
 _FIXED_GENUS = {"genus2": 2, "genus3": 3}
 _BY_NAME = {
     "genus2": genus2,
@@ -381,6 +363,7 @@ _BY_NAME = {
     "mod4_1": mod4_1,
     "mod6_1": mod6_1,
 }
+FAMILY_NAMES = tuple(_BY_NAME)
 
 
 def family(name: str, g: int | None = None) -> Family:
@@ -390,13 +373,13 @@ def family(name: str, g: int | None = None) -> Family:
     All other families require g in their congruence domain.
     """
     if name not in _BY_NAME:
-        raise DomainError(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}")
+        raise PreconditionViolated(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}")
     if name in _FIXED_GENUS:
         if g is not None and g != _FIXED_GENUS[name]:
-            raise DomainError(f"{name} is the g = {_FIXED_GENUS[name]} construction, got g = {g}")
+            raise PreconditionViolated(f"{name} is the g = {_FIXED_GENUS[name]} construction, got g = {g}")
         return _BY_NAME[name]()
     if g is None:
-        raise DomainError(f"family {name} needs a genus")
+        raise PreconditionViolated(f"family {name} needs a genus")
     return _BY_NAME[name](g)
 
 
@@ -422,7 +405,7 @@ def best_known(g: int) -> BestKnown:
     and mod6_1 never exceeds it, so neither can win.
     """
     if g < 2:
-        raise DomainError(f"genus must be >= 2, got {g}")
+        raise PreconditionViolated(f"genus must be >= 2, got {g}")
     clauses: list[tuple[str, Fraction]] = []
     if g == 2:
         clauses.append(("genus2", Fraction(8, 5)))

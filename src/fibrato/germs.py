@@ -395,24 +395,19 @@ def _row(support, i):
 # ---------------------------------------------------------------------------
 # univariate helpers (sympy only for non-binomials)
 
-def _factor_list(coeffs):
+@lru_cache(maxsize=MEMO_SIZE)
+def _factors(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Irreducible integer factors of a polynomial, deterministic order.
 
-    Returns [(coeffs_low_to_high, exponent), ...], dropping the content; the
+    Returns ((coeffs_low_to_high, exponent), ...), dropping the content; the
     zero polynomial and constants have no factors.  The v^k factor is split
     off inline, so constants and monomials never reach sympy; a binomial
     c*(v^n +- 1) that remains splits into cyclotomic polynomials in integers
     (_cyclotomic_factors).  sympy only sees the rest, the non-binomials: its
     dense factoring over ZZ, the routine Poly.factor_list runs.  Every
     factor is primitive with a positive leading coefficient, sorted by
-    (length, coefficients).  Memoized per process by coefficient tuple; each
-    call gets a new list.
+    (length, coefficients).  Memoized per process by coefficient tuple.
     """
-    return list(_factors(tuple(coeffs)))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _factors(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     low, high = 0, len(coeffs)
     while high > 0 and coeffs[high - 1] == 0:
         high -= 1
@@ -600,7 +595,7 @@ def _strict_points(g: Germ) -> _StrictPoints:
     eps = m % 2  # for odd m, E is a component of the even transform: times y or z
     strict = _chart1(g.support, m)
     rational, simple, error = [], [], None
-    for coeffs, exp in _factor_list(_row(strict, 0)):
+    for coeffs, exp in _factors(_row(strict, 0)):
         if len(coeffs) == 2:
             root = Fraction(-coeffs[0], coeffs[1])
             rational.append((root, Germ(_shift_second(strict, root)) if exp >= 2 else None))

@@ -1,12 +1,13 @@
-"""The JSON boundary: the schema version, typed field readers, and the
-reader/writer pair of each document (invariant record, cover datum, branch
-datum).
+"""The JSON boundary: the schema version, typed field readers, the
+reader/writer pair of each input document (invariant record, cover datum,
+branch datum), and the writer of every document a command prints.
 
 Integers are JSON integers, flags are ``true``/``false``, rationals are
-integers or ``"p/q"`` strings (written as ``str(Fraction(x))``); an optional
-field may be absent or ``null``.  A malformed value raises InputError naming
-its JSON path, such as ``critical_fibers[0].germs[1]``.  The domain modules
-know nothing of JSON: this module imports them, never the reverse.
+integers or ``"p/q"`` strings (written by ``_exact``, the inverse of the
+reader ``_rational``); an optional field may be absent or ``null``.  A
+malformed value raises InputError naming its JSON path, such as
+``critical_fibers[0].germs[1]``.  The domain modules know nothing of JSON:
+this module imports them, never the reverse.
 """
 
 from __future__ import annotations
@@ -14,12 +15,16 @@ from __future__ import annotations
 import json
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from itertools import chain, groupby
 
-from .datum import CriticalFiber, GenusGDatum, _fiber_from_runs, _parsed
+from .bounds import Table
+from .constructions import BestKnown, Family
+from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, SemistableVerdict,
+                    _fiber_from_runs, _parsed)
 from .fibration import AuditReport, FiberNodeProfile, FibrationInvariants, StableModelNodes
-from .germs import Germ
+from .germs import INFINITY, ConjugateDirections, Germ, ResolutionTrace
 from .hurwitz import BranchDatum
 
 SCHEMA_VERSION = 1
@@ -62,9 +67,9 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2)
 
 
-def versioned(**fields) -> dict:
+def _versioned(**values) -> dict:
     """An output document: the schema version, then the given fields."""
-    return {"schema_version": SCHEMA_VERSION, **fields}
+    return {"schema_version": SCHEMA_VERSION, **values}
 
 
 def _read_document(obj) -> dict:
@@ -113,6 +118,12 @@ def _rational(value, path: str) -> Fraction:
     raise InputError(f"{path}: cannot parse {text!r} as a rational")
 
 
+def _exact(x) -> str | None:
+    """The one writer of an exact value, the inverse of ``_rational``: None
+    stays null, and an int or Fraction becomes its ``p/q`` text."""
+    return None if x is None else str(Fraction(x))
+
+
 def _list_of(read):
     """A reader of JSON arrays whose elements ``read`` reads, each at its own path."""
     def read_list(value, path: str) -> list:
@@ -148,8 +159,19 @@ def _read_fields(obj: dict, table) -> dict:
 
 
 def _write_fields(item, table) -> dict:
-    values = ((key, getattr(item, key)) for key, *_ in table)
-    return {key: str(v) if isinstance(v, Fraction) else v for key, v in values}
+    """The table's fields of item, rationals as ``p/q`` text; an optional
+    field that holds None is left out."""
+    out = {}
+    for key, read, *default in table:
+        value = getattr(item, key)
+        if value is not None or not default:
+            out[key] = _exact(value) if read is _rational else value
+    return out
+
+
+def _attributes(item, skip=()) -> dict:
+    """The fields of a dataclass instance in field order, less those named in skip."""
+    return {f.name: getattr(item, f.name) for f in fields(item) if f.name not in skip}
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +186,7 @@ _RECORD = (
 
 def record_to_json(inv: FibrationInvariants) -> dict:
     """The record in the shape ``record_from_json`` reads back."""
-    return versioned(**_write_fields(inv, _RECORD))
+    return _versioned(**_write_fields(inv, _RECORD))
 
 
 def record_from_json(obj) -> FibrationInvariants:
@@ -214,19 +236,11 @@ def _delta_counts(value, path: str) -> dict[int, int]:
 # audit report
 
 def audit_report_to_json(report: AuditReport) -> dict:
-    checks = []
-    for c in report.checks:
-        entry = {
-            "check": c.check,
-            "status": c.status,
-            "lhs": None if c.lhs is None else str(Fraction(c.lhs)),
-            "rhs": None if c.rhs is None else str(Fraction(c.rhs)),
-            "strict": c.strict,
-        }
-        if c.note:
-            entry["note"] = c.note
-        checks.append(entry)
-    return versioned(checks=checks)
+    """``audit --json``: each check's fields in field order; a check without a
+    note has no "note"."""
+    return _versioned(checks=[{**_attributes(c, () if c.note else ("note",)),
+                               "lhs": _exact(c.lhs), "rhs": _exact(c.rhs)}
+                              for c in report.checks])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +261,7 @@ def datum_to_json(d: GenusGDatum) -> dict:
         if fib.negligible_marker:
             entry["negligible"] = True
         fibers.append(entry)
-    return versioned(**_write_fields(d, _DATUM), critical_fibers=fibers)
+    return _versioned(**_write_fields(d, _DATUM), critical_fibers=fibers)
 
 
 def datum_from_json(obj) -> GenusGDatum:
@@ -293,22 +307,138 @@ def _partitions(value, path: str) -> list[tuple[int, ...]]:
             for k, p in enumerate(_partition_list(value, path))]
 
 
-def branch_datum_to_json(b: BranchDatum) -> dict:
-    out = versioned(
-        g_target=b.g_target,
-        m=b.m,
-        d=b.d,
-        partitions=[list(p) for p in b.partitions],
-    )
-    if b.g_source is not None:
-        out["g_source"] = b.g_source
-    return out
-
-
 _BRANCH = (("g_target", _int), ("m", _int), ("d", _int), ("partitions", _partitions),
            ("g_source", _int, None))
+
+
+def branch_datum_to_json(b: BranchDatum) -> dict:
+    """The branch datum in the shape ``branch_datum_from_json`` reads back;
+    an unsolved source genus is left out."""
+    doc = _versioned(**_write_fields(b, _BRANCH))
+    doc["partitions"] = [list(p) for p in b.partitions]
+    return doc
 
 
 def branch_datum_from_json(obj) -> BranchDatum:
     """Inverse of branch_datum_to_json; a null or absent g_source is unsolved."""
     return _build(BranchDatum, "", **_read_fields(_read_document(obj), _BRANCH))
+
+
+# ---------------------------------------------------------------------------
+# command reports: the document each command prints under --json
+
+def _direction(direction):
+    if isinstance(direction, ConjugateDirections):
+        return {"conjugate_min_poly": list(direction.min_poly)}
+    return direction if direction == INFINITY else _exact(direction)
+
+
+def resolution_to_json(trace: ResolutionTrace) -> dict:
+    """``resolve --json``: the germ's even resolution, its points in
+    depth-first order.  even_resolve returns only once every even transform
+    is smooth, so "terminal_smooth" is always true."""
+    return _versioned(
+        germ=str(trace.germ),
+        multiplicities=trace.multiplicities(),
+        classification=trace.classification,
+        terminal_smooth=True,
+        sum_k_km1=trace.sum_k_km1,
+        sum_km1_sq=trace.sum_km1_sq,
+        points=[{**_attributes(p, ("germ",)), "direction": _direction(p.direction)}
+                for p in trace.points],
+    )
+
+
+def _semistable(verdict: SemistableVerdict) -> dict:
+    return {"passed": verdict.passed, "failures": list(verdict.failures)}
+
+
+def _invariants(report: DatumInvariantsReport) -> dict:
+    return {
+        "record": record_to_json(report.invariants),
+        "slope": _exact(report.slope),
+        "speed": _exact(report.speed),
+        "sum_k_km1": report.sum_k_km1,
+        "sum_km1_sq": report.sum_km1_sq,
+    }
+
+
+def example_to_json(fam: Family, report: DatumInvariantsReport, matches: bool) -> dict:
+    """``example --json``: the family's datum, its computed invariants, the
+    closed-form values they should match, and the semi-stability verdict."""
+    return _versioned(
+        family=fam.name,
+        genus=report.invariants.g,
+        datum=datum_to_json(fam.datum),
+        computed=_invariants(report),
+        expected={key: _exact(getattr(fam, f"expected_{key}"))
+                  for key in ("chi", "omega_sq", "slope", "speed")},
+        matches=matches,
+        semistable=_semistable(report.semistable),
+    )
+
+
+def tables_to_json(tables: list[Table]) -> dict:
+    """``tables --json``: each cell exact and with its 3-decimal reading."""
+    return _versioned(tables=[
+        {
+            "table": t.which,
+            "title": t.title,
+            "genera": list(t.genera),
+            "rows": [{"label": row.label,
+                      "cells": [{"exact": _exact(v), "decimal": d} for v, d in row.cells]}
+                     for row in t.rows],
+        }
+        for t in tables
+    ])
+
+
+def branch_verdict_to_json(b: BranchDatum, failure: str | None, solved: int | None,
+                           realizability: str | None) -> dict:
+    """``hurwitz --json``: the branch datum, why it is incompatible (None when
+    it is not), its solved source genus and its realizability."""
+    return _versioned(
+        datum=branch_datum_to_json(b),
+        compatible=failure is None,
+        failure=failure,
+        solved_source_genus=solved,
+        realizability=realizability,
+    )
+
+
+def datum_report_to_json(d: GenusGDatum, violations: list[str], failure: str | None = None,
+                         report: DatumInvariantsReport | None = None,
+                         audit: AuditReport | None = None) -> dict:
+    """``datum --json``: the datum and its violations, then either the failure
+    that leaves the speed undefined or the report and the audit of its record."""
+    doc = _versioned(datum=datum_to_json(d), violations=violations)
+    if failure is not None:
+        doc["failure"] = failure
+    if report is not None:
+        doc.update(
+            invariants=_invariants(report),
+            traces=[{"fiber": s.fiber_label, "germ": str(s.germ),
+                     "multiplicities": list(s.multiplicities),
+                     "classification": s.classification}
+                    for s in report.traces],
+            semistable=_semistable(report.semistable),
+            audit=audit_report_to_json(audit),
+        )
+    return doc
+
+
+def search_to_json(g: int, a_max: int, b_max: int, max_n: int, best: BestKnown,
+                   top: list[tuple[Fraction, int, str, DatumInvariantsReport]],
+                   rejected: dict[str, int]) -> dict:
+    """``search --json``: the sweep, the best known speed at genus g, the top
+    (speed, n, germ text, report) candidates and the count of each rejection."""
+    return _versioned(
+        experimental=True,
+        genus=g,
+        grid={"a_max": a_max, "b_max": b_max, "max_n": max_n},
+        best_known={"value": _exact(best.value), "witness": best.witness},
+        candidates=[{"germ": text, "n": n, "speed": _exact(speed), "slope": _exact(rep.slope),
+                     "chi": _exact(rep.invariants.chi), "semistable": True}
+                    for speed, n, text, rep in top],
+        rejected=rejected,
+    )

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 import fibrato
 from fibrato import datum as datum_mod, germs as germs_mod
 from fibrato.cli import main
-from fibrato.constructions import FAMILY_NAMES, DomainError, even_genus, family
+from fibrato.bounds import PreconditionViolated
+from fibrato.constructions import FAMILY_NAMES, even_genus, family
 from fibrato.datum import CriticalFiber, GenusGDatum
 from fibrato.jsonio import (audit_input_from_json, branch_datum_from_json, datum_from_json,
                             datum_to_json)
@@ -1128,7 +1129,7 @@ def test_datum_path_builds_no_trace_tree(capsys, monkeypatch):
         for genus in range(2, 62):
             try:
                 fam = family(name, genus)
-            except DomainError:
+            except PreconditionViolated:
                 continue
             fam.report()
     for genus in range(80, 201, 2):

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrato import datum as datum_mod
-from fibrato.constructions import FAMILY_NAMES, DomainError, family
+from fibrato.bounds import PreconditionViolated
+from fibrato.constructions import FAMILY_NAMES, family
 from fibrato.datum import (
     CriticalFiber,
     GenusGDatum,
@@ -361,7 +362,7 @@ def _family_data():
         for g in range(2, 42):
             try:
                 data.append(family(name, g).datum)
-            except DomainError:
+            except PreconditionViolated:
                 pass
     return data
 

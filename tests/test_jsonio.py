@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrato import datum as datum_mod, jsonio
-from fibrato.constructions import FAMILY_NAMES, DomainError, family
+from fibrato.bounds import PreconditionViolated
+from fibrato.constructions import FAMILY_NAMES, family
 from fibrato.germs import Germ, parse_germ
 from fibrato.jsonio import (
     InputError,
@@ -102,7 +103,7 @@ def test_record_round_trip_for_every_family():
         for g in range(2, 42):
             try:
                 fam = family(name, g)
-            except DomainError:
+            except PreconditionViolated:
                 continue
             inv = fam.report().invariants
             assert record_from_json(record_to_json(inv)) == inv, (name, g)
@@ -180,3 +181,13 @@ def test_the_reader_hands_each_fiber_its_runs(monkeypatch):
     assert [fib._runs for fib in fibers[:-1]] == [fib._runs for fib in d.critical_fibers]
     assert fibers[:-1] == d.critical_fibers
     assert (fibers[-1].germs, fibers[-1].negligible_marker) == ((), True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions() | st.integers())
+def test_the_rational_writer_inverts_the_reader(x):
+    assert jsonio._rational(jsonio._exact(x), "") == x
+
+
+def test_the_rational_writer_keeps_null():
+    assert jsonio._exact(None) is None
