@@ -30,10 +30,8 @@ __all__ = [
     "slope_upper",
     "nonhyp_slope",
     "hn_castelnuovo_slope",
-    "kodaira_speed",
     "arakelov_speed",
     "canonical_class_bound",
-    "omega_upper_bound",
     "low_base_speed",
     "low_base_speed_at",
     "optimal_base_change",
@@ -104,32 +102,8 @@ def canonical_class_bound(g: int, g_C: int, s: int) -> int:
     return (2 * g - 2) * (2 * g_C - 2 + s)
 
 
-def omega_upper_bound(g: int, g_C: int, s: int, r: Fraction, n: int) -> Fraction:
-    """Upper bound for omega_sq from an n-fold cyclic base change:
-
-        (2g-2)(2*g_C-2+s) + 3r/n^2 - (2g-2)s/n,
-
-    admissible whenever n >= 1 and 2*g_C - 2 + s*(n-1)/n >= 0.
-    """
-    if n < 1:
-        raise PreconditionViolated("n must be a positive integer")
-    if Fraction(2 * g_C - 2) + Fraction(s * (n - 1), n) < 0:
-        raise PreconditionViolated(f"n = {n} is inadmissible for g_C = {g_C}, s = {s}")
-    return (
-        Fraction(canonical_class_bound(g, g_C, s))
-        + 3 * Fraction(r) / n**2
-        - Fraction((2 * g - 2) * s, n)
-    )
-
-
 # ---------------------------------------------------------------------------
 # speed bounds
-
-def kodaira_speed(g: int) -> Fraction:
-    """(g-1)/3, for fibrations without singular fibers."""
-    _need(g >= 2, "g >= 2")
-    return Fraction(g - 1, 3)
-
 
 def arakelov_speed(g: int) -> Fraction:
     """g, the Arakelov upper bound on the speed of semi-stable fibrations,

@@ -255,8 +255,8 @@ def _cmd_hurwitz(args) -> int:
         parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
                          for part in b.partitions)
         print(f"branch datum: degree-{b.d} cover of a genus-{b.g_target} "
-              f"curve, {b.m} branch points")
-        print(f"partitions: {parts}")
+              f"curve, {b.m} branch point{'' if b.m == 1 else 's'}")
+        print(f"partitions: {parts or '(none)'}")
         if failure is not None:
             print(f"compatible: NO -- {failure}")
         else:
@@ -296,15 +296,16 @@ def _print_datum_report(d, report, audit_report) -> None:
 def _cmd_datum(args) -> int:
     d = _read(args.datum, jsonio.datum_from_json, "datum")
 
-    violations = datum_mod.validate(d)
+    violations = []
     failure = report = audit_report = None
-    if not violations:
-        try:
-            report = datum_mod.invariants(d, max_depth=_max_depth())
-        except fibration.NonHyperbolicBase as exc:
-            failure = f"speed undefined: {exc}"
-        else:
-            audit_report = fibration.audit(report.invariants)
+    try:
+        report = datum_mod.invariants(d, max_depth=_max_depth())
+    except datum_mod.InvalidDatum as exc:
+        violations = exc.violations
+    except fibration.NonHyperbolicBase as exc:
+        failure = f"speed undefined: {exc}"
+    else:
+        audit_report = fibration.audit(report.invariants)
 
     if args.json:
         print(jsonio.dumps(jsonio.datum_report_to_json(d, violations, failure, report,
@@ -527,11 +528,13 @@ def _run(argv) -> int:
     except (GermSyntaxError, ZeroPolynomial, RequiresAlgebraicExtension, DepthOverflow,
             RecursionError) as exc:
         failure = f"{subject}: {exc}"
-    except (MemoryError, OverflowError, ValueError):
+    except (MemoryError, OverflowError, ValueError) as exc:
         # past what a list can hold (the germ y^(10^13) - z^(10^13), a family at
         # genus 10^18), or an integer past the interpreter's 4,300-digit limit on
-        # conversion to text: no message worth printing
-        failure = f"{subject}: input too large to allocate"
+        # conversion to text: no message worth printing.  Any other ValueError
+        # says what failed.
+        too_large = not isinstance(exc, ValueError) or "integer string conversion" in str(exc)
+        failure = f"{subject}: {'input too large to allocate' if too_large else exc}"
     else:
         sys.stdout.write(buffer.getvalue())
         return code

@@ -46,7 +46,12 @@ from .germs import (
 
 
 class InvalidDatum(ValueError):
-    """Raised when invariants are requested for a datum that fails validation."""
+    """Raised when invariants are requested for a datum that fails validation;
+    ``violations`` holds validate()'s list."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid datum: " + "; ".join(violations))
+        self.violations = violations
 
 
 # The two process-wide memos below (germ text -> Germ, and (Germ, max_depth)
@@ -210,8 +215,7 @@ class GermTraceSummary:
 
     ``trace`` is shared with every other summary, in any report of the same
     process, of an equal germ resolved under the same depth cap: treat it as
-    read-only.  The multiplicities, the classification and the two sums are
-    read from it.
+    read-only.  The multiplicities and the classification are read from it.
     """
 
     fiber_label: str
@@ -225,14 +229,6 @@ class GermTraceSummary:
     @property
     def classification(self) -> str:
         return self.trace.classification
-
-    @property
-    def sum_k_km1(self) -> int:
-        return self.trace.sum_k_km1
-
-    @property
-    def sum_km1_sq(self) -> int:
-        return self.trace.sum_km1_sq
 
 
 @dataclass(frozen=True)
@@ -296,13 +292,14 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     and resolutions are memoized process-wide, up to MEMO_SIZE entries each,
     so the traces in the report may be shared with other reports.
 
-    Raises InvalidDatum when validate() reports violations,
-    RequiresAlgebraicExtension / DepthOverflow from germ resolution, and
-    NonHyperbolicBase when 2*g_C - 2 + s <= 0 so no speed is defined.
+    Raises InvalidDatum, whose ``violations`` is validate()'s list, when that
+    list is not empty; RequiresAlgebraicExtension / DepthOverflow from germ
+    resolution; and NonHyperbolicBase when 2*g_C - 2 + s <= 0 so no speed is
+    defined.
     """
-    problems = validate(d)
-    if problems:
-        raise InvalidDatum("invalid datum: " + "; ".join(problems))
+    violations = validate(d)
+    if violations:
+        raise InvalidDatum(violations)
 
     summaries: list[GermTraceSummary] = []
     failures = [] if d.simple_ramification else ["declared non-simple ramification"]

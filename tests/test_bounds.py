@@ -15,7 +15,6 @@ from fibrato.bounds import (
     arakelov_speed,
     decimal3,
     hn_castelnuovo_slope,
-    kodaira_speed,
     low_base_speed,
     low_base_speed_at,
     minimal_m,
@@ -149,7 +148,7 @@ def test_minimal_m():
 def test_teichmueller_constants():
     for g in range(2, 51):
         assert teich_max(g) == Fraction(g + 1, 2)
-        assert kodaira_speed(g) < teich_max(g) < arakelov_speed(g)
+        assert teich_max(g) < arakelov_speed(g)
 
 
 # ---------------------------------------------------------------------------

@@ -783,6 +783,46 @@ def test_datum_non_hyperbolic_quotient_exits_1(capsys, tmp_path):
     assert doc["failure"] == "speed undefined: base orbifold Euler number 1 >= 0"
 
 
+# fails validation: (g+1)*e + n = 7 is odd, and e = 1 exceeds n/(g+1)
+ODD_BRANCH_CLASS = GenusGDatum(g=3, g_C=1, e=1, n=3, critical_fibers=(
+    CriticalFiber("b^-1(0)", ("y^2 - z^2",)),))
+
+
+def test_datum_validates_once_per_run(capsys, monkeypatch, tmp_path):
+    calls = []
+    validate = datum_mod.validate
+
+    def counting(d):
+        calls.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(datum_mod, "validate", counting)
+    valid = _family_datum_file(tmp_path, "odd_genus", 7)
+    invalid = write_json(tmp_path, "bad.json", datum_to_json(ODD_BRANCH_CLASS))
+    for path, expected in ((valid, 0), (invalid, 1)):
+        calls.clear()
+        assert run(capsys, "datum", path)[0] == expected
+        assert len(calls) == 1
+
+
+def test_datum_value_error_prints_its_own_text(capsys, monkeypatch, tmp_path):
+    # only size errors read "input too large to allocate"
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(datum_mod, "invariants", boom)
+    path = _family_datum_file(tmp_path, "genus2")
+    assert run(capsys, "datum", path) == (2, "", "error: datum: boom\n")
+
+
+def test_invalid_datum_under_a_bad_depth_cap_names_the_cap(capsys, monkeypatch, tmp_path):
+    # the cap is read before the datum is validated
+    monkeypatch.setenv("FIBRATO_MAX_DEPTH", "0")
+    path = write_json(tmp_path, "d.json", datum_to_json(ODD_BRANCH_CLASS))
+    assert run(capsys, "datum", path) == (
+        2, "", "error: FIBRATO_MAX_DEPTH must be a positive integer, got '0'\n")
+
+
 CHI0_DATUM = {"schema_version": 1, "g": 2, "g_C": 1, "e": 0, "n": 2,
               "critical_fibers": [{"label": "c", "germs": ["y^4 - z^4", "y^4 - z^4"]},
                                   {"label": "m", "germs": [], "negligible": True}]}

@@ -156,8 +156,10 @@ def test_validate_requires_singular_germ_or_marker():
 
 def test_invariants_rejects_invalid_datum():
     empty = GenusGDatum(g=3, g_C=1, e=0, n=4, critical_fibers=())
-    with pytest.raises(InvalidDatum):
+    with pytest.raises(InvalidDatum) as caught:
         invariants(empty)
+    assert caught.value.violations == validate(empty)
+    assert str(caught.value) == "invalid datum: no critical fibers declared (s = 0)"
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +353,7 @@ def _fingerprint(rep):
         inv.chi, inv.omega_sq, inv.delta, rep.slope, rep.speed,
         rep.sum_k_km1, rep.sum_km1_sq,
         [(s.fiber_label, str(s.germ), s.multiplicities, s.classification,
-          s.sum_k_km1, s.sum_km1_sq) for s in rep.traces],
+          s.trace.sum_k_km1, s.trace.sum_km1_sq) for s in rep.traces],
         rep.semistable.passed, rep.semistable.failures,
     )
 
@@ -407,7 +409,8 @@ def test_memo_gives_the_same_reports_warm_and_cleared():
         for s in invariants(d).traces:
             assert shared.setdefault(s.germ, s.trace) is s.trace, (d, str(s.germ))
             new = even_resolve(s.germ, DEFAULT_MAX_DEPTH)
-            assert (s.multiplicities, s.classification, s.sum_k_km1, s.sum_km1_sq) == (
+            assert (s.multiplicities, s.classification, s.trace.sum_k_km1,
+                    s.trace.sum_km1_sq) == (
                 tuple(new.multiplicities()), new.classification, new.sum_k_km1,
                 new.sum_km1_sq), (d, str(s.germ))
     assert 0 in [rep[0] for rep in warm(_search_data)]  # chi = 0 gives a report

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibrato.bounds import PreconditionViolated, canonical_class_bound, omega_upper_bound
 from fibrato.datum import CriticalFiber, GenusGDatum, invariants
 from fibrato.fibration import (
     AuditCheck,
@@ -99,32 +98,6 @@ def test_stable_model_sums():
     assert r_f(StableModelNodes(())) == 0
     with pytest.raises(ValueError):
         StableModelNodes((-1,))
-
-
-def test_omega_upper_bound_limit_and_domain():
-    assert omega_upper_bound(2, 1, 0, 0, 1) == 0
-    g, g_C, s, r = 3, 2, 4, Fraction(7, 2)
-    cap = Fraction(canonical_class_bound(g, g_C, s))
-    far = omega_upper_bound(g, g_C, s, r, 10**9)
-    assert abs(far - cap) < Fraction(1, 10**6)
-    with pytest.raises(PreconditionViolated):
-        omega_upper_bound(3, 0, 5, 0, 1)
-    # n = 2 is the first admissible base change over a rational base with s = 5
-    assert omega_upper_bound(3, 0, 5, 0, 2) == Fraction(12) - Fraction(4 * 5, 2)
-    with pytest.raises(PreconditionViolated):
-        omega_upper_bound(3, 1, 1, 0, 0)
-
-
-def test_omega_upper_bound_monotone_until_nine():
-    # with the node-ratio cap substituted, the bound decreases on n in 2..9
-    for g in (2, 3, 5, 12):
-        for g_C in (1, 2):
-            for s in (1, 4):
-                r = Fraction((3 * g - 3) * s)
-                values = [omega_upper_bound(g, g_C, s, r, n) for n in range(2, 10)]
-                assert all(a > b for a, b in zip(values, values[1:]))
-                # and it grows again just past nine
-                assert omega_upper_bound(g, g_C, s, r, 10) > values[-1]
 
 
 # ---------------------------------------------------------------------------

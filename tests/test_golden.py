@@ -79,7 +79,7 @@ DIGESTS = {
     "search-human": "f85845f62c148f3f94d1a22e0f78ef716f118ebf5366597c3b9f555b93063d6d",
     "search-json": "a7574c557d32038f448603d65e74e5885d9ecd3585abac3eee7c55ea52cb4ca7",
     "tables": "46c52491569d85db0bf0ec11c6f9888dc2888bf63e6d18ba33e37940ec5e6997",
-    "hurwitz-human": "91c0cfcbac90d9dad327d8a18097eb56b6c6ceb1a55db6bee4a2fff190444fe9",
+    "hurwitz-human": "92ccdbced451680160d40655c1416e252a19b903be47706a2d05d4ef124a3b33",
     "hurwitz-json": "ed95d4b6e9b5822f8298a59d1a332b5c8f25fa8b7819d740f2e3d2f770a5b592",
     "datum-failing-human": "42909561292d19008275f08d57bbf85cac773188829666e14552e6cbb74aa15f",
     "datum-failing-json": "372f6f5d1349a5b4f4754106e7b41502dfadc31f8efd96cb31bc17d65248dd0f",
