@@ -42,9 +42,7 @@ from fibrato.germs import (
     ConjugateDirections,
     DEFAULT_MAX_DEPTH,
     DepthOverflow,
-    GermSyntaxError,
     RequiresAlgebraicExtension,
-    ZeroPolynomial,
 )
 from fibrato.jsonio import InputError
 
@@ -236,7 +234,7 @@ def _cmd_hurwitz(args) -> int:
     solved = None
     try:
         solved = hurwitz.solve_source_genus(b.g_target, b.m, b.d, b.partitions)
-    except (hurwitz.ParityViolation, hurwitz.NegativeGenus) as exc:
+    except hurwitz.IncompatibleDatum as exc:
         failure = str(exc)
 
     if failure is None and b.g_source is not None and b.g_source != solved:
@@ -282,7 +280,7 @@ def _print_datum_report(d, report, audit_report) -> None:
               f"{list(s.multiplicities)}, {s.classification}")
     print(f"sum k(k-1) = {report.sum_k_km1}, "
           f"sum (k-1)^2 = {report.sum_km1_sq}, "
-          f"branch degree on a fiber = {report.r_dot_gamma}")
+          f"branch degree on a fiber = {2 * d.g + 2}")
     _print_invariants(report)
     if report.semistable.passed:
         print("semistable: yes")
@@ -525,14 +523,13 @@ def _run(argv) -> int:
             code = args.func(args)
     except (InputError, PreconditionViolated) as exc:
         failure = str(exc)
-    except (GermSyntaxError, ZeroPolynomial, RequiresAlgebraicExtension, DepthOverflow,
-            RecursionError) as exc:
+    except (RequiresAlgebraicExtension, DepthOverflow, RecursionError) as exc:
         failure = f"{subject}: {exc}"
     except (MemoryError, OverflowError, ValueError) as exc:
         # past what a list can hold (the germ y^(10^13) - z^(10^13), a family at
         # genus 10^18), or an integer past the interpreter's 4,300-digit limit on
-        # conversion to text: no message worth printing.  Any other ValueError
-        # says what failed.
+        # conversion to text: no message worth printing.  Any other ValueError,
+        # GermSyntaxError among them, says what failed.
         too_large = not isinstance(exc, ValueError) or "integer string conversion" in str(exc)
         failure = f"{subject}: {'input too large to allocate' if too_large else exc}"
     else:

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby
-from operator import index
 
-from .fibration import FibrationInvariants, base_degree
+from .fibration import FibrationInvariants, _index_fields, base_degree
 from .germs import (
     DEFAULT_MAX_DEPTH,
     MEMO_SIZE,
@@ -128,7 +127,7 @@ class GenusGDatum:
     """Discrete data of a double cover of a ruled surface over a genus-g_C curve.
 
     The branch divisor is declared to meet a general fiber in 2g+2 points
-    (echoed in reports as ``r_dot_gamma``) and to have bidegree
+    (the text report's ``branch degree on a fiber``) and to have bidegree
     (2g+2, (g+1)e + n).  ``c0_in_branch`` records whether the negative
     section is a component of the branch divisor, which relaxes the bound on
     e from n/(g+1) to n/g.  ``declared_m`` is the number of vertical
@@ -148,14 +147,7 @@ class GenusGDatum:
     c0_in_branch: bool = False
 
     def __post_init__(self):
-        for name in ("g", "g_C", "e", "n", "declared_m"):
-            value = getattr(self, name)
-            if type(value) is int:
-                continue
-            try:  # operator.index, like every other record
-                object.__setattr__(self, name, index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        _index_fields(self, ("g", "g_C", "e", "n", "declared_m"))
         if self.g < 2:
             raise ValueError(f"fiber genus must be >= 2, got {self.g}")
         if self.g_C < 0:
@@ -238,24 +230,17 @@ class SemistableVerdict:
     passed: bool
     failures: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 @dataclass(frozen=True)
 class DatumInvariantsReport:
     """Invariants of the genus-g fibration induced by a datum.
 
-    ``r_dot_gamma`` echoes the declared intersection of the branch divisor
-    with a general fiber (always 2g + 2 for a genus-g double cover).
     ``slope`` is None when chi = 0, where omega^2 / chi is undefined.
     """
 
-    datum: GenusGDatum
     traces: tuple[GermTraceSummary, ...]
     sum_k_km1: int
     sum_km1_sq: int
-    r_dot_gamma: int
     invariants: FibrationInvariants
     slope: Fraction | None
     speed: Fraction
@@ -328,11 +313,9 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
         semistable=not failures,
     )
     return DatumInvariantsReport(
-        datum=d,
         traces=tuple(summaries),
         sum_k_km1=total_k_km1,
         sum_km1_sq=total_km1_sq,
-        r_dot_gamma=2 * d.g + 2,
         invariants=inv,
         slope=Fraction(2 * omega_sq, two_chi) if two_chi else None,
         speed=Fraction(two_chi, base),

@@ -35,13 +35,8 @@ __all__ = [
     "fiber_delta",
     "r_f",
     "audit",
-    "IsotrivialDivisionByZero",
     "NonHyperbolicBase",
 ]
-
-
-class IsotrivialDivisionByZero(ZeroDivisionError):
-    """Slope is undefined when the Hodge bundle has degree zero."""
 
 
 class NonHyperbolicBase(ValueError):
@@ -66,14 +61,10 @@ class FibrationInvariants:
     semistable: bool = True
 
     def __post_init__(self):
-        # search and families build a record per operation: ints pass at once
-        g, g_C, s = self.g, self.g_C, self.s
-        if not (type(g) is int and type(g_C) is int and type(s) is int):
-            _index_fields(self, ("g", "g_C", "s"))
-            g, g_C, s = self.g, self.g_C, self.s
-        if g < 2:
+        _index_fields(self, ("g", "g_C", "s"))
+        if self.g < 2:
             raise ValueError("fiber genus must be at least 2")
-        if g_C < 0 or s < 0:
+        if self.g_C < 0 or self.s < 0:
             raise ValueError("base genus and fiber count must be non-negative")
         for name in ("chi", "omega_sq", "delta"):
             value = getattr(self, name)
@@ -130,18 +121,27 @@ class StableModelNodes:
 
 def _index_fields(record, names) -> None:
     """Store each named field as an int; TypeError unless it is an integer
-    (operator.index), so that 2.5 or "2" is never read as 2."""
+    (operator.index), so that 2.5 or "2" is never read as 2.  Every record
+    reads its integer fields here; search and families build records per
+    operation, so a plain int passes at once."""
     for name in names:
-        object.__setattr__(record, name, index(getattr(record, name)))
+        value = getattr(record, name)
+        if type(value) is int:
+            continue
+        try:
+            object.__setattr__(record, name, index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
 # basic quantities
 
 def slope(inv: FibrationInvariants) -> Fraction:
-    """omega_sq / chi."""
+    """omega_sq / chi; ZeroDivisionError when chi = 0 (an isotrivial
+    fibration)."""
     if inv.chi == 0:
-        raise IsotrivialDivisionByZero("slope undefined for chi = 0")
+        raise ZeroDivisionError("slope undefined for chi = 0")
     return inv.omega_sq / inv.chi
 
 

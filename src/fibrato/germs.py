@@ -103,7 +103,6 @@ __all__ = [
     "even_blow_up",
     "even_resolve",
     "classify",
-    "ZeroPolynomial",
     "GermSyntaxError",
     "RequiresAlgebraicExtension",
     "DepthOverflow",
@@ -117,10 +116,6 @@ MEMO_SIZE = 4096
 
 #: Marker for the tangent direction [0:1] (the chart-2 origin).
 INFINITY = "infinity"
-
-
-class ZeroPolynomial(ValueError):
-    """The zero polynomial cannot name a divisor germ."""
 
 
 class GermSyntaxError(ValueError):
@@ -159,7 +154,7 @@ class Germ:
         # one sorted pass over (j, i, c) puts the terms in canonical order
         terms = sorted([(index(j), index(i), index(c)) for (i, j), c in support.items() if c])
         if not terms:
-            raise ZeroPolynomial("all terms cancel")
+            raise ValueError("all terms cancel")
         if terms[0][0] < 0 or min([i for _, i, _ in terms]) < 0:
             raise ValueError("negative exponent in germ support")
         content = gcd(*[c for _, _, c in terms])

@@ -10,7 +10,9 @@ together with the parity condition that m*d - m_parts be even (m_parts is
 the total number of parts over all branch points).  The two conditions are
 equivalent to the Riemann-Hurwitz count being an integer, which
 solve_source_genus exploits; ramification_genus recomputes the genus by the
-classical summation over local degrees as an independent cross-check.
+classical summation over local degrees as an independent cross-check.  Both
+raise IncompatibleDatum, whose text names the failed condition (odd parity
+or a negative genus), when no cover carries the datum.
 
 Realizability only imports a sufficient criterion — a full cyclic branch
 point over the projective line — so the answer is Realizable or Unknown,
@@ -22,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import index
 
+from .fibration import _index_fields
+
 __all__ = [
     "BranchDatum",
     "REALIZABLE",
@@ -30,8 +34,6 @@ __all__ = [
     "solve_source_genus",
     "is_realizable",
     "ramification_genus",
-    "NegativeGenus",
-    "ParityViolation",
     "IncompatibleDatum",
 ]
 
@@ -39,16 +41,10 @@ REALIZABLE = "Realizable"
 UNKNOWN = "Unknown"
 
 
-class ParityViolation(ValueError):
-    """m*d - m_parts is odd: no cover can carry this ramification."""
-
-
-class NegativeGenus(ValueError):
-    """The solved genus is negative: no such cover exists."""
-
-
 class IncompatibleDatum(ValueError):
-    """Realizability was asked of an incompatible branch datum."""
+    """No cover carries this branch datum: m*d - m_parts is odd, the solved
+    genus is negative, or realizability was asked of an incompatible datum.
+    The text says which."""
 
 
 @dataclass(frozen=True)
@@ -63,14 +59,8 @@ class BranchDatum:
     partitions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        # TypeError unless every field is an integer (operator.index), so
-        # that 2.9 or "2" is never read as 2
-        names = ("g_target", "m", "d") if self.g_source is None else (
-            "g_source", "g_target", "m", "d")
-        for name in names:
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, index(value))
+        _index_fields(self, ("g_target", "m", "d") if self.g_source is None else (
+            "g_source", "g_target", "m", "d"))
         object.__setattr__(
             self, "partitions", tuple(tuple(index(x) for x in p) for p in self.partitions)
         )
@@ -108,11 +98,11 @@ def solve_source_genus(g_target: int, m: int, d: int, partitions) -> int:
     """The unique source genus admitted by the datum, if one exists."""
     probe = BranchDatum(None, g_target, m, d, tuple(partitions))
     if (m * d - probe.total_parts) % 2 != 0:
-        raise ParityViolation(f"m*d - parts = {m * d - probe.total_parts} is odd")
+        raise IncompatibleDatum(f"m*d - parts = {m * d - probe.total_parts} is odd")
     # The parity test makes 2*g even, so this division is exact.
     g = (2 - probe.total_parts - d * (2 - 2 * g_target - m)) // 2
     if g < 0:
-        raise NegativeGenus(f"solved genus {g} is negative")
+        raise IncompatibleDatum(f"solved genus {g} is negative")
     return g
 
 
@@ -122,10 +112,10 @@ def ramification_genus(g_target: int, d: int, partitions) -> int:
     ram = sum(part - 1 for p in partitions for part in p)
     doubled = d * (2 * g_target - 2) + ram + 2
     if doubled % 2 != 0:
-        raise ParityViolation(f"total ramification {ram} has the wrong parity")
+        raise IncompatibleDatum(f"total ramification {ram} has the wrong parity")
     g = doubled // 2
     if g < 0:
-        raise NegativeGenus(f"summation genus {g} is negative")
+        raise IncompatibleDatum(f"summation genus {g} is negative")
     return g
 
 

@@ -290,7 +290,7 @@ def _germs(value, path: str) -> list[tuple[Germ, int]]:
         text = _germ_text(text, where)
         try:
             germ = _parsed(text)
-        except ValueError as exc:  # GermSyntaxError and ZeroPolynomial among them
+        except ValueError as exc:  # GermSyntaxError and "all terms cancel" among them
             raise InputError(f"{where}: {exc}") from None
         count = len(list(run))
         runs.append((germ, count))

@@ -11,7 +11,6 @@ from fibrato.fibration import (
     AuditReport,
     FiberNodeProfile,
     FibrationInvariants,
-    IsotrivialDivisionByZero,
     NonHyperbolicBase,
     StableModelNodes,
     audit,
@@ -49,7 +48,7 @@ def test_slope_examples():
 
 
 def test_slope_isotrivial():
-    with pytest.raises(IsotrivialDivisionByZero):
+    with pytest.raises(ZeroDivisionError, match="slope undefined for chi = 0"):
         slope(_inv(chi=0, omega_sq=0, delta=0, s=0))
 
 
@@ -217,6 +216,33 @@ def test_audit_fails_a_profile_of_another_genus():
 def test_records_reject_non_integers(build):
     with pytest.raises(TypeError):
         build()
+
+
+class _Index:
+    """An integer by ``__index__`` alone."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("record, fields, name", [
+    (FibrationInvariants, dict(g=2, g_C=1, s=1, chi=1, omega_sq=2, delta=10), "s"),
+    (FiberNodeProfile, dict(g=2, g_geo=1, l=1, delta_counts={0: 1}), "l"),
+    (GenusGDatum, dict(g=2, g_C=1, e=0, n=2, critical_fibers=()), "n"),
+    (BranchDatum, dict(g_source=1, g_target=0, m=3, d=4, partitions=((4,), (4,), (2, 2))),
+     "d"),
+], ids=["FibrationInvariants", "FiberNodeProfile", "GenusGDatum", "BranchDatum"])
+def test_integer_fields_share_one_reader(record, fields, name):
+    # every record reads its integer fields alike: one TypeError text, and
+    # anything with __index__ stored as a plain int
+    for bad in (2.5, "2"):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {bad!r}$"):
+            record(**{**fields, name: bad})
+    value = getattr(record(**{**fields, name: _Index(fields[name])}), name)
+    assert type(value) is int and value == fields[name]
 
 
 def test_profile_validation():
