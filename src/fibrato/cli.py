@@ -27,6 +27,7 @@ depth cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import os
 import re
@@ -85,6 +86,11 @@ def _print_invariants(report: datum_mod.DatumInvariantsReport) -> None:
     print(f"speed L = {_pretty(report.speed)}")
 
 
+def _count(n: int, noun: str) -> str:
+    """"1 critical fiber", "2 critical fibers"."""
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
 def _read(path: str, from_json, kind: str):
     """Load a JSON document and read it; reader errors name the kind."""
     obj = jsonio.load(path)
@@ -117,7 +123,7 @@ def _cmd_audit(args) -> int:
         print(jsonio.dumps(jsonio.audit_report_to_json(report)))
     else:
         print(f"record: genus-{inv.g} fibration over a genus-{inv.g_C} base, "
-              f"{inv.s} critical fibers")
+              f"{_count(inv.s, 'critical fiber')}")
         print(f"  chi = {_pretty(inv.chi)}, omega^2 = {_pretty(inv.omega_sq)}, "
               f"delta = {_pretty(inv.delta)}")
         _print_audit_report(report)
@@ -193,7 +199,7 @@ def _cmd_example(args) -> int:
         d = fam.datum
         print(f"family: {fam.name} (genus {inv.g})")
         print(f"base: genus {d.g_C}; branch bidegree e = {d.e}, n = {d.n}; "
-              f"{d.s} critical fibers")
+              f"{_count(d.s, 'critical fiber')}")
         _print_invariants(report)
         print(f"semistable: {'yes' if report.semistable.passed else 'NO'}")
         print("closed-formula check: "
@@ -230,8 +236,7 @@ def _cmd_tables(args) -> int:
 def _cmd_hurwitz(args) -> int:
     b = _read(args.datum, jsonio.branch_datum_from_json, "branch datum")
 
-    failure = None
-    solved = None
+    failure = solved = None
     try:
         solved = hurwitz.solve_source_genus(b.g_target, b.m, b.d, b.partitions)
     except hurwitz.IncompatibleDatum as exc:
@@ -243,9 +248,7 @@ def _cmd_hurwitz(args) -> int:
 
     realizability = None
     if failure is None:
-        checked = hurwitz.BranchDatum(solved, b.g_target, b.m, b.d,
-                                      b.partitions)
-        realizability = hurwitz.is_realizable(checked)
+        realizability = hurwitz.is_realizable(dataclasses.replace(b, g_source=solved))
 
     if args.json:
         print(jsonio.dumps(jsonio.branch_verdict_to_json(b, failure, solved, realizability)))
@@ -253,7 +256,7 @@ def _cmd_hurwitz(args) -> int:
         parts = " ".join("(" + ",".join(str(p) for p in part) + ")"
                          for part in b.partitions)
         print(f"branch datum: degree-{b.d} cover of a genus-{b.g_target} "
-              f"curve, {b.m} branch point{'' if b.m == 1 else 's'}")
+              f"curve, {_count(b.m, 'branch point')}")
         print(f"partitions: {parts or '(none)'}")
         if failure is not None:
             print(f"compatible: NO -- {failure}")
@@ -270,7 +273,7 @@ def _cmd_hurwitz(args) -> int:
 
 def _print_datum_report(d, report, audit_report) -> None:
     print(f"datum: genus-{d.g} double cover over a genus-{d.g_C} base; "
-          f"branch bidegree e = {d.e}, n = {d.n}; {d.s} critical fibers"
+          f"branch bidegree e = {d.e}, n = {d.n}; {_count(d.s, 'critical fiber')}"
           + (f"; declared vertical (-1)-curves m = {d.declared_m}"
              if d.declared_m else ""))
     print("validation: ok")

@@ -121,9 +121,8 @@ class StableModelNodes:
 
 def _index_fields(record, names) -> None:
     """Store each named field as an int; TypeError unless it is an integer
-    (operator.index), so that 2.5 or "2" is never read as 2.  Every record
-    reads its integer fields here; search and families build records per
-    operation, so a plain int passes at once."""
+    (operator.index), so that 2.5 or "2" is never read as 2.  A plain int,
+    as search and families pass on every operation, is kept at once."""
     for name in names:
         value = getattr(record, name)
         if type(value) is int:
@@ -138,8 +137,7 @@ def _index_fields(record, names) -> None:
 # basic quantities
 
 def slope(inv: FibrationInvariants) -> Fraction:
-    """omega_sq / chi; ZeroDivisionError when chi = 0 (an isotrivial
-    fibration)."""
+    """omega_sq / chi; ZeroDivisionError when chi = 0."""
     if inv.chi == 0:
         raise ZeroDivisionError("slope undefined for chi = 0")
     return inv.omega_sq / inv.chi

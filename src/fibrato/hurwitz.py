@@ -11,8 +11,7 @@ the total number of parts over all branch points).  The two conditions are
 equivalent to the Riemann-Hurwitz count being an integer, which
 solve_source_genus exploits; ramification_genus recomputes the genus by the
 classical summation over local degrees as an independent cross-check.  Both
-raise IncompatibleDatum, whose text names the failed condition (odd parity
-or a negative genus), when no cover carries the datum.
+raise IncompatibleDatum, naming the failed condition, when no cover exists.
 
 Realizability only imports a sufficient criterion — a full cyclic branch
 point over the projective line — so the answer is Realizable or Unknown,

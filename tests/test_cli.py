@@ -762,6 +762,14 @@ def test_datum_quartic_pair_keeps_semistability(capsys, tmp_path):
     assert "semistable: yes" in out
 
 
+def test_datum_header_counts_one_critical_fiber_in_the_singular():
+    doc = {"g": 2, "g_C": 1, "e": 0, "n": 4,
+           "critical_fibers": [{"label": "a", "germs": ["y^2 - z^2"]}]}
+    code, out, err = _main_on_stdin(["datum", "-"], json.dumps(doc))
+    assert err == ""
+    assert out.splitlines()[0].endswith("; 1 critical fiber")
+
+
 def test_datum_validation_violation_exits_1(capsys, tmp_path):
     d = GenusGDatum(g=3, g_C=1, e=1, n=3, critical_fibers=(
         CriticalFiber("b^-1(0)", ("y^2 - z^2",)),))

@@ -72,7 +72,7 @@ DIGESTS = {
     "example-mod6_1": "5cc8dd5f09d4aa51b491fcdd6ad3ea2a9d3d3bea2ee03974fda3ced47c4565f5",
     "example-human": "5f9fb20904ac6986aabed78de68c8125699b7f92959a449f69e48d7daccc38a4",
     "kernel-cap3": "759784fa60d10c8867c11ab802d6f494d297f39b2a52adff290b3ce729c6b909",
-    "audit-human": "03f60ebf5b1d2bfd890f05148163c20b83c5d74f1052dee2957568511da8af58",
+    "audit-human": "f26ab5519452c1914d9b72165fdb37c9a5ca8b181f602979fe3995e71ad409e2",
     "audit-json": "141337e804bda53d6c55ed52e75cea11e4229e7cb5976933c4e7ab49cab20a94",
     "datum-human": "f8429029f9b3b03f4cfdcc0987d1df74b963450dae17dc26eed80fff0b28f0f1",
     "datum-json": "a79b543ea3c79444aafe94753569bd7f1eb23c187e412f2083a662ea1957d141",
