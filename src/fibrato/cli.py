@@ -87,7 +87,7 @@ def _print_invariants(report: datum_mod.DatumInvariantsReport) -> None:
 
 
 def _count(n: int, noun: str) -> str:
-    """"1 critical fiber", "2 critical fibers"."""
+    """The count and its noun, plural unless n is 1 ("1 critical fiber")."""
     return f"{n} {noun}{'' if n == 1 else 's'}"
 
 

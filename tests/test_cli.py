@@ -765,7 +765,7 @@ def test_datum_quartic_pair_keeps_semistability(capsys, tmp_path):
 def test_datum_header_counts_one_critical_fiber_in_the_singular():
     doc = {"g": 2, "g_C": 1, "e": 0, "n": 4,
            "critical_fibers": [{"label": "a", "germs": ["y^2 - z^2"]}]}
-    code, out, err = _main_on_stdin(["datum", "-"], json.dumps(doc))
+    _, out, err = _main_on_stdin(["datum", "-"], json.dumps(doc))
     assert err == ""
     assert out.splitlines()[0].endswith("; 1 critical fiber")
 
