@@ -33,10 +33,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby
 
+from . import MEMO_SIZE
 from .fibration import FibrationInvariants, _index_fields, base_degree
 from .germs import (
     DEFAULT_MAX_DEPTH,
-    MEMO_SIZE,
     Germ,
     ResolutionTrace,
     even_resolve,
@@ -53,9 +53,9 @@ class InvalidDatum(ValueError):
         self.violations = violations
 
 
-# The two process-wide memos below (germ text -> Germ, and (Germ, max_depth)
-# -> resolution trace and its offences) each keep up to germs.MEMO_SIZE
-# entries.
+# The three process-wide memos below (germ text -> Germ, (Germ, max_depth)
+# -> resolution trace and its offences, and the integers of a record -> its
+# invariants, slope and speed) each keep up to fibrato.MEMO_SIZE entries.
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -275,7 +275,10 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     in ``traces`` are one summary object repeated, in entry order.  Each
     distinct germ is resolved once per process and depth cap: parsed germs
     and resolutions are memoized process-wide, up to MEMO_SIZE entries each,
-    so the traces in the report may be shared with other reports.
+    so the traces in the report may be shared with other reports.  The
+    record is built once per distinct (g, g_C, s, 2*chi, omega^2,
+    semistable), all plain integers, in a memo of the same bound: equal
+    records share one frozen FibrationInvariants and its slope and speed.
 
     Raises InvalidDatum, whose ``violations`` is validate()'s list, when that
     list is not empty; RequiresAlgebraicExtension / DepthOverflow from germ
@@ -298,26 +301,36 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
             total_k_km1 += count * trace.sum_k_km1
             total_km1_sq += count * trace.sum_km1_sq
 
-    # 2*chi and omega^2 are integers; delta = 12*chi - omega^2 = 6*(2*chi) - omega^2
+    # 2*chi and omega^2 are integers
     two_chi = d.g * d.n - total_k_km1
     omega_sq = (2 * d.g - 2) * d.n - 2 * total_km1_sq - d.declared_m
-    base = base_degree(d.g_C, d.s)
-    inv = FibrationInvariants(
-        g=d.g,
-        g_C=d.g_C,
-        s=d.s,
-        chi=Fraction(two_chi, 2),
-        omega_sq=Fraction(omega_sq),
-        delta=Fraction(6 * two_chi - omega_sq),
-        hyperelliptic=True,
-        semistable=not failures,
-    )
+    inv, slope, speed = _record(d.g, d.g_C, d.s, two_chi, omega_sq, not failures)
     return DatumInvariantsReport(
         traces=tuple(summaries),
         sum_k_km1=total_k_km1,
         sum_km1_sq=total_km1_sq,
         invariants=inv,
-        slope=Fraction(2 * omega_sq, two_chi) if two_chi else None,
-        speed=Fraction(two_chi, base),
+        slope=slope,
+        speed=speed,
         semistable=SemistableVerdict(not failures, tuple(failures)),
     )
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _record(g: int, g_C: int, s: int, two_chi: int, omega_sq: int,
+            semistable: bool) -> tuple[FibrationInvariants, Fraction | None, Fraction]:
+    # NonHyperbolicBase is raised before anything is built, and never memoized
+    base = base_degree(g_C, s)
+    inv = FibrationInvariants(
+        g=g,
+        g_C=g_C,
+        s=s,
+        chi=Fraction(two_chi, 2),
+        omega_sq=Fraction(omega_sq),
+        # delta = 12*chi - omega^2 = 6*(2*chi) - omega^2
+        delta=Fraction(6 * two_chi - omega_sq),
+        hyperelliptic=True,
+        semistable=semistable,
+    )
+    return (inv, Fraction(2 * omega_sq, two_chi) if two_chi else None,
+            Fraction(two_chi, base))

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import index
 
+from . import MEMO_SIZE
 from .bounds import arakelov_speed, canonical_class_bound, slope_lower, slope_upper
 
 __all__ = [
@@ -88,7 +90,9 @@ class FiberNodeProfile:
 
     def __post_init__(self):
         _index_fields(self, ("g", "g_geo", "l"))
-        counts = {index(i): index(c) for i, c in self.delta_counts.items()}
+        given = self.delta_counts
+        counts = dict(zip(_index_entries("delta_counts", given.keys()),
+                          _index_entries("delta_counts", given.values())))
         object.__setattr__(self, "delta_counts", counts)
         fiber_delta(self.g, self.g_geo, self.l)
         for i, c in counts.items():
@@ -113,7 +117,7 @@ class StableModelNodes:
     node_indices: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(sorted(index(m) for m in self.node_indices))
+        entries = tuple(sorted(_index_entries("node_indices", self.node_indices)))
         if entries and entries[0] < 0:
             raise ValueError("node indices are non-negative")
         object.__setattr__(self, "node_indices", entries)
@@ -131,6 +135,22 @@ def _index_fields(record, names) -> None:
             object.__setattr__(record, name, index(value))
         except TypeError:
             raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _index_entries(name: str, values) -> tuple[int, ...]:
+    """The entries of one field as a tuple of ints, read like _index_fields
+    reads a scalar: TypeError naming the field and the first entry that is
+    not an integer.  Plain ints go through map(index) at C speed."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for value in values:
+            try:
+                index(value)
+            except TypeError:
+                raise TypeError(f"{name} must hold integers, got {value!r}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +205,7 @@ def r_f(nodes: StableModelNodes) -> Fraction:
 # ---------------------------------------------------------------------------
 # audits
 
-@dataclass
+@dataclass(frozen=True)
 class AuditCheck:
     check: str
     status: str  # "pass" | "fail" | "skipped"
@@ -234,19 +254,61 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
 
     The identities and bounds on the record's own quantities are decided on
     integer numerators and (positive) denominators; a Fraction is built only
-    where a check reports it.
+    where a check reports it.  The checks noether-identity to five-fibers
+    read the record alone, so they are decided once per distinct record and
+    process: a memo of up to MEMO_SIZE entries keyed on every field of the
+    record as plain integers (g, g_C, s, the numerator and denominator of
+    chi, omega_sq and delta, hyperelliptic, semistable) holds them as a tuple
+    of frozen AuditChecks, shared with every other report of an equal record.
+    Each report gets its own list of checks.
     """
-    report = AuditReport()
-    add = report.checks.append
-    g, g_C, s = inv.g, inv.g_C, inv.s
-    chi_n, chi_d = inv.chi.numerator, inv.chi.denominator
-    omega_n, omega_d = inv.omega_sq.numerator, inv.omega_sq.denominator
+    g, s = inv.g, inv.s
+    chi, omega_sq, delta = inv.chi, inv.omega_sq, inv.delta
+    checks = list(_record_checks(g, inv.g_C, s, chi.numerator, chi.denominator,
+                                 omega_sq.numerator, omega_sq.denominator,
+                                 delta.numerator, delta.denominator,
+                                 bool(inv.hyperelliptic), bool(inv.semistable)))
+    add = checks.append
 
-    forced = noether_delta(inv.omega_sq, inv.chi)
+    if nodes is not None:
+        cap = Fraction((3 * g - 3) * s)
+        ratio = r_f(nodes)
+        add(AuditCheck("node-ratio", _status(ratio <= cap), ratio, cap))
+    else:
+        add(_NO_NODES)
+
+    if profiles:
+        for idx, prof in enumerate(profiles):
+            expected = fiber_delta(prof.g, prof.g_geo, prof.l)
+            ok = (prof.g == g and prof.total_nodes == expected
+                  and (prof.delta_counts.get(0, 0) == 0) == prof.is_compact_type)
+            note = "" if prof.g == g else f"profile genus {prof.g}, record genus {g}"
+            add(AuditCheck(f"fiber-profile-{idx}", _status(ok),
+                           Fraction(prof.total_nodes), Fraction(expected), note=note))
+    else:
+        add(_NO_PROFILES)
+
+    return AuditReport(checks)
+
+
+_NO_NODES = AuditCheck("node-ratio", "skipped", note="no stable-model nodes supplied")
+_NO_PROFILES = AuditCheck("fiber-profile", "skipped", note="no fiber profiles supplied")
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _record_checks(g: int, g_C: int, s: int, chi_n: int, chi_d: int, omega_n: int,
+                   omega_d: int, delta_n: int, delta_d: int, hyperelliptic: bool,
+                   semistable: bool) -> tuple[AuditCheck, ...]:
+    # audit's checks noether-identity to five-fibers, from the record's
+    # integers alone; hyperelliptic is in the key for the clauses to come
+    checks: list[AuditCheck] = []
+    add = checks.append
+    omega_sq = Fraction(omega_n, omega_d)
+
+    forced = noether_delta(omega_sq, Fraction(chi_n, chi_d))
     add(AuditCheck("noether-identity",
-                   _status(inv.delta.numerator * forced.denominator
-                           == forced.numerator * inv.delta.denominator),
-                   inv.delta, forced))
+                   _status(delta_n * forced.denominator == forced.numerator * delta_d),
+                   Fraction(delta_n, delta_d), forced))
 
     if chi_n > 0:
         # lambda = omega_sq / chi = lam_n / lam_d with lam_d > 0
@@ -267,7 +329,7 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
             add(AuditCheck(name, "skipped", note=note))
 
     denom = 2 * g_C - 2 + s
-    if inv.semistable and denom > 0:
+    if semistable and denom > 0:
         # speed = 2*chi / denom < arakelov_speed(g)
         arakelov = arakelov_speed(g)
         add(AuditCheck("arakelov-speed",
@@ -276,9 +338,9 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
                        Fraction(2 * chi_n, chi_d * denom), arakelov, strict=True))
         bound = canonical_class_bound(g, g_C, s)
         add(AuditCheck("canonical-class", _status(omega_n < bound * omega_d),
-                       inv.omega_sq, Fraction(bound), strict=True))
+                       omega_sq, Fraction(bound), strict=True))
     else:
-        note = "not semi-stable" if not inv.semistable else "non-hyperbolic base"
+        note = "not semi-stable" if not semistable else "non-hyperbolic base"
         add(AuditCheck("arakelov-speed", "skipped", strict=True, note=note))
         add(AuditCheck("canonical-class", "skipped", strict=True, note=note))
 
@@ -287,25 +349,7 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
     else:
         add(AuditCheck("five-fibers", "skipped", note="applies over a rational base with s > 0"))
 
-    if nodes is not None:
-        cap = Fraction((3 * g - 3) * s)
-        ratio = r_f(nodes)
-        add(AuditCheck("node-ratio", _status(ratio <= cap), ratio, cap))
-    else:
-        add(AuditCheck("node-ratio", "skipped", note="no stable-model nodes supplied"))
-
-    if profiles:
-        for idx, prof in enumerate(profiles):
-            expected = fiber_delta(prof.g, prof.g_geo, prof.l)
-            ok = (prof.g == g and prof.total_nodes == expected
-                  and (prof.delta_counts.get(0, 0) == 0) == prof.is_compact_type)
-            note = "" if prof.g == g else f"profile genus {prof.g}, record genus {g}"
-            add(AuditCheck(f"fiber-profile-{idx}", _status(ok),
-                           Fraction(prof.total_nodes), Fraction(expected), note=note))
-    else:
-        add(AuditCheck("fiber-profile", "skipped", note="no fiber profiles supplied"))
-
-    return report
+    return tuple(checks)
 
 
 def _status(ok: bool) -> str:

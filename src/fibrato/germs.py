@@ -92,6 +92,8 @@ from operator import index
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
 
+from . import MEMO_SIZE
+
 __all__ = [
     "Germ",
     "ConjugateDirections",
@@ -110,9 +112,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_DEPTH = 64
-
-#: Entries kept by each process-wide memo, here and in fibrato.datum.
-MEMO_SIZE = 4096
 
 #: Marker for the tangent direction [0:1] (the chart-2 origin).
 INFINITY = "infinity"

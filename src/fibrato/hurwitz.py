@@ -21,9 +21,8 @@ never "No".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
 
-from .fibration import _index_fields
+from .fibration import _index_entries, _index_fields
 
 __all__ = [
     "BranchDatum",
@@ -60,9 +59,8 @@ class BranchDatum:
     def __post_init__(self):
         _index_fields(self, ("g_target", "m", "d") if self.g_source is None else (
             "g_source", "g_target", "m", "d"))
-        object.__setattr__(
-            self, "partitions", tuple(tuple(index(x) for x in p) for p in self.partitions)
-        )
+        object.__setattr__(self, "partitions", tuple(
+            _index_entries("partitions", p) for p in self.partitions))
         if self.g_source is not None and self.g_source < 0:
             raise ValueError("source genus must be non-negative")
         if self.g_target < 0:

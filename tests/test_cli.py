@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fibrato
-from fibrato import datum as datum_mod, germs as germs_mod
+from fibrato import datum as datum_mod, fibration as fibration_mod, germs as germs_mod
 from fibrato.cli import main
 from fibrato.bounds import PreconditionViolated
 from fibrato.constructions import FAMILY_NAMES, even_genus, family
@@ -1053,6 +1053,19 @@ def test_search_counts_chi_zero_rejections(capsys):
     doc = json.loads(out)
     assert doc["rejected"]["chi <= 0"] > 0
     assert all(c["chi"] != "0" and c["slope"] != "None" for c in doc["candidates"])
+
+
+def test_search_decides_each_distinct_record_once(capsys):
+    # the 8x8 sweep at genus 6 builds 392 records, 57 of them distinct, and
+    # audits 310 of them, 31 distinct: each distinct one is built and its
+    # record checks decided once, and every repeat is a memo hit
+    memos = (datum_mod._record, fibration_mod._record_checks)
+    for memo in memos:
+        memo.cache_clear()
+    assert run(capsys, "search", "--genus", "6", "--max-n", "16", "--germ-grid", "8x8")[0] == 0
+    counts = [(info.hits + info.misses, info.misses)
+              for info in (memo.cache_info() for memo in memos)]
+    assert counts == [(392, 57), (310, 31)]
 
 
 def test_search_bad_grid_spec_exits_2(capsys):
