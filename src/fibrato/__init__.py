@@ -4,6 +4,5 @@ branch data, and the constructions that realize the record speeds."""
 
 __version__ = "0.1.0"
 
-#: Entries kept by each process-wide memo, in fibrato.germs, fibrato.datum
-#: and fibrato.fibration.
+#: Entries kept by each process-wide memo, in fibrato.germs and fibrato.datum.
 MEMO_SIZE = 4096

@@ -238,9 +238,11 @@ def render_markdown(t: Table) -> str:
     return "\n".join(lines)
 
 
-def render_csv(t: Table) -> str:
+def render_csv(*tables: Table) -> str:
+    """One header, then every table's rows in the order given."""
     lines = ["table,row,g,exact,decimal"]
-    for row in t.rows:
-        for g, (exact, dec) in zip(t.genera, row.cells):
-            lines.append(f"{t.which},{row.label},{g},{Fraction(exact)},{dec}")
+    for t in tables:
+        for row in t.rows:
+            for g, (exact, dec) in zip(t.genera, row.cells):
+                lines.append(f"{t.which},{row.label},{g},{Fraction(exact)},{dec}")
     return "\n".join(lines)

@@ -220,11 +220,7 @@ def _cmd_tables(args) -> int:
         print(jsonio.dumps(jsonio.tables_to_json(tabs)))
         return EXIT_OK
     if args.format == "csv":
-        chunks = [render_csv(t) for t in tabs]
-        body = [chunks[0]]
-        for chunk in chunks[1:]:
-            body.append(chunk.split("\n", 1)[1])
-        print("\n".join(body))
+        print(render_csv(*tabs))
     else:
         print("\n\n".join(render_markdown(t) for t in tabs))
     return EXIT_OK

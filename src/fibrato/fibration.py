@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from operator import index
+from typing import NamedTuple
 
-from . import MEMO_SIZE
 from .bounds import arakelov_speed, canonical_class_bound, slope_lower, slope_upper
 
 __all__ = [
@@ -72,6 +72,11 @@ class FibrationInvariants:
             value = getattr(self, name)
             if type(value) is not Fraction:
                 object.__setattr__(self, name, Fraction(value))
+
+    @cached_property
+    def _checks(self) -> tuple[AuditCheck, ...]:
+        # audit's checks that read the record alone, decided once per object
+        return _record_checks(self)
 
 
 @dataclass(frozen=True)
@@ -205,8 +210,7 @@ def r_f(nodes: StableModelNodes) -> Fraction:
 # ---------------------------------------------------------------------------
 # audits
 
-@dataclass(frozen=True)
-class AuditCheck:
+class AuditCheck(NamedTuple):
     check: str
     status: str  # "pass" | "fail" | "skipped"
     lhs: Fraction | None = None
@@ -255,19 +259,13 @@ def audit(inv: FibrationInvariants, nodes: StableModelNodes | None = None,
     The identities and bounds on the record's own quantities are decided on
     integer numerators and (positive) denominators; a Fraction is built only
     where a check reports it.  The checks noether-identity to five-fibers
-    read the record alone, so they are decided once per distinct record and
-    process: a memo of up to MEMO_SIZE entries keyed on every field of the
-    record as plain integers (g, g_C, s, the numerator and denominator of
-    chi, omega_sq and delta, hyperelliptic, semistable) holds them as a tuple
-    of frozen AuditChecks, shared with every other report of an equal record.
-    Each report gets its own list of checks.
+    read the record alone, so they are decided once per FibrationInvariants
+    object and kept on it, shared with every other report of that object;
+    datum hands equal records one object.  Each report gets its own list of
+    checks.
     """
     g, s = inv.g, inv.s
-    chi, omega_sq, delta = inv.chi, inv.omega_sq, inv.delta
-    checks = list(_record_checks(g, inv.g_C, s, chi.numerator, chi.denominator,
-                                 omega_sq.numerator, omega_sq.denominator,
-                                 delta.numerator, delta.denominator,
-                                 bool(inv.hyperelliptic), bool(inv.semistable)))
+    checks = list(inv._checks)
     add = checks.append
 
     if nodes is not None:
@@ -295,20 +293,17 @@ _NO_NODES = AuditCheck("node-ratio", "skipped", note="no stable-model nodes supp
 _NO_PROFILES = AuditCheck("fiber-profile", "skipped", note="no fiber profiles supplied")
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _record_checks(g: int, g_C: int, s: int, chi_n: int, chi_d: int, omega_n: int,
-                   omega_d: int, delta_n: int, delta_d: int, hyperelliptic: bool,
-                   semistable: bool) -> tuple[AuditCheck, ...]:
-    # audit's checks noether-identity to five-fibers, from the record's
-    # integers alone; hyperelliptic is in the key for the clauses to come
+def _record_checks(inv: FibrationInvariants) -> tuple[AuditCheck, ...]:
+    # audit's checks noether-identity to five-fibers, from the record alone
+    g, g_C, s = inv.g, inv.g_C, inv.s
+    chi, omega_sq, delta = inv.chi, inv.omega_sq, inv.delta
+    chi_n, chi_d = chi.numerator, chi.denominator
+    omega_n, omega_d = omega_sq.numerator, omega_sq.denominator
     checks: list[AuditCheck] = []
     add = checks.append
-    omega_sq = Fraction(omega_n, omega_d)
 
-    forced = noether_delta(omega_sq, Fraction(chi_n, chi_d))
-    add(AuditCheck("noether-identity",
-                   _status(delta_n * forced.denominator == forced.numerator * delta_d),
-                   Fraction(delta_n, delta_d), forced))
+    forced = noether_delta(omega_sq, chi)
+    add(AuditCheck("noether-identity", _status(delta == forced), delta, forced))
 
     if chi_n > 0:
         # lambda = omega_sq / chi = lam_n / lam_d with lam_d > 0
@@ -329,7 +324,7 @@ def _record_checks(g: int, g_C: int, s: int, chi_n: int, chi_d: int, omega_n: in
             add(AuditCheck(name, "skipped", note=note))
 
     denom = 2 * g_C - 2 + s
-    if semistable and denom > 0:
+    if inv.semistable and denom > 0:
         # speed = 2*chi / denom < arakelov_speed(g)
         arakelov = arakelov_speed(g)
         add(AuditCheck("arakelov-speed",
@@ -340,7 +335,7 @@ def _record_checks(g: int, g_C: int, s: int, chi_n: int, chi_d: int, omega_n: in
         add(AuditCheck("canonical-class", _status(omega_n < bound * omega_d),
                        omega_sq, Fraction(bound), strict=True))
     else:
-        note = "not semi-stable" if not semistable else "non-hyperbolic base"
+        note = "not semi-stable" if not inv.semistable else "non-hyperbolic base"
         add(AuditCheck("arakelov-speed", "skipped", strict=True, note=note))
         add(AuditCheck("canonical-class", "skipped", strict=True, note=note))
 

@@ -238,9 +238,13 @@ def _delta_counts(value, path: str) -> dict[int, int]:
 def audit_report_to_json(report: AuditReport) -> dict:
     """``audit --json``: each check's fields in field order; a check without a
     note has no "note"."""
-    return _versioned(checks=[{**_attributes(c, () if c.note else ("note",)),
-                               "lhs": _exact(c.lhs), "rhs": _exact(c.rhs)}
-                              for c in report.checks])
+    checks = []
+    for c in report.checks:
+        doc = {**c._asdict(), "lhs": _exact(c.lhs), "rhs": _exact(c.rhs)}
+        if not c.note:
+            del doc["note"]
+        checks.append(doc)
+    return _versioned(checks=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -907,8 +907,10 @@ COUNT_0 = ("profiles", 0, "delta_counts", "0")
     ("datum", GERMS_0, ["(" * 2000 + "y" + ")" * 2000],
      "datum: critical_fibers[0].germs[0]: parentheses nested too deeply"),
     ("audit", ("chi",), "1.5", "record: chi: cannot parse '1.5' as a rational"),
+    ("audit", ("chi",), "1/0", "record: chi: cannot parse '1/0' as a rational"),
 ], ids=["negligible", "simple_ramification", "c0_in_branch", "hyperelliptic", "semistable",
-        "count-null", "count-float", "count-key", "count-long-key", "germ-deep", "chi-decimal"])
+        "count-null", "count-float", "count-key", "count-long-key", "germ-deep", "chi-decimal",
+        "chi-zero-denominator"])
 def test_malformed_field_exits_2_and_is_named(capsys, tmp_path, command, field, value,
                                               message):
     doc = {"datum": datum_to_json(family("genus2").datum), "audit": PROFILED_RECORD}[command]
@@ -1055,17 +1057,22 @@ def test_search_counts_chi_zero_rejections(capsys):
     assert all(c["chi"] != "0" and c["slope"] != "None" for c in doc["candidates"])
 
 
-def test_search_decides_each_distinct_record_once(capsys):
+def test_search_decides_each_distinct_record_once(capsys, monkeypatch):
     # the 8x8 sweep at genus 6 builds 392 records, 57 of them distinct, and
-    # audits 310 of them, 31 distinct: each distinct one is built and its
-    # record checks decided once, and every repeat is a memo hit
-    memos = (datum_mod._record, fibration_mod._record_checks)
-    for memo in memos:
-        memo.cache_clear()
+    # audits 310 of them, 31 distinct: each distinct one is built once, and
+    # every repeat is a memo hit that hands back the same record object, so
+    # its record checks are decided once, on that object
+    audits, decided = [], []
+    audit, decide = fibration_mod.audit, fibration_mod._record_checks
+    monkeypatch.setattr(fibration_mod, "audit", lambda inv: audits.append(inv) or audit(inv))
+    monkeypatch.setattr(fibration_mod, "_record_checks",
+                        lambda inv: decided.append(inv) or decide(inv))
+    datum_mod._record.cache_clear()
     assert run(capsys, "search", "--genus", "6", "--max-n", "16", "--germ-grid", "8x8")[0] == 0
-    counts = [(info.hits + info.misses, info.misses)
-              for info in (memo.cache_info() for memo in memos)]
-    assert counts == [(392, 57), (310, 31)]
+    info = datum_mod._record.cache_info()
+    assert (info.hits + info.misses, info.misses) == (392, 57)
+    assert (len(audits), len(decided)) == (310, 31)
+    assert len({id(inv) for inv in audits}) == 31
 
 
 def test_search_bad_grid_spec_exits_2(capsys):

@@ -60,6 +60,14 @@ def test_beauville_rejects_fiber_genus_below_two():
         beauville(1, 3)
 
 
+def test_beauville_rejects_negative_base_genus_and_empty_branch():
+    with pytest.raises(PreconditionViolated,
+                       match="^covered-curve genus must be >= 0, got -1$"):
+        beauville(3, -1)
+    with pytest.raises(PreconditionViolated, match="^branch count must be >= 1, got 0$"):
+        beauville(3, 0, 0)
+
+
 def test_beauville_genus_one_base():
     inv = beauville(4, 1)
     assert inv.g == 5

@@ -102,6 +102,8 @@ def test_datum_basic_type_checks():
         GenusGDatum(g=3, g_C=0, e=0, n=4, critical_fibers=(_marker(),), declared_m=-1)
     with pytest.raises(TypeError, match=r"^n must be an integer, got 4\.0$"):
         GenusGDatum(g=3, g_C=0, e=0, n=4.0, critical_fibers=(_marker(),))
+    with pytest.raises(TypeError, match="^critical fibers must be CriticalFiber, got str$"):
+        GenusGDatum(3, 1, 0, 4, ("y^2 - z^2",))
 
     class Three:  # an integer by __index__ alone, as every record reads it
         def __index__(self):

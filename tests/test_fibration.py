@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -475,13 +474,22 @@ def test_invariants_match_the_fraction_formulas(d):
             [_check_fields(c) for c in _fraction_audit(inv)]
 
 
-def test_records_differing_in_one_flag_never_share_checks():
-    # hyperelliptic and semistable are both in the key of the record checks
-    fibration._record_checks.cache_clear()
+def _counting_decisions(monkeypatch) -> list:
+    # the records whose record checks are decided, one entry per decision
+    decided = []
+    decide = fibration._record_checks
+    monkeypatch.setattr(fibration, "_record_checks",
+                        lambda inv: decided.append(inv) or decide(inv))
+    return decided
+
+
+def test_records_differing_in_one_flag_never_share_checks(monkeypatch):
+    # each record object keeps its own checks, whatever its flags
+    decided = _counting_decisions(monkeypatch)
     records = [_inv(g=3, g_C=1, s=4, chi=5, omega_sq=20, delta=40, hyperelliptic=hyp,
                     semistable=stable) for hyp in (False, True) for stable in (False, True)]
     reports = [audit(inv) for inv in records]
-    assert fibration._record_checks.cache_info().misses == 4
+    assert decided == records
     shared = [id(c) for r in reports for c in r.checks
               if c.check not in ("node-ratio", "fiber-profile")]
     assert len(set(shared)) == len(shared)
@@ -504,12 +512,24 @@ def test_editing_a_report_leaves_the_next_audit_alone():
 
 def test_audit_checks_are_frozen():
     check = audit(_inv()).checks[0]
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         check.status = "pass"
 
 
+def test_auditing_one_record_twice_decides_once(monkeypatch):
+    decided = _counting_decisions(monkeypatch)
+    inv = _inv(g=3, g_C=1, s=4, chi=5, omega_sq=20, delta=40)
+    first, second = audit(inv), audit(inv)
+    assert decided == [inv]
+    assert [id(c) for c in first.checks] == [id(c) for c in second.checks]
+    assert first.checks is not second.checks
+    # an equal record is another object, and decides its own checks
+    audit(_inv(g=3, g_C=1, s=4, chi=5, omega_sq=20, delta=40))
+    assert len(decided) == 2
+
+
 def test_fibration_imports_neither_the_kernel_nor_sympy():
-    # the arithmetic layer reads MEMO_SIZE from the package, not from germs
+    # the arithmetic layer loads bounds alone
     src = os.path.dirname(os.path.dirname(fibrato.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

@@ -30,7 +30,6 @@ from fibrato.germs import (
 import fibrato
 from fibrato import constructions
 from fibrato import datum as datum_mod
-from fibrato import fibration as fibration_mod
 from fibrato import germs as kernel
 from fibrato.cli import main
 from fibrato.datum import CriticalFiber
@@ -717,8 +716,7 @@ def test_kernel_memos_keep_each_depth_cap():
 
 def test_kernel_memos_are_bounded():
     assert datum_mod.MEMO_SIZE is kernel.MEMO_SIZE is fibrato.MEMO_SIZE
-    for memo in (kernel._strict_points, kernel._factors, datum_mod._record,
-                 fibration_mod._record_checks):
+    for memo in (kernel._strict_points, kernel._factors, datum_mod._record):
         assert memo.cache_info().maxsize == kernel.MEMO_SIZE
     memo = kernel._strict_points
     _clear_kernel_memos()

@@ -76,6 +76,14 @@ def test_realizability():
         is_realizable(BranchDatum(0, 0, 3, 3, ((3,), (3,), (3,))))
 
 
+def test_ramification_genus_errors():
+    with pytest.raises(IncompatibleDatum,
+                       match="^total ramification 1 has the wrong parity$"):
+        ramification_genus(0, 3, ((2, 1),))
+    with pytest.raises(IncompatibleDatum, match="^summation genus -1 is negative$"):
+        ramification_genus(0, 2, ())
+
+
 def test_ramification_genus_matches_solver():
     cases = [
         (0, 3, 3, ((3,), (3,), (3,))),
