@@ -3,6 +3,3 @@ germ resolution, fibration invariants, slope/speed bounds, Hurwitz-type
 branch data, and the constructions that realize the record speeds."""
 
 __version__ = "0.1.0"
-
-#: Entries kept by each process-wide memo, in fibrato.germs and fibrato.datum.
-MEMO_SIZE = 4096

@@ -393,7 +393,6 @@ class BestKnown:
     g: int
     value: Fraction
     witness: str
-    clauses: tuple[tuple[str, Fraction], ...]
 
 
 def best_known(g: int) -> BestKnown:
@@ -406,16 +405,13 @@ def best_known(g: int) -> BestKnown:
     """
     if g < 2:
         raise PreconditionViolated(f"genus must be >= 2, got {g}")
-    clauses: list[tuple[str, Fraction]] = []
     if g == 2:
-        clauses.append(("genus2", Fraction(8, 5)))
-    elif g == 3:
-        clauses.append(("genus3", Fraction(8, 3)))
-    elif g % 2 == 1:
-        clauses.append(("odd_genus", Fraction(g - (g + 1) // 4)))
-    else:
-        clauses.append(("even_genus", Fraction(g * g + 4 * g, 2 * g + 2)))
-        if g % 4 == 0:
-            clauses.append(("mod4_0", Fraction(3 * g, 4)))
-    witness, value = max(clauses, key=lambda item: item[1])
-    return BestKnown(g=g, value=value, witness=witness, clauses=tuple(clauses))
+        return BestKnown(g, Fraction(8, 5), "genus2")
+    if g == 3:
+        return BestKnown(g, Fraction(8, 3), "genus3")
+    if g % 2 == 1:
+        return BestKnown(g, Fraction(g - (g + 1) // 4), "odd_genus")
+    even = Fraction(g * g + 4 * g, 2 * g + 2)
+    if g % 4 == 0 and Fraction(3 * g, 4) > even:  # even_genus wins a tie
+        return BestKnown(g, Fraction(3 * g, 4), "mod4_0")
+    return BestKnown(g, even, "even_genus")

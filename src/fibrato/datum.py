@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain, groupby
 
-from . import MEMO_SIZE
 from .fibration import FibrationInvariants, _index_fields, base_degree
 from .germs import (
     DEFAULT_MAX_DEPTH,
@@ -55,10 +54,10 @@ class InvalidDatum(ValueError):
 
 # The three process-wide memos below (germ text -> Germ, (Germ, max_depth)
 # -> resolution trace and its offences, and the integers of a record -> its
-# invariants, slope and speed) each keep up to fibrato.MEMO_SIZE entries.
+# invariants, slope and speed) keep every entry for the life of the process.
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _parsed(text: str) -> Germ:
     # parse_germ is looked up at call time, so a rebinding of this module's
     # name is seen on every miss.  Exceptions are not memoized.
@@ -258,7 +257,7 @@ def _cluster_offences(trace: ResolutionTrace) -> list[str]:
             for label in trace.clusters() if label.startswith(("D", "E"))]
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _resolved(germ: Germ, max_depth: int) -> tuple[ResolutionTrace, tuple[str, ...]]:
     # even_resolve is looked up at call time, like parse_germ in _parsed.
     # DepthOverflow and RequiresAlgebraicExtension are not memoized, and the
@@ -274,11 +273,11 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     once per entry, its D/E offences repeat once per entry, and its entries
     in ``traces`` are one summary object repeated, in entry order.  Each
     distinct germ is resolved once per process and depth cap: parsed germs
-    and resolutions are memoized process-wide, up to MEMO_SIZE entries each,
-    so the traces in the report may be shared with other reports.  The
-    record is built once per distinct (g, g_C, s, 2*chi, omega^2,
-    semistable), all plain integers, in a memo of the same bound: equal
-    records share one frozen FibrationInvariants and its slope and speed.
+    and resolutions are memoized process-wide, so the traces in the report
+    may be shared with other reports.  The record is built once per distinct
+    (g, g_C, s, 2*chi, omega^2, semistable), all plain integers, in a
+    process-wide memo too: equal records share one frozen
+    FibrationInvariants and its slope and speed.
 
     Raises InvalidDatum, whose ``violations`` is validate()'s list, when that
     list is not empty; RequiresAlgebraicExtension / DepthOverflow from germ
@@ -316,7 +315,7 @@ def invariants(d: GenusGDatum, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvar
     )
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _record(g: int, g_C: int, s: int, two_chi: int, omega_sq: int,
             semistable: bool) -> tuple[FibrationInvariants, Fraction | None, Fraction]:
     # NonHyperbolicBase is raised before anything is built, and never memoized

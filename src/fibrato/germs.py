@@ -42,12 +42,11 @@ pseudo-remainder.
 One chart pass per germ finds the points of its even transform on E and
 decides once whether blowing it up needs an algebraic extension.  Its chart
 record is the kernel's one object per germ.  The kernel keeps two
-process-wide memos, each bounded by MEMO_SIZE entries: that chart record of
-each germ, and the factor list of each univariate polynomial.
-Infinitely-near germs repeat across inputs (y^a - z^b blows up to
-y^a - z^(b-a)), so each distinct one is charted and factored once while its
-record stays in the memo.  A chain longer than MEMO_SIZE is charted again
-when a later resolution starts inside it after its records were evicted.
+process-wide memos that hold every entry for the life of the process: that
+chart record of each germ, and the factor list of each univariate
+polynomial.  Infinitely-near germs repeat across inputs (y^a - z^b blows up
+to y^a - z^(b-a)), so each distinct one is charted and factored once per
+process, however long its chain.
 
 Once the even resolution of a germ has gone through without an exception,
 its chart record also holds a summary of it, built from the records of its
@@ -85,14 +84,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import gcd, isqrt
 from operator import index
 
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_factor_list
-
-from . import MEMO_SIZE
 
 __all__ = [
     "Germ",
@@ -389,7 +386,7 @@ def _row(support, i):
 # ---------------------------------------------------------------------------
 # univariate helpers (sympy only for non-binomials)
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _factors(coeffs: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Irreducible integer factors of a polynomial, deterministic order.
 
@@ -583,7 +580,7 @@ class _StrictPoints:
         self.interior, self.mu, self.below = interior, mu, below
 
 
-@lru_cache(maxsize=MEMO_SIZE)
+@cache
 def _strict_points(g: Germ) -> _StrictPoints:
     m = g.multiplicity
     eps = m % 2  # for odd m, E is a component of the even transform: times y or z

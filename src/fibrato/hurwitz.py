@@ -2,16 +2,16 @@
 
 A branch datum records a degree-d cover of a genus-g_target curve with m
 branch points and one partition of d per branch point (the local degrees).
-Compatibility couples the Euler characteristics,
+Compatibility is the Euler-characteristic identity
 
     2 - 2*g_source - m_parts = d * (2 - 2*g_target - m),
 
-together with the parity condition that m*d - m_parts be even (m_parts is
-the total number of parts over all branch points).  The two conditions are
-equivalent to the Riemann-Hurwitz count being an integer, which
-solve_source_genus exploits; ramification_genus recomputes the genus by the
-classical summation over local degrees as an independent cross-check.  Both
-raise IncompatibleDatum, naming the failed condition, when no cover exists.
+where m_parts is the total number of parts over all branch points.  For an
+integer g_source it forces m*d - m_parts to be even; solve_source_genus,
+where the genus is unknown, tests that parity first, so the genus it solves
+for is an integer.  ramification_genus recomputes the genus by the classical
+summation over local degrees as an independent cross-check.  Both raise
+IncompatibleDatum, naming the failed condition, when no cover exists.
 
 Realizability only imports a sufficient criterion — a full cyclic branch
 point over the projective line — so the answer is Realizable or Unknown,
@@ -83,12 +83,11 @@ class BranchDatum:
 
 
 def is_compatible(b: BranchDatum) -> bool:
-    """Both the Euler-characteristic identity and the parity condition."""
+    """The Euler-characteristic identity; at an integer source genus it
+    implies that m*d - m_parts is even."""
     if b.g_source is None:
         raise ValueError("compatibility needs a known source genus")
-    euler = 2 - 2 * b.g_source - b.total_parts == b.d * (2 - 2 * b.g_target - b.m)
-    parity = (b.m * b.d - b.total_parts) % 2 == 0
-    return euler and parity
+    return 2 - 2 * b.g_source - b.total_parts == b.d * (2 - 2 * b.g_target - b.m)
 
 
 def solve_source_genus(g_target: int, m: int, d: int, partitions) -> int:

@@ -227,6 +227,31 @@ def test_resolution_deeper_than_the_recursion_limit_resolves_and_writes_json(
     assert (code, out, err) == _fresh_process("resolve", "y^2 - z^4000", "--json")
 
 
+def test_two_long_chains_that_share_their_tail_are_charted_once(monkeypatch):
+    # y^2 - z^11998 is the first blow-up of y^2 - z^12000: the second fiber
+    # resolves from the first one's chart records, 6,000 in all
+    monkeypatch.setenv("FIBRATO_MAX_DEPTH", "7000")
+    doc = {"schema_version": 1, "g": 2, "g_C": 2, "e": 0, "n": 6, "critical_fibers": [
+        {"label": "a", "germs": ["y^2 - z^12000"]}, {"label": "b", "germs": ["y^2 - z^11998"]}]}
+    for memo in (germs_mod._strict_points, germs_mod._factors,
+                 datum_mod._parsed, datum_mod._resolved, datum_mod._record):
+        memo.cache_clear()
+    code, out, err = _main_on_stdin(["datum", "-"], json.dumps(doc))
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == "audit: FAIL"
+    assert germs_mod._strict_points.cache_info().misses == 6000
+
+
+def test_the_default_cap_bounds_the_even_resolution(capsys, monkeypatch):
+    # A129 blows up points down to depth 64, the default cap; A131 down to 65
+    monkeypatch.delenv("FIBRATO_MAX_DEPTH", raising=False)
+    code, out, err = run(capsys, "resolve", "y^2 - z^130")
+    assert (code, err) == (0, "")
+    assert "classification: A129" in out.splitlines()
+    assert run(capsys, "resolve", "y^2 - z^132") == (
+        2, "", "error: germ 'y^2 - z^132': no smooth model within 64 blow-ups\n")
+
+
 def test_resolve_irrational_point_exits_2(capsys):
     germ = "z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7"
     code, _, err = run(capsys, "resolve", germ)

@@ -455,12 +455,6 @@ def test_failed_parse_leaves_no_memo_entry():
         assert datum_mod._parsed.cache_info().currsize == 0
 
 
-def test_memos_are_bounded():
-    for memo in MEMOS:
-        maxsize = memo.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize < float("inf")
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip
 

@@ -27,7 +27,6 @@ from fibrato.germs import (
     even_resolve,
     parse_germ,
 )
-import fibrato
 from fibrato import constructions
 from fibrato import datum as datum_mod
 from fibrato import germs as kernel
@@ -714,22 +713,10 @@ def test_kernel_memos_keep_each_depth_cap():
     assert messages == ["no smooth model within 18 blow-ups"] * 4
 
 
-def test_kernel_memos_are_bounded():
-    assert datum_mod.MEMO_SIZE is kernel.MEMO_SIZE is fibrato.MEMO_SIZE
-    for memo in (kernel._strict_points, kernel._factors, datum_mod._record):
-        assert memo.cache_info().maxsize == kernel.MEMO_SIZE
-    memo = kernel._strict_points
-    _clear_kernel_memos()
-    chain = [parse_germ(f"y^2 - z^{b}") for b in range(3, kernel.MEMO_SIZE + 8)]
-    for g in chain:
-        memo(g)
-    assert memo.cache_info().currsize == kernel.MEMO_SIZE
-    hits, misses = memo.cache_info().hits, memo.cache_info().misses
-    memo(chain[5])  # the oldest entry kept
-    assert memo.cache_info().hits == hits + 1
-    memo(chain[4])  # the oldest entries went first
-    assert memo.cache_info().misses == misses + 1
-    assert memo.cache_info().currsize == kernel.MEMO_SIZE
+def test_memos_keep_every_entry():
+    for memo in (kernel._strict_points, kernel._factors,
+                 datum_mod._parsed, datum_mod._resolved, datum_mod._record):
+        assert memo.cache_info().maxsize is None
 
 
 def _memo_misses():
@@ -757,9 +744,8 @@ def test_reading_labels_reads_no_kernel_memo():
 
 
 def test_a_long_negligible_chain_is_charted_once_per_point():
-    # the chain y^2 - z^8400, y^2 - z^8398, ..., y^2 - z^2 outgrows MEMO_SIZE:
+    # the chain y^2 - z^8400, y^2 - z^8398, ..., y^2 - z^2 has 4,200 points:
     # labelling it reads no memo, so it stays linear in its length
-    assert kernel.MEMO_SIZE < 4200
     _clear_kernel_memos()
     trace = even_resolve(parse_germ("y^2 - z^8400"), 4201)
     assert trace.classification == "A8399"
@@ -789,6 +775,18 @@ def _chart_lookups(fn, *args):
     fn(*args)
     after = kernel._strict_points.cache_info()
     return after.hits - before.hits, after.misses - before.misses
+
+
+def test_a_chain_resolved_again_from_inside_is_charted_once():
+    # y^2 - z^11998 is the first blow-up of y^2 - z^12000, and the memo keeps
+    # the 6,000 chart records of that chain: resolving the tail again is one
+    # hit on its summarized record, however long the chain
+    _clear_kernel_memos()
+    even_resolve(parse_germ("y^2 - z^12000"), 7000)
+    assert kernel._strict_points.cache_info().misses == 6000
+    tail = parse_germ("y^2 - z^11998")
+    assert _chart_lookups(even_resolve, tail, 7000) == (1, 0)
+    assert even_resolve(tail, 7000).classification == "A11997"
 
 
 def test_a_summarized_germ_resolves_with_one_chart_lookup():

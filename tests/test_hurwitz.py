@@ -138,6 +138,7 @@ def test_solved_genus_round_trips(datum):
     except IncompatibleDatum:
         return
     assert is_compatible(BranchDatum(g, g_t, m, d, parts))
+    assert not is_compatible(BranchDatum(g + 1, g_t, m, d, parts))
     assert g == ramification_genus(g_t, d, parts)
 
 
