@@ -455,6 +455,11 @@ def test_failed_parse_leaves_no_memo_entry():
         assert datum_mod._parsed.cache_info().currsize == 0
 
 
+def test_memos_keep_every_entry():
+    for memo in MEMOS:
+        assert memo.cache_info().maxsize is None
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 

@@ -713,9 +713,8 @@ def test_kernel_memos_keep_each_depth_cap():
     assert messages == ["no smooth model within 18 blow-ups"] * 4
 
 
-def test_memos_keep_every_entry():
-    for memo in (kernel._strict_points, kernel._factors,
-                 datum_mod._parsed, datum_mod._resolved, datum_mod._record):
+def test_kernel_memos_keep_every_entry():
+    for memo in (kernel._strict_points, kernel._factors, datum_mod._record):
         assert memo.cache_info().maxsize is None
 
 
