@@ -322,11 +322,8 @@ def _cmd_datum(args) -> int:
 # ---------------------------------------------------------------------------
 # search
 
-_GRID_RE = re.compile(r"^(\d+)x(\d+)$")
-
-
 def _parse_grid(spec: str) -> tuple[int, int]:
-    match = _GRID_RE.match(spec)
+    match = re.match(r"^(\d+)x(\d+)$", spec)
     if not match:
         raise InputError(
             f"germ grid spec {spec!r} must look like 'AxB' (e.g. 6x6)")
@@ -341,66 +338,27 @@ def _cmd_search(args) -> int:
         raise InputError("--genus must be at least 2")
     if not (2 <= args.max_n <= 64):
         raise InputError("--max-n must lie in 2..64")
-    a_max, b_max = _parse_grid(args.germ_grid)
-    depth = _max_depth()
-
-    g = args.genus
-    markers = tuple(
-        datum_mod.CriticalFiber(f"marker_{i}", negligible_marker=True)
-        for i in range(1, 4))
-    candidates = []
-    rejected = {"chi <= 0": 0, "not semistable": 0, "audit failure": 0,
-                "unresolvable": 0}
-    for n in range(2, args.max_n + 1):
-        if n % 2:
-            continue  # e = 0 forces even n
-        for a in range(2, a_max + 1):
-            for b in range(2, b_max + 1):
-                text = f"y^{a} - z^{b}"
-                d = datum_mod.GenusGDatum(
-                    g=g, g_C=1, e=0, n=n,
-                    critical_fibers=(
-                        datum_mod.CriticalFiber("candidate", (text, text)),
-                    ) + markers)
-                try:
-                    report = datum_mod.invariants(d, max_depth=depth)
-                except (RequiresAlgebraicExtension, DepthOverflow):
-                    rejected["unresolvable"] += 1
-                    continue
-                if report.invariants.chi <= 0:
-                    rejected["chi <= 0"] += 1
-                    continue
-                if not report.semistable.passed:
-                    rejected["not semistable"] += 1
-                    continue
-                if not fibration.audit(report.invariants).passed:
-                    rejected["audit failure"] += 1
-                    continue
-                candidates.append((report.speed, n, text, report))
-
-    candidates.sort(key=lambda item: (-item[0], item[1], item[2]))
-    top = candidates[:10]
-    record = constructions.best_known(g)
+    result = constructions.search(args.genus, args.max_n, *_parse_grid(args.germ_grid),
+                                  _max_depth())
 
     if args.json:
-        print(jsonio.dumps(jsonio.search_to_json(g, a_max, b_max, args.max_n, record, top,
-                                                 rejected)))
+        print(jsonio.dumps(jsonio.search_to_json(result)))
     else:
         print("experimental search -- results carry no claim beyond the "
               "checks shown")
-        print(f"genus {g}, base genus 1, even n <= {args.max_n}, "
-              f"germs y^a - z^b with a <= {a_max}, b <= {b_max}")
-        print(f"best known construction at genus {g}: "
-              f"{_pretty(record.value)} ({record.witness})")
-        if not top:
+        print(f"genus {result.g}, base genus 1, even n <= {result.max_n}, "
+              f"germs y^a - z^b with a <= {result.a_max}, b <= {result.b_max}")
+        print(f"best known construction at genus {result.g}: "
+              f"{_pretty(result.best.value)} ({result.best.witness})")
+        if not result.top:
             print("no candidate passed every check")
         else:
             print("top candidates (semi-stable, audit clean):")
-            for (speed, n, text, rep) in top:
-                print(f"  speed {_pretty(speed)}  n = {n}  germ {text}  "
-                      f"chi = {_pretty(rep.invariants.chi)}  "
-                      f"slope = {_pretty(rep.slope)}")
-        skipped = ", ".join(f"{k}: {v}" for k, v in rejected.items() if v)
+            for c in result.top:
+                print(f"  speed {_pretty(c.speed)}  n = {c.n}  germ {c.germ}  "
+                      f"chi = {_pretty(c.report.invariants.chi)}  "
+                      f"slope = {_pretty(c.report.slope)}")
+        skipped = ", ".join(f"{k}: {v}" for k, v in result.rejected if v)
         print(f"rejected candidates -- {skipped if skipped else 'none'}")
     return EXIT_OK
 

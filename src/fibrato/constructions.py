@@ -28,12 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
+from . import fibration
 from .bounds import PreconditionViolated
 from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, _fiber_from_runs,
                     invariants)
 from .fibration import FibrationInvariants, noether_delta
-from .germs import DEFAULT_MAX_DEPTH, DepthOverflow
+from .germs import DEFAULT_MAX_DEPTH, DepthOverflow, RequiresAlgebraicExtension
 from .hurwitz import BranchDatum
 
 
@@ -388,9 +390,8 @@ def family(name: str, g: int | None = None) -> Family:
 
 @dataclass(frozen=True)
 class BestKnown:
-    """Highest constructed speed at genus g, with the construction named."""
+    """Highest constructed speed at a genus, with the construction named."""
 
-    g: int
     value: Fraction
     witness: str
 
@@ -406,12 +407,72 @@ def best_known(g: int) -> BestKnown:
     if g < 2:
         raise PreconditionViolated(f"genus must be >= 2, got {g}")
     if g == 2:
-        return BestKnown(g, Fraction(8, 5), "genus2")
+        return BestKnown(Fraction(8, 5), "genus2")
     if g == 3:
-        return BestKnown(g, Fraction(8, 3), "genus3")
+        return BestKnown(Fraction(8, 3), "genus3")
     if g % 2 == 1:
-        return BestKnown(g, Fraction(g - (g + 1) // 4), "odd_genus")
+        return BestKnown(Fraction(g - (g + 1) // 4), "odd_genus")
     even = Fraction(g * g + 4 * g, 2 * g + 2)
     if g % 4 == 0 and Fraction(3 * g, 4) > even:  # even_genus wins a tie
-        return BestKnown(g, Fraction(3 * g, 4), "mod4_0")
-    return BestKnown(g, even, "even_genus")
+        return BestKnown(Fraction(3 * g, 4), "mod4_0")
+    return BestKnown(even, "even_genus")
+
+
+# ---------------------------------------------------------------------------
+# Experimental search
+
+REJECTION_REASONS = ("chi <= 0", "not semistable", "audit failure", "unresolvable")
+
+
+@dataclass(frozen=True)
+class SearchCandidate:
+    """A swept datum that passed every check, named by its n and germ text."""
+
+    speed: Fraction
+    n: int
+    germ: str
+    report: DatumInvariantsReport
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    """A sweep's arguments, ``best_known(g)``, its ten fastest candidates and
+    each (reason, count) of REJECTION_REASONS."""
+
+    g: int
+    max_n: int
+    a_max: int
+    b_max: int
+    max_depth: int
+    best: BestKnown
+    top: tuple[SearchCandidate, ...]
+    rejected: tuple[tuple[str, int], ...]
+
+
+def search(g: int, max_n: int, a_max: int, b_max: int,
+           max_depth: int = DEFAULT_MAX_DEPTH) -> SearchResult:
+    """Sweep the germs y^a - z^b (2 <= a <= a_max, 2 <= b <= b_max) at genus g
+    and even n <= max_n over a genus-1 base with e = 0: one candidate fiber
+    carries the germ twice, and three negligible marker fibers make s = 4, so
+    speed = chi/2.  Survivors rank by speed, then smaller n, then germ text."""
+    markers = tuple(CriticalFiber(f"marker_{i}", negligible_marker=True) for i in range(1, 4))
+    survivors, rejected = [], dict.fromkeys(REJECTION_REASONS, 0)
+    for n, a, b in product(range(2, max_n + 1, 2), range(2, a_max + 1), range(2, b_max + 1)):
+        text = f"y^{a} - z^{b}"
+        fibers = (CriticalFiber("candidate", (text, text)),) + markers
+        try:
+            report = invariants(GenusGDatum(g, g_C=1, e=0, n=n, critical_fibers=fibers), max_depth)
+        except (RequiresAlgebraicExtension, DepthOverflow):
+            rejected["unresolvable"] += 1
+            continue
+        if report.invariants.chi <= 0:
+            rejected["chi <= 0"] += 1
+        elif not report.semistable.passed:
+            rejected["not semistable"] += 1
+        elif not fibration.audit(report.invariants).passed:
+            rejected["audit failure"] += 1
+        else:
+            survivors.append(SearchCandidate(report.speed, n, text, report))
+    survivors.sort(key=lambda c: (-c.speed, c.n, c.germ))
+    return SearchResult(g, max_n, a_max, b_max, max_depth, best_known(g), tuple(survivors[:10]),
+                        tuple(rejected.items()))

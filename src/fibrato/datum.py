@@ -171,8 +171,9 @@ def validate(d: GenusGDatum) -> list[str]:
     An empty list means the datum is admissible: the declared branch class is
     divisible by two ((g+1)e + n even), the ruled-surface invariant respects
     e <= n/(g+1) (or e <= n/g when the negative section lies in the branch
-    divisor), at least one critical fiber is declared, and every critical
-    fiber either carries a germ of multiplicity >= 2 or is marked negligible.
+    divisor) and e >= -g_C (Nagata; e >= 0 over P^1), at least one critical
+    fiber is declared, and every critical fiber either carries a germ of
+    multiplicity >= 2 or is marked negligible.
     """
     violations: list[str] = []
     parity = (d.g + 1) * d.e + d.n
@@ -187,6 +188,8 @@ def validate(d: GenusGDatum) -> list[str]:
             )
     elif d.e * (d.g + 1) > d.n:
         violations.append(f"e = {d.e} exceeds n/(g+1) = {d.n}/{d.g + 1}")
+    if d.e < -d.g_C:
+        violations.append(f"e = {d.e} is below -g_C = {-d.g_C}")
     if d.s < 1:
         violations.append("no critical fibers declared (s = 0)")
     for fib in d.critical_fibers:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import chain, groupby
 
 from .bounds import Table
-from .constructions import BestKnown, Family
+from .constructions import Family, SearchResult
 from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, SemistableVerdict,
                     _fiber_from_runs, _parsed)
 from .fibration import AuditReport, FiberNodeProfile, FibrationInvariants, StableModelNodes
@@ -431,18 +431,16 @@ def datum_report_to_json(d: GenusGDatum, violations: list[str], failure: str | N
     return doc
 
 
-def search_to_json(g: int, a_max: int, b_max: int, max_n: int, best: BestKnown,
-                   top: list[tuple[Fraction, int, str, DatumInvariantsReport]],
-                   rejected: dict[str, int]) -> dict:
-    """``search --json``: the sweep, the best known speed at genus g, the top
-    (speed, n, germ text, report) candidates and the count of each rejection."""
+def search_to_json(result: SearchResult) -> dict:
+    """``search --json``: the sweep, the best known speed at its genus, the top
+    candidates and the count of each rejection."""
     return _versioned(
         experimental=True,
-        genus=g,
-        grid={"a_max": a_max, "b_max": b_max, "max_n": max_n},
-        best_known={"value": _exact(best.value), "witness": best.witness},
-        candidates=[{"germ": text, "n": n, "speed": _exact(speed), "slope": _exact(rep.slope),
-                     "chi": _exact(rep.invariants.chi), "semistable": True}
-                    for speed, n, text, rep in top],
-        rejected=rejected,
+        genus=result.g,
+        grid={"a_max": result.a_max, "b_max": result.b_max, "max_n": result.max_n},
+        best_known={"value": _exact(result.best.value), "witness": result.best.witness},
+        candidates=[{"germ": c.germ, "n": c.n, "speed": _exact(c.speed),
+                     "slope": _exact(c.report.slope), "chi": _exact(c.report.invariants.chi),
+                     "semistable": True} for c in result.top],
+        rejected=dict(result.rejected),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fibrato.bounds import PreconditionViolated, low_base_speed, minimal_m, teich_max
 from fibrato.constructions import (
     FAMILY_NAMES,
+    REJECTION_REASONS,
     BestKnown,
     Family,
     beauville,
@@ -22,13 +24,15 @@ from fibrato.constructions import (
     mod4_1,
     mod6_1,
     odd_genus,
+    search,
     _quartic_frame,
 )
 from fibrato.datum import invariants, validate
 from fibrato.fibration import FibrationInvariants, audit, slope, speed
-from fibrato.germs import DepthOverflow, even_resolve
+from fibrato.germs import DEFAULT_MAX_DEPTH, DepthOverflow, even_resolve
 from fibrato.hurwitz import REALIZABLE, is_compatible, is_realizable, solve_source_genus
 from fibrato.jsonio import datum_from_json, datum_to_json
+from fibrato.oracle import binomial_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -392,3 +396,29 @@ def test_best_known_mod4_0_overtakes_even_genus_past_g4():
         record = best_known(g)
         assert record.witness == "mod4_0", g
         assert family("mod4_0", g).expected_speed > family("even_genus", g).expected_speed, g
+
+
+# ---------------------------------------------------------------------------
+# Experimental search
+
+
+def test_search_ranks_and_rejects_without_the_cli():
+    # 36 data (n = 2, 4, 6, 8 times a 4x4 grid); at depth 1 the eight data of
+    # y^4 - z^3 and y^3 - z^4 cannot resolve, and no test elsewhere reaches
+    # the unresolvable reason
+    for max_depth, counts in ((DEFAULT_MAX_DEPTH, (0, 12, 17, 0)), (1, (0, 4, 17, 8))):
+        result = search(6, 8, 4, 4, max_depth=max_depth)
+        assert (result.g, result.max_n, result.a_max, result.b_max,
+                result.max_depth) == (6, 8, 4, 4, max_depth)
+        assert result.best == best_known(6)
+        assert result.rejected == tuple(zip(REJECTION_REASONS, counts))
+        assert len(result.top) == 7
+        keys = [(-c.speed, c.n, c.germ) for c in result.top]
+        assert keys == sorted(keys)
+        for c in result.top:
+            # the germ is listed twice on a genus-1 base with s = 4
+            a, b = map(int, re.fullmatch(r"y\^(\d+) - z\^(\d+)", c.germ).groups())
+            ks = [m // 2 for m in binomial_oracle(0, 0, a, b)]
+            chi = Fraction(6 * c.n - 2 * sum(k * (k - 1) for k in ks), 2)
+            assert c.report.invariants.chi == chi, c
+            assert c.speed == c.report.speed == chi / 2, c

@@ -133,6 +133,18 @@ def test_validate_e_bound_violation():
     assert any("n/(g+1)" in v for v in msgs)
 
 
+def test_validate_e_below_minus_base_genus():
+    # e >= -g_C on a ruled surface over a genus-g_C curve (Nagata), e >= 0
+    # over P^1
+    bad = GenusGDatum(g=3, g_C=0, e=-4, n=2,
+                      critical_fibers=(CriticalFiber("a", ("y^2 - z^4",)),))
+    assert validate(bad) == ["e = -4 is below -g_C = 0"]
+
+
+def test_validate_e_at_minus_base_genus_is_admissible():
+    assert validate(GenusGDatum(g=3, g_C=1, e=-1, n=4, critical_fibers=(_marker(),))) == []
+
+
 def test_validate_c0_in_branch_relaxes_e_bound():
     base = dict(g=3, g_C=1, e=2, n=6, critical_fibers=(_marker(),))
     assert validate(GenusGDatum(**base, c0_in_branch=True)) == []
@@ -370,8 +382,8 @@ def _family_data():
 
 
 def _search_data():
-    """The data `fibrato search --genus 6 --max-n 16 --germ-grid 8x8` sweeps,
-    built from germ strings as the CLI builds them."""
+    """The data `constructions.search(6, 16, 8, 8)` sweeps, built from germ
+    strings as that function builds them."""
     markers = tuple(_marker(f"marker_{i}") for i in range(1, 4))
     return [
         GenusGDatum(g=6, g_C=1, e=0, n=n, critical_fibers=(
