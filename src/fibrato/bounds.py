@@ -181,11 +181,13 @@ class Table:
 
 
 def decimal3(x: Fraction) -> str:
-    """Round half-up to 3 decimals and strip trailing zeros: 17/9 -> "1.889",
-    7/2 -> "3.5", 4 -> "4"."""
+    """Round to 3 decimals, halves away from zero, and strip trailing zeros:
+    17/9 -> "1.889", 7/2 -> "3.5", 4 -> "4", -1/2000 -> "-0.001".  A value
+    that rounds to zero is "0", whatever its sign."""
     x = Fraction(x)
     if x < 0:
-        return "-" + decimal3(-x)
+        text = decimal3(-x)
+        return text if text == "0" else "-" + text
     scaled = (2000 * x.numerator + x.denominator) // (2 * x.denominator)
     text = f"{scaled // 1000}.{scaled % 1000:03d}".rstrip("0").rstrip(".")
     return text

@@ -59,8 +59,8 @@ def _max_depth() -> int:
     if raw is None:
         return DEFAULT_MAX_DEPTH
     try:
-        value = int(raw)
-    except ValueError:
+        value = int(raw) if re.fullmatch("[0-9]+", raw) else 0
+    except ValueError:  # more digits than int() converts
         value = 0
     if value < 1:
         raise InputError(
@@ -323,7 +323,7 @@ def _cmd_datum(args) -> int:
 # search
 
 def _parse_grid(spec: str) -> tuple[int, int]:
-    match = re.match(r"^(\d+)x(\d+)$", spec)
+    match = re.fullmatch("([0-9]+)x([0-9]+)", spec)
     if not match:
         raise InputError(
             f"germ grid spec {spec!r} must look like 'AxB' (e.g. 6x6)")

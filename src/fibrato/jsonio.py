@@ -100,7 +100,6 @@ _list = _typed(list, "a list")
 _object = _typed(dict, "an object")
 _rational_text = _typed(str, "an integer or 'p/q' string")
 _germ_text = _typed(str, "a germ string")
-_partition_list = _typed(list, "a list of lists of integers")
 
 
 _P_Q = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -305,14 +304,8 @@ def _germs(value, path: str) -> list[tuple[Germ, int]]:
 # ---------------------------------------------------------------------------
 # branch datum
 
-def _partitions(value, path: str) -> list[tuple[int, ...]]:
-    return [tuple(_int(part, f"{path}[{k}][{n}]")
-                  for n, part in enumerate(_partition_list(p, path)))
-            for k, p in enumerate(_partition_list(value, path))]
-
-
-_BRANCH = (("g_target", _int), ("m", _int), ("d", _int), ("partitions", _partitions),
-           ("g_source", _int, None))
+_BRANCH = (("g_target", _int), ("m", _int), ("d", _int),
+           ("partitions", _list_of(_list_of(_int))), ("g_source", _int, None))
 
 
 def branch_datum_to_json(b: BranchDatum) -> dict:

@@ -162,6 +162,9 @@ def test_decimal3():
     assert decimal3(Fraction(52, 9)) == "5.778"
     assert decimal3(Fraction(1, 400)) == "0.003"  # exact half rounds up
     assert decimal3(Fraction(8, 5)) == "1.6"
+    assert decimal3(Fraction(-17, 9)) == "-1.889"
+    assert decimal3(Fraction(-1, 2000)) == "-0.001"  # a negative half rounds away from zero
+    assert decimal3(Fraction(-1, 3000)) == "0"  # not "-0"
 
 
 TABLE1_ROWS = {

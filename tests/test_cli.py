@@ -2,14 +2,18 @@
 
 Most tests call ``fibrato.cli.main`` in-process and inspect the captured
 output and the returned exit status (0 pass, 1 check failure, 2 bad input);
-the process-level ones start the CLI as a child process.
+the process-level ones start the CLI as a child process.  This module pins
+the CLI's contract; CI runs the installed console script only for its exit
+codes, stderr and a closed pipe, so a new CLI check belongs here.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -188,10 +192,12 @@ def _child_env(**extra):
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **extra)
 
 
-def _fresh_process(*argv):
-    """Run the CLI in a new interpreter, so that no memo is warm."""
+def _fresh_process(*argv, **env):
+    """Run the CLI in a new interpreter, so that no memo is warm, with env
+    added to its environment.  Each caller's run takes under a second; one
+    that outlasts the timeout has stalled."""
     done = subprocess.run([sys.executable, "-m", "fibrato.cli", *argv],
-                          capture_output=True, text=True, env=_child_env(), timeout=120)
+                          capture_output=True, text=True, env=_child_env(**env), timeout=20)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -227,6 +233,20 @@ def test_resolution_deeper_than_the_recursion_limit_resolves_and_writes_json(
     assert (code, out, err) == _fresh_process("resolve", "y^2 - z^4000", "--json")
 
 
+@pytest.mark.parametrize("argv, cap, line", [
+    (["resolve", "y^2 - z^20000"], "10001", "classification: A19999"),
+    (["example", "even_genus", "--genus", "6000"], "7000", "closed-formula check: match"),
+], ids=["resolve-A19999", "even_genus-6000"])
+def test_a_chain_of_thousands_of_points_resolves_in_time(argv, cap, line):
+    # each germ's even resolution is summed up once, from its points'
+    # summaries, and read off them by walks linear in its points, so a
+    # negligible chain of 10,000 points labels within the child's timeout; a
+    # fresh process keeps the chain out of this one's memos
+    code, out, err = _fresh_process(*argv, FIBRATO_MAX_DEPTH=cap)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+
+
 def test_two_long_chains_that_share_their_tail_are_charted_once(monkeypatch):
     # y^2 - z^11998 is the first blow-up of y^2 - z^12000: the second fiber
     # resolves from the first one's chart records, 6,000 in all
@@ -253,10 +273,15 @@ def test_the_default_cap_bounds_the_even_resolution(capsys, monkeypatch):
 
 
 def test_resolve_irrational_point_exits_2(capsys):
-    germ = "z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7"
-    code, _, err = run(capsys, "resolve", germ)
-    assert code == 2
-    assert "error:" in err
+    # the even blow-up needs a point over an algebraic extension: the one
+    # stderr line is the chart record's verdict
+    for germ, verdict in (
+            ("z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7",
+             "singular irrational direction (-2, 0, 1) for "
+             "4*y^4 - 2*y^7 - 4*y^2*z^2 + y^5*z^2 + z^4"),
+            ("y*z^4 - 4*y^3*z^2 + 4*y^5",
+             "multiple irrational direction (-2, 0, 1) on E for 4*y^5 - 4*y^3*z^2 + y*z^4")):
+        assert run(capsys, "resolve", germ) == (2, "", f"error: germ {germ!r}: {verdict}\n")
 
 
 def test_resolve_depth_cap_env_var(capsys, monkeypatch):
@@ -272,7 +297,8 @@ def test_resolve_depth_cap_env_var(capsys, monkeypatch):
 
 
 def test_resolve_rejects_bad_depth_env_var(capsys, monkeypatch):
-    for raw in ("zero", "0"):
+    # only ASCII digits make the cap, as they make every integer read from text
+    for raw in ("zero", "0", "1_0", "+5", " 5", "\u0663"):
         monkeypatch.setenv("FIBRATO_MAX_DEPTH", raw)
         code, out, err = run(capsys, "resolve", "y^2 - z^2")
         assert (code, out) == (2, "")
@@ -441,7 +467,8 @@ def test_emitted_datum_at_the_depth_cap_resolves(capsys):
 
 @pytest.mark.parametrize("name, genus", [
     ("odd_genus", 100000001), ("mod4_0", 100000000), ("mod4_1", 100000001),
-    ("mod6_1", 100000003), ("even_genus", 100000000)])
+    ("mod6_1", 100000003), ("even_genus", 100000000),
+    ("even_genus", 20000), ("even_genus", 100000), ("odd_genus", 10 ** 18 + 1)])
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--emit-json"]])
 def test_every_family_past_the_depth_cap_exits_2_at_once(name, genus, flags):
     # the closed-form depth is checked before any germ entry is spelled out,
@@ -473,7 +500,7 @@ def test_example_exits_cleanly(name, genus, flags):
     if code == 0 and flags == ["--emit-json"]:
         assert datum_from_json(json.loads(out)).g == genus
     if code == 2:
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_example_json_reports_match(capsys):
@@ -530,6 +557,9 @@ def test_example_record_block_passes_audit(capsys, tmp_path, name, genus):
     code, out, _ = run(capsys, "audit", write_json(tmp_path, "rec.json", record))
     assert code == 0
     assert "audit: pass" in out
+    code, out, err = _main_on_stdin(["audit", "-", "--json"], json.dumps(record))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["schema_version"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +700,12 @@ def test_stdin_that_is_not_utf8_exits_2_under_the_c_locale():
     # the C locale gives the interpreter's own stdin the surrogateescape
     # handler; the reader decodes the bytes strictly, as it does a file
     env = {k: v for k, v in _child_env(LC_ALL="C").items() if k != "PYTHONIOENCODING"}
-    done = subprocess.run([sys.executable, "-m", "fibrato.cli", "hurwitz", "-"],
-                          input=b"\xff\xfe{}", capture_output=True, env=env, timeout=120)
-    assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr == (b"error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xff "
-                           b"in position 0: invalid start byte\n")
+    for command in ("datum", "hurwitz"):
+        done = subprocess.run([sys.executable, "-m", "fibrato.cli", command, "-"],
+                              input=b"\xff\xfe{}", capture_output=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout) == (2, b""), command
+        assert done.stderr == (b"error: cannot read <stdin>: 'utf-8' codec can't decode byte "
+                               b"0xff in position 0: invalid start byte\n")
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +775,11 @@ def test_hurwitz_non_integer_field_is_named(capsys, tmp_path, field, value, name
 
 
 def test_hurwitz_partitions_must_be_lists(capsys, tmp_path):
-    path = write_json(tmp_path, "b.json", dict(TRIPLE_COVER, partitions=[3, 3, 3]))
-    code, _, err = run(capsys, "hurwitz", path)
-    assert code == 2
-    assert "partitions must be a list of lists" in err
+    # the message names the element that is not a list
+    for partitions, name in (([3, 3, 3], "partitions[0]"), ([[2], 3], "partitions[1]")):
+        path = write_json(tmp_path, "b.json", dict(TRIPLE_COVER, partitions=partitions))
+        assert run(capsys, "hurwitz", path) == (
+            2, "", f"error: branch datum: {name} must be a list, got int\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1038,11 +1070,14 @@ _LONG_VERDICTS = {
       for command, doc in _LONG_RESULTS.items() for flag in ([], ["--json"])],
     *[([command, "-"], json.dumps(doc), f"{command}: input too large to allocate")
       for command, doc in _LONG_VERDICTS.values()],
+    *[([command, "-", "--json"], json.dumps(doc), f"{command}: input too large to allocate")
+      for command, doc in _LONG_VERDICTS.values()],
 ], ids=["resolve-1e13", "resolve-1e20", "datum-1e13", "datum-1e20",
         "example-1e18", "example-1e20", "example-4300-nines",
         *[f"{command}{flag}-long-result" for command in _LONG_RESULTS
           for flag in ("", "-json")],
-        *[f"{case}-long-result" for case in _LONG_VERDICTS]])
+        *[f"{case}-long-result" for case in _LONG_VERDICTS],
+        *[f"{case}-json-long-result" for case in _LONG_VERDICTS]])
 def test_input_too_large_to_allocate_exits_2(argv, text, message, monkeypatch):
     monkeypatch.setenv("FIBRATO_MAX_DEPTH", str(10 ** 30))
     start = time.perf_counter()
@@ -1101,10 +1136,10 @@ def test_search_decides_each_distinct_record_once(capsys, monkeypatch):
 
 
 def test_search_bad_grid_spec_exits_2(capsys):
-    code, _, err = run(capsys, "search", "--genus", "3", "--max-n", "6",
-                       "--germ-grid", "banana")
-    assert code == 2
-    assert "germ grid" in err
+    # only ASCII digits make a bound, and nothing may follow the second one
+    for spec in ("banana", "\u0663x3", "3x3\n"):
+        assert run(capsys, "search", "--genus", "3", "--max-n", "6", "--germ-grid", spec) == (
+            2, "", f"error: germ grid spec {spec!r} must look like 'AxB' (e.g. 6x6)\n")
 
 
 def test_search_genus_below_2_exits_2(capsys):
@@ -1151,6 +1186,58 @@ def test_tables_fuzz_exits_cleanly(words):
         assert [t["table"] for t in json.loads(out)["tables"]]
     if code == 2:
         assert out == "" and "error: " in err, words
+
+
+# ---------------------------------------------------------------------------
+# verdicts and JSON documents
+
+@pytest.mark.parametrize("command, doc, line, path, value", [
+    ("datum", datum_to_json(ODD_BRANCH_CLASS), "validation: FAILED", ("violations",), [
+        "(g+1)*e + n = 7 is odd; the branch class must be divisible by two",
+        "e = 1 exceeds n/(g+1) = 3/4"]),
+    ("datum", {"schema_version": 1, "g": 3, "g_C": 0, "e": -4, "n": 2,
+               "critical_fibers": [{"label": "a", "germs": ["y^2 - z^4"]}]},
+     "validation: FAILED", ("violations",), ["e = -4 is below -g_C = 0"]),
+    ("datum", NON_HYPERBOLIC, "speed undefined: base orbifold Euler number 1 >= 0",
+     ("failure",), "speed undefined: base orbifold Euler number 1 >= 0"),
+    ("hurwitz", {"schema_version": 1, "g_target": 0, "m": 2, "d": 2,
+                 "partitions": [[2], [1, 1]]},
+     "compatible: NO -- m*d - parts = 1 is odd", ("failure",), "m*d - parts = 1 is odd"),
+    ("hurwitz", {"schema_version": 1, "g_target": 0, "m": 0, "d": 2, "partitions": []},
+     "compatible: NO -- solved genus -1 is negative", ("failure",),
+     "solved genus -1 is negative"),
+    ("audit", dict(GOOD_RECORD, delta=29), "audit: FAIL", ("checks", 0),
+     {"check": "noether-identity", "status": "fail", "lhs": "29", "rhs": "28", "strict": False}),
+], ids=["odd-branch-class", "e-below-minus-g_C", "non-hyperbolic", "odd-parity",
+        "negative-genus", "forged-record"])
+def test_verdict_exits_1_with_nothing_on_stderr(command, doc, line, path, value):
+    # a failed check is a result, not an error: the verdict goes to stdout as
+    # a line of the report, or at path in the JSON document, and a datum that
+    # fails reports no invariants
+    code, out, err = _main_on_stdin([command, "-"], json.dumps(doc))
+    assert (code, err) == (1, "")
+    assert line in out.splitlines()
+    code, out, err = _main_on_stdin([command, "-", "--json"], json.dumps(doc))
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert "invariants" not in report
+    assert functools.reduce(operator.getitem, path, report) == value
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["tables"], ""),
+    (["resolve", "y^3 - z^7"], ""),
+    (["search", "--genus", "4", "--max-n", "8", "--germ-grid", "4x4"], ""),
+    (["example", "genus3"], ""),
+    (["audit", "-"], json.dumps(GOOD_RECORD)),
+    (["hurwitz", "-"], json.dumps({"schema_version": 1, "g_target": 0, "m": 3, "d": 4,
+                                   "partitions": [[4], [4], [2, 2]]})),
+    (["datum", "-"], json.dumps(datum_to_json(family("odd_genus", 7).datum))),
+], ids=["tables", "resolve", "search", "example", "audit", "hurwitz", "datum"])
+def test_every_json_document_has_schema_version_1(argv, stdin):
+    code, out, err = _main_on_stdin(argv + ["--json"], stdin)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["schema_version"] == 1
 
 
 # ---------------------------------------------------------------------------
