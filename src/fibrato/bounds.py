@@ -64,13 +64,10 @@ def slope_lower(g: int) -> Fraction:
     return Fraction(4 * (g - 1), g)
 
 
-_TWELVE = Fraction(12)  # built once: the audit asks for it on every record
-
-
 def slope_upper() -> Fraction:
     """12, an upper bound from non-negativity of the node count; attained
     exactly by smooth fibrations."""
-    return _TWELVE
+    return Fraction(12)
 
 
 def hn_castelnuovo_slope(g: int) -> Fraction:

@@ -327,7 +327,9 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     if not match:
         raise InputError(
             f"germ grid spec {spec!r} must look like 'AxB' (e.g. 6x6)")
-    a_max, b_max = int(match.group(1)), int(match.group(2))
+    # past two significant digits a bound is out of range, however many it has
+    bounds = [d.lstrip("0") or "0" for d in match.groups()]
+    a_max, b_max = (int(d) if len(d) <= 2 else 0 for d in bounds)
     if not (2 <= a_max <= 16 and 2 <= b_max <= 16):
         raise InputError("germ grid bounds must lie in 2..16")
     return a_max, b_max
@@ -365,6 +367,17 @@ def _cmd_search(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits after an optional minus, not every
+    text int() takes (no other digits, underscores, plus sign or spaces)."""
+    try:
+        if re.fullmatch("-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
 
 class _SubcommandParser(argparse.ArgumentParser):
     """A subcommand's parser; with signed_text, an argument that starts with a
@@ -414,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="instantiate a record family at a chosen genus")
     p.add_argument("family", metavar="family",
                    help="one of: " + ", ".join(constructions.FAMILY_NAMES))
-    p.add_argument("--genus", type=int, default=None,
+    p.add_argument("--genus", type=_integer, default=None,
                    help="fiber genus (required unless the family fixes it)")
     p.add_argument("--emit-json", action="store_true",
                    help="print only the family's cover datum as JSON "
@@ -454,8 +467,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search",
                        help="experimental: sweep binomial germ data at a "
                             "fixed genus and rank the survivors by speed")
-    p.add_argument("--genus", type=int, required=True, help="fiber genus")
-    p.add_argument("--max-n", type=int, required=True,
+    p.add_argument("--genus", type=_integer, required=True, help="fiber genus")
+    p.add_argument("--max-n", type=_integer, required=True,
                    help="largest branch bidegree n to try (even n only)")
     p.add_argument("--germ-grid", required=True, metavar="AxB",
                    help="try germs y^a - z^b for 2 <= a <= A, 2 <= b <= B")

@@ -145,17 +145,14 @@ def _index_fields(record, names) -> None:
 def _index_entries(name: str, values) -> tuple[int, ...]:
     """The entries of one field as a tuple of ints, read like _index_fields
     reads a scalar: TypeError naming the field and the first entry that is
-    not an integer.  Plain ints go through map(index) at C speed."""
-    values = tuple(values)
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        for value in values:
-            try:
-                index(value)
-            except TypeError:
-                raise TypeError(f"{name} must hold integers, got {value!r}") from None
-        raise
+    not an integer."""
+    entries = []
+    for value in values:
+        try:
+            entries.append(index(value))
+        except TypeError:
+            raise TypeError(f"{name} must hold integers, got {value!r}") from None
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

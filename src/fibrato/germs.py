@@ -40,13 +40,15 @@ The divisibility test for a multiple irrational direction is an integer
 pseudo-remainder.
 
 One chart pass per germ finds the points of its even transform on E and
-decides once whether blowing it up needs an algebraic extension.  Its chart
-record is the kernel's one object per germ.  The kernel keeps two
-process-wide memos that hold every entry for the life of the process: that
-chart record of each germ, and the factor list of each univariate
-polynomial.  Infinitely-near germs repeat across inputs (y^a - z^b blows up
-to y^a - z^(b-a)), so each distinct one is charted and factored once per
-process, however long its chain.
+decides once whether blowing it up needs an algebraic extension.  The pass
+charts the even transform itself, so a germ is built only for a singular
+point it keeps, and once: at a multiple rational root or at infinity whose
+lowest total degree is at least 2.  Its chart record is the kernel's one
+object per germ.  The kernel keeps two process-wide memos that hold every
+entry for the life of the process: that chart record of each germ, and the
+factor list of each univariate polynomial.  Infinitely-near germs repeat
+across inputs (y^a - z^b blows up to y^a - z^(b-a)), so each distinct one
+is charted and factored once per process, however long its chain.
 
 Once the even resolution of a germ has gone through without an exception,
 its chart record also holds a summary of it, built from the records of its
@@ -334,12 +336,12 @@ def _mul(p, q):
 # raw support manipulation for blow-ups
 
 def _chart1(support, m):
-    """Strict transform under z = y*v, divided by y^m: (i, j) -> (i + j - m, j)."""
+    """Total transform under z = y*v, divided by y^m: (i, j) -> (i + j - m, j)."""
     return {(i + j - m, j): c for (i, j), c in support.items()}
 
 
 def _chart2(support, m):
-    """Strict transform under y = u*z, divided by z^m: (i, j) -> (i, i + j - m)."""
+    """Total transform under y = u*z, divided by z^m: (i, j) -> (i, i + j - m)."""
     return {(i, i + j - m): c for (i, j), c in support.items()}
 
 
@@ -513,19 +515,21 @@ class Descendant:
 @dataclass(slots=True, eq=False)
 class _StrictPoints:
     """The chart record of a germ g of multiplicity m >= 2, the kernel's one
-    object per germ: the points of E over the origin, read off the strict
-    transform in charts 1 and 2 once, and the summary of g's even resolution
-    once it has gone through.  It compares by identity.
+    object per germ: the points of E over the origin, read off the even
+    transform (the strict transform times E^(m mod 2)) in charts 1 and 2
+    once, and the summary of g's even resolution once it has gone through.
+    It compares by identity.
 
     error: the text of the RequiresAlgebraicExtension that blowing up g
         raises, else None: for odd m, the first multiple irrational factor
         of the restriction to E; for even m, where a simple root is a smooth
         point of the transform, the first multiple one that divides the
         y-linear part, as the strict transform is singular at its points;
-    even: the non-smooth points of the even transform, the strict transform
-        times E^(m mod 2); germ None marks certified A1 nodes.  A simple
-        rational root gets no Taylor shift, as the strict transform is
-        smooth there and transverse to E;
+    even: the non-smooth points of the even transform; germ None marks
+        certified A1 nodes.  A simple rational root gets no Taylor shift, as
+        the strict transform is smooth there and transverse to E; a germ is
+        built only at a point the record keeps, of lowest total degree at
+        least 2;
     below: None until g resolves, then a (Descendant, record) pair per point
         of ``even``, the last one first, as a depth-first walk stacks them;
         the record is None at A1 nodes;
@@ -583,40 +587,31 @@ class _StrictPoints:
 @cache
 def _strict_points(g: Germ) -> _StrictPoints:
     m = g.multiplicity
-    eps = m % 2  # for odd m, E is a component of the even transform: times y or z
-    strict = _chart1(g.support, m)
-    rational, simple, error = [], [], None
-    for coeffs, exp in _factors(_row(strict, 0)):
+    eps = m % 2  # for odd m, E is a component of the even transform: row 0 is empty
+    chart = _chart1(g.support, m - eps)  # the even transform; its row eps lies on E
+    even, simple, error = [], [], None
+    for coeffs, exp in _factors(_row(chart, eps)):
         if len(coeffs) == 2:
             root = Fraction(-coeffs[0], coeffs[1])
-            rational.append((root, Germ(_shift_second(strict, root)) if exp >= 2 else None))
+            if exp >= 2:
+                shifted = _shift_second(chart, root)
+                if min([i + j for i, j in shifted]) >= 2:
+                    even.append(Descendant(root, Germ(shifted)))
+            elif eps:  # a smooth point of the strict transform: E crosses it in an A1 node
+                even.append(Descendant(root, None))
         elif exp == 1:
             simple.append(coeffs)
         elif error is None and eps:
             error = f"multiple irrational direction {coeffs} on E for {g}"
-        elif error is None and _divides(coeffs, _row(strict, 1)):
+        elif error is None and _divides(coeffs, _row(chart, 1)):
             error = f"singular irrational direction {coeffs} for {g}"
-    strict2 = _chart2(g.support, m)
-    at_infinity = Germ(strict2) if all(i + j for i, j in strict2) else None
-
-    even = []
-    for root, germ in sorted(rational):
-        if germ is None:  # a smooth point: for odd m, E crosses it in an A1 node
-            if eps:
-                even.append(Descendant(root, None))
-            continue
-        if eps:
-            germ = Germ({(i + 1, j): c for (i, j), c in germ.support.items()})
-        even.append(Descendant(root, germ))
+    even.sort(key=lambda d: d.direction)
     if eps:  # likewise at each simple irrational direction
         even += [Descendant(ConjugateDirections(c), None) for c in simple]
-    if at_infinity is not None:
-        germ = at_infinity
-        if eps:
-            germ = Germ({(i, j + 1): c for (i, j), c in germ.support.items()})
-        even.append(Descendant(INFINITY, germ))
-    even = tuple(d for d in even if d.germ is None or d.germ.multiplicity >= 2)
-    return _StrictPoints(error, even)
+    chart = _chart2(g.support, m - eps)
+    if min([i + j for i, j in chart]) >= 2:
+        even.append(Descendant(INFINITY, Germ(chart)))
+    return _StrictPoints(error, tuple(even))
 
 
 def even_blow_up(g: Germ) -> list[Descendant]:

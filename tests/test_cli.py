@@ -297,8 +297,9 @@ def test_resolve_depth_cap_env_var(capsys, monkeypatch):
 
 
 def test_resolve_rejects_bad_depth_env_var(capsys, monkeypatch):
-    # only ASCII digits make the cap, as they make every integer read from text
-    for raw in ("zero", "0", "1_0", "+5", " 5", "\u0663"):
+    # only ASCII digits make the cap, as they make every integer read from
+    # text, and no more of them than int() converts
+    for raw in ("zero", "0", "1_0", "+5", " 5", "\u0663", "9" * 5000):
         monkeypatch.setenv("FIBRATO_MAX_DEPTH", raw)
         code, out, err = run(capsys, "resolve", "y^2 - z^2")
         assert (code, out) == (2, "")
@@ -965,12 +966,14 @@ COUNT_0 = ("profiles", 0, "delta_counts", "0")
      "datum: critical_fibers[0].germs[0]: parentheses nested too deeply"),
     ("audit", ("chi",), "1.5", "record: chi: cannot parse '1.5' as a rational"),
     ("audit", ("chi",), "1/0", "record: chi: cannot parse '1/0' as a rational"),
+    ("hurwitz", ("g_target",), -1, "branch datum: target genus must be non-negative"),
 ], ids=["negligible", "simple_ramification", "c0_in_branch", "hyperelliptic", "semistable",
         "count-null", "count-float", "count-key", "count-long-key", "germ-deep", "chi-decimal",
-        "chi-zero-denominator"])
+        "chi-zero-denominator", "negative-target-genus"])
 def test_malformed_field_exits_2_and_is_named(capsys, tmp_path, command, field, value,
                                               message):
-    doc = {"datum": datum_to_json(family("genus2").datum), "audit": PROFILED_RECORD}[command]
+    doc = {"datum": datum_to_json(family("genus2").datum), "audit": PROFILED_RECORD,
+           "hurwitz": TRIPLE_COVER}[command]
     path = write_json(tmp_path, "doc.json", with_field(doc, field, value))
     code, out, err = run(capsys, command, path)
     assert code == 2
@@ -1142,10 +1145,42 @@ def test_search_bad_grid_spec_exits_2(capsys):
             2, "", f"error: germ grid spec {spec!r} must look like 'AxB' (e.g. 6x6)\n")
 
 
+def test_search_grid_bound_past_the_digit_limit_is_out_of_range(capsys):
+    # a bound with more digits than int() converts is out of range like any
+    # other, and leading zeros do not count
+    for spec in ("9" * 5000 + "x3", "3x" + "9" * 5000):
+        assert run(capsys, "search", "--genus", "4", "--max-n", "8", "--germ-grid", spec) == (
+            2, "", "error: germ grid bounds must lie in 2..16\n")
+    code, out, err = run(capsys, "search", "--genus", "4", "--max-n", "8",
+                         "--germ-grid", "0" * 5000 + "3x3")
+    assert (code, err) == (0, "")
+    assert "germs y^a - z^b with a <= 3, b <= 3" in out
+
+
+@pytest.mark.parametrize("text", ["\u0666", "1_0", "+8", " 6", "abc"])
+@pytest.mark.parametrize("argv", [
+    ["example", "even_genus", "--genus"],
+    ["search", "--max-n", "8", "--germ-grid", "3x3", "--genus"],
+    ["search", "--genus", "4", "--germ-grid", "3x3", "--max-n"],
+], ids=["example-genus", "search-genus", "search-max-n"])
+def test_integer_options_take_only_ascii_digits(capsys, argv, text):
+    # argparse's usage error, as for any text that is not an integer
+    code, out, err = run(capsys, *argv, text)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: fibrato {argv[0]} ")
+    assert err.splitlines()[-1] == (
+        f"fibrato {argv[0]}: error: argument {argv[-1]}: invalid int value: {text!r}")
+
+
+def test_example_genus_keeps_a_leading_minus(capsys):
+    assert run(capsys, "example", "odd_genus", "--genus", "-3") == (
+        2, "", "error: odd_genus requires odd g >= 5, got -3\n")
+
+
 def test_search_genus_below_2_exits_2(capsys):
-    code, _, _ = run(capsys, "search", "--genus", "1", "--max-n", "4",
-                     "--germ-grid", "3x3")
-    assert code == 2
+    for genus in ("1", "-3"):
+        assert run(capsys, "search", "--genus", genus, "--max-n", "4",
+                   "--germ-grid", "3x3") == (2, "", "error: --genus must be at least 2\n")
 
 
 @st.composite

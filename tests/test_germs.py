@@ -768,6 +768,22 @@ def test_simple_rational_roots_cost_no_chart_record():
     assert kernel._strict_points.cache_info().misses == 8
 
 
+def test_the_chart_pass_builds_a_germ_only_for_a_point_it_keeps(monkeypatch):
+    # the pass charts the even transform itself: a germ is built once, at a
+    # singular point the record keeps, and never for a point it drops
+    built = []
+    init = Germ.__init__
+    monkeypatch.setattr(Germ, "__init__",
+                        lambda self, support: built.append(support) or init(self, support))
+    grid = _grid_germs()
+    assert len(built) == 784  # one by parse_germ per grid germ
+    _clear_kernel_memos()
+    for g in grid:
+        even_resolve(g)
+    assert len(built) == 1541
+    assert _memo_misses() == (862, 44)
+
+
 def _chart_lookups(fn, *args):
     """(hits, misses) of the chart-record memo during fn(*args)."""
     before = kernel._strict_points.cache_info()
