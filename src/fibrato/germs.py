@@ -108,6 +108,7 @@ __all__ = [
     "RequiresAlgebraicExtension",
     "DepthOverflow",
     "DEFAULT_MAX_DEPTH",
+    "ascii_int",
 ]
 
 DEFAULT_MAX_DEPTH = 64
@@ -205,10 +206,10 @@ def parse_germ(text: str) -> Germ:
     Grammar: expr := term (('+'|'-') term)*;
     term := [integer]['*']? factor ('*' factor)*;
     factor := 'y'['^' integer] | 'z'['^' integer] | '(' expr ')'.
-    Integers are ASCII digits.  Whitespace is insignificant; a leading sign
-    is tolerated.  The polynomial must vanish at the origin (no constant
-    term once expanded).  Parentheses nest at most _MAX_NESTING (100) deep,
-    whatever the depth of the caller's stack.
+    Integers are ASCII digits, read by ascii_int.  Whitespace is
+    insignificant; a leading sign is tolerated.  The polynomial must vanish
+    at the origin (no constant term once expanded).  Parentheses nest at
+    most _MAX_NESTING (100) deep, whatever the depth of the caller's stack.
     """
     tokens = _tokenize(text)
     if tokens.count("(") > _MAX_NESTING:  # each '(' costs three frames of _parse_*
@@ -294,16 +295,33 @@ _TOKEN = re.compile(r"[0-9]+|[yz^*+()-]|\S")
 _SYMBOLS = frozenset("yz^*+()-")
 
 
+def ascii_int(text: str, *, signed: bool = False) -> int | None:
+    """The value of text made only of ASCII digits, after one leading minus
+    when signed; None for any other text (no other digits, underscores, plus
+    sign or spaces), or for a value past the interpreter's limit on integer
+    digits, to which leading zeros do not count.  fibrato reads every
+    integer written as text through it; only JSON numbers are read by json."""
+    negative = signed and text[:1] == "-"
+    digits = text[1:] if negative else text
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        value = int(digits.lstrip("0") or "0")
+    except ValueError:  # past the interpreter's limit
+        return None
+    return -value if negative else value
+
+
 def _tokenize(text):
     tokens = []
     for tok in _TOKEN.findall(text):
         if tok in _SYMBOLS:
             tokens.append(tok)
         elif "0" <= tok[0] <= "9":
-            try:
-                tokens.append(int(tok))
-            except ValueError:  # past the interpreter's limit on integer digits
-                raise GermSyntaxError(f"integer of {len(tok)} digits is too long") from None
+            value = ascii_int(tok)
+            if value is None:
+                raise GermSyntaxError(f"integer of {len(tok)} digits is too long")
+            tokens.append(value)
         else:
             raise GermSyntaxError(f"illegal character {tok!r}")
     if not tokens:

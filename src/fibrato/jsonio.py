@@ -13,7 +13,6 @@ this module imports them, never the reverse.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -24,7 +23,7 @@ from .constructions import Family, SearchResult
 from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, SemistableVerdict,
                     _fiber_from_runs, _parsed)
 from .fibration import AuditReport, FiberNodeProfile, FibrationInvariants, StableModelNodes
-from .germs import INFINITY, ConjugateDirections, Germ, ResolutionTrace
+from .germs import INFINITY, ConjugateDirections, Germ, ResolutionTrace, ascii_int
 from .hurwitz import BranchDatum
 
 SCHEMA_VERSION = 1
@@ -102,19 +101,16 @@ _rational_text = _typed(str, "an integer or 'p/q' string")
 _germ_text = _typed(str, "a germ string")
 
 
-_P_Q = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
 def _rational(value, path: str) -> Fraction:
     if type(value) is int:
         return Fraction(value)
     text = _rational_text(value, path)
-    try:
-        if _P_Q.fullmatch(text):
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or q = 0
-        pass
-    raise InputError(f"{path}: cannot parse {text!r} as a rational")
+    p, slash, q = text.partition("/")
+    numerator = ascii_int(p, signed=True)
+    denominator = ascii_int(q) if slash else 1
+    if numerator is None or not denominator:  # q = 0 is no rational either
+        raise InputError(f"{path}: cannot parse {text!r} as a rational")
+    return Fraction(numerator, denominator)
 
 
 def _exact(x) -> str | None:
@@ -153,8 +149,8 @@ def _build(cls, path: str, **fields):
 # field tables: (key, reader[, default]), written in table order.  The key is
 # also the attribute of the domain object; a field without a default is required.
 
-def _read_fields(obj: dict, table) -> dict:
-    return {key: _field(obj, key, read, "", *default) for key, read, *default in table}
+def _read_fields(obj: dict, table, path: str = "") -> dict:
+    return {key: _field(obj, key, read, path, *default) for key, read, *default in table}
 
 
 def _write_fields(item, table) -> dict:
@@ -206,29 +202,22 @@ def _nodes(value, path: str) -> StableModelNodes:
     return _build(StableModelNodes, path, node_indices=tuple(_list_of(_int)(value, path)))
 
 
-def _profile(value, path: str) -> FiberNodeProfile:
-    entry = _object(value, path)
-    return _build(
-        FiberNodeProfile, path,
-        g=_field(entry, "g", _int, path),
-        g_geo=_field(entry, "g_geo", _int, path),
-        l=_field(entry, "l", _int, path),
-        delta_counts=_field(entry, "delta_counts", _delta_counts, path, default={}),
-    )
-
-
 def _delta_counts(value, path: str) -> dict[int, int]:
     """Node counts keyed by the separated genus; JSON keys are digit strings."""
     counts = {}
     for key, count in _object(value, path).items():
-        try:
-            index = int(key) if key.isascii() and key.isdigit() else -1
-        except ValueError:  # more digits than int() converts
-            index = -1
-        if index < 0:
+        index = ascii_int(key)
+        if index is None:
             raise InputError(f"{path}: key {key!r} is not a non-negative integer")
         counts[index] = _int(count, f"{path}[{key!r}]")
     return counts
+
+
+_PROFILE = (("g", _int), ("g_geo", _int), ("l", _int), ("delta_counts", _delta_counts, {}))
+
+
+def _profile(value, path: str) -> FiberNodeProfile:
+    return _build(FiberNodeProfile, path, **_read_fields(_object(value, path), _PROFILE, path))
 
 
 # ---------------------------------------------------------------------------

@@ -1183,6 +1183,47 @@ def test_search_genus_below_2_exits_2(capsys):
                    "--germ-grid", "3x3") == (2, "", "error: --genus must be at least 2\n")
 
 
+def _max_depth_env(text, tmp_path, monkeypatch):
+    monkeypatch.setenv("FIBRATO_MAX_DEPTH", text)
+    return ["resolve", "y^2 - z^4"]
+
+
+def _audit_file(doc):
+    return lambda text, tmp_path, monkeypatch: ["audit", write_json(tmp_path, "r.json", doc(text))]
+
+
+# Each boundary where an integer enters as text: the unpadded value, the
+# argv that reads a text there, and the error line for one that is too long.
+@pytest.mark.parametrize("value, argv, line", [
+    ("5", _max_depth_env, "error: FIBRATO_MAX_DEPTH must be a positive integer, got {!r}"),
+    ("6", lambda text, *_: ["example", "even_genus", "--genus", text],
+     "fibrato example: error: argument --genus: invalid int value: {!r}"),
+    ("4", lambda text, *_: ["search", "--genus", text, "--max-n", "4", "--germ-grid", "3x3"],
+     "fibrato search: error: argument --genus: invalid int value: {!r}"),
+    ("4", lambda text, *_: ["search", "--genus", "4", "--max-n", text, "--germ-grid", "3x3"],
+     "fibrato search: error: argument --max-n: invalid int value: {!r}"),
+    ("3", lambda text, *_: ["search", "--genus", "4", "--max-n", "4", "--germ-grid", text + "x3"],
+     "error: germ grid bounds must lie in 2..16"),
+    ("4", lambda text, *_: ["resolve", f"y^2 - z^{text}"],
+     "error: germ 'y^2 - z^{}': integer of 5000 digits is too long"),
+    ("79", _audit_file(lambda text: dict(GOOD_RECORD, chi=text)),
+     "error: record: chi: cannot parse {!r} as a rational"),
+    ("0", _audit_file(lambda text: dict(PROFILED_RECORD, profiles=[
+        {"g": 3, "g_geo": 2, "l": 1, "delta_counts": {text: 1}}])),
+     "error: record: profiles[0].delta_counts: key {!r} is not a non-negative integer"),
+], ids=["FIBRATO_MAX_DEPTH", "example-genus", "search-genus", "search-max-n", "germ-grid",
+        "germ-exponent", "rational", "delta-counts-key"])
+def test_every_integer_boundary_reads_ascii_digits_alike(capsys, tmp_path, monkeypatch,
+                                                         value, argv, line):
+    # leading zeros never count toward the interpreter's 4,300-digit limit,
+    # and a value past it keeps the boundary's own error line
+    padded = run(capsys, *argv("0" * 5000 + value, tmp_path, monkeypatch))
+    assert padded == run(capsys, *argv(value, tmp_path, monkeypatch))
+    nines = "9" * 5000
+    code, out, err = run(capsys, *argv(nines, tmp_path, monkeypatch))
+    assert (code, out, err.splitlines()[-1]) == (2, "", line.format(nines))
+
+
 @st.composite
 def _search_args(draw):
     """search arguments: integers in and around each accepted range, huge

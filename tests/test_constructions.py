@@ -402,6 +402,16 @@ def test_best_known_mod4_0_overtakes_even_genus_past_g4():
 # Experimental search
 
 
+def test_every_accepted_sweep_has_a_candidate():
+    # y^2 - z^2 at n = 2 lies in every sweep the CLI accepts (genus >= 2,
+    # max-n >= 2, grid >= 2x2) and passes every check, so its report never
+    # lacks a candidate; its slope is the lower bound 4(g - 1)/g
+    for g in range(2, 42):
+        top = search(g, 2, 2, 2, 1).top
+        assert [(c.n, c.germ) for c in top] == [(2, "y^2 - z^2")], g
+        assert top[0].report.slope == Fraction(4 * (g - 1), g), g
+
+
 def test_search_ranks_and_rejects_without_the_cli():
     # 36 data (n = 2, 4, 6, 8 times a 4x4 grid); at depth 1 the eight data of
     # y^4 - z^3 and y^3 - z^4 cannot resolve, and no test elsewhere reaches

@@ -22,6 +22,7 @@ from fibrato.germs import (
     Germ,
     GermSyntaxError,
     RequiresAlgebraicExtension,
+    ascii_int,
     classify,
     even_blow_up,
     even_resolve,
@@ -97,6 +98,21 @@ def test_parse_rejects_malformed():
     for text in ("", "y**2", "y^", "(y^2", "y^2)", "x^2", "y 2", "y z"):
         with pytest.raises(GermSyntaxError):
             parse_germ(text)
+
+
+@pytest.mark.parametrize("text, signed, value", [
+    ("0", False, 0), ("042", False, 42), ("-3", True, -3), ("-0", True, 0), ("17", True, 17),
+    ("-3", False, None), ("", False, None), ("-", True, None), ("--3", True, None),
+    ("+5", False, None), ("+5", True, None), (" 5", False, None), ("5 ", False, None),
+    ("1_0", False, None), ("\u0663", False, None), ("\u00b2", False, None),
+    pytest.param("0" * 5000 + "79", False, 79, id="padded"),
+    pytest.param("-" + "0" * 5000 + "3", True, -3, id="padded-negative"),
+    pytest.param("9" * 5000, False, None, id="long"),
+    pytest.param("-" + "9" * 5000, True, None, id="long-negative"),
+])
+def test_ascii_int_reads_only_ascii_digits_within_the_limit(text, signed, value):
+    # leading zeros never count toward the interpreter's limit on digits
+    assert ascii_int(text, signed=signed) == value
 
 
 def test_zero_polynomial_rejected():
@@ -1246,7 +1262,7 @@ def _closure_parse(text):
     for number, symbol, illegal in _OLD_TOKEN.findall(text):
         if number:
             try:
-                tokens.append(int(number))
+                tokens.append(int(number.lstrip("0") or "0"))
             except ValueError:
                 raise GermSyntaxError(f"integer of {len(number)} digits is too long") from None
         elif symbol:
@@ -1389,6 +1405,7 @@ def _germ_texts(draw):
 @example("y^0 + y^2")
 @example("y^2 - y^2")
 @example("9" * 5000 + "*y")
+@example("0" * 5000 + "2*y^" + "0" * 5000 + "3")
 @example("(" * 2000 + "y" + ")" * 2000)
 def test_parser_matches_the_closure_parser(text):
     got = _raised(parse_germ, text)

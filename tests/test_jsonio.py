@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,26 @@ def test_the_reader_hands_each_fiber_its_runs(monkeypatch):
 @given(st.fractions() | st.integers())
 def test_the_rational_writer_inverts_the_reader(x):
     assert jsonio._rational(jsonio._exact(x), "") == x
+
+
+@pytest.mark.parametrize("text, value", [
+    ("79", 79), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2)), ("-0/5", 0),
+    pytest.param("0" * 5000 + "79", 79, id="padded-integer"),
+    pytest.param("-" + "0" * 5000 + "3/" + "0" * 5000 + "4", Fraction(-3, 4), id="padded-p/q"),
+])
+def test_the_rational_reader_takes_ascii_p_q(text, value):
+    assert jsonio._rational(text, "chi") == value
+
+
+@pytest.mark.parametrize("text", [
+    "", "-", "/", "1/", "/2", "1/0", "1/-2", "--1", "+5", " 5", "5 ", "1_0", "1.5", "1/2/3",
+    "\u0663", "1/\u0663", pytest.param("9" * 5000, id="long-p"),
+    pytest.param("1/" + "9" * 5000, id="long-q"),
+])
+def test_the_rational_reader_refuses_other_text(text):
+    with pytest.raises(InputError) as raised:
+        jsonio._rational(text, "chi")
+    assert str(raised.value) == f"chi: cannot parse {text!r} as a rational"
 
 
 def test_the_rational_writer_keeps_null():
