@@ -33,8 +33,6 @@ __all__ = [
     "arakelov_speed",
     "canonical_class_bound",
     "low_base_speed",
-    "low_base_speed_at",
-    "optimal_base_change",
     "nonhyp_speed",
     "teich_max",
     "minimal_m",
@@ -111,33 +109,11 @@ def arakelov_speed(g: int) -> Fraction:
 
 def low_base_speed(g: int, m: int) -> Fraction:
     """g(1 - 1/(18m)), the upper speed bound over a base of small genus,
-    where m bounds (2*g_C-2+s)/s from above."""
+    where m bounds (2*g_C-2+s)/s from above: the least value over integers
+    n >= 2 of the n-fold base-change bound g - g(2n-9)/(2m n^2), at n = 9."""
     _need(g >= 2, "g >= 2")
     _need(m >= 1, "m >= 1")
     return g * (1 - Fraction(1, 18 * m))
-
-
-def low_base_speed_at(g: int, m: int, n: int) -> Fraction:
-    """The n-fold-base-change speed bound g - g(2n-9)/(2m n^2) whose best
-    integer choice of n recovers low_base_speed."""
-    _need(g >= 2, "g >= 2")
-    _need(m >= 1, "m >= 1")
-    _need(n >= 2, "n >= 2")
-    return g - Fraction(g * (2 * n - 9), 2 * m * n * n)
-
-
-def optimal_base_change(g: int, m: int) -> tuple[int, Fraction]:
-    """Exact minimizer over integers n >= 2 of low_base_speed_at.
-
-    Scanning n in 2..36 suffices: (2n-9)/n^2 <= 2/n < 9/81 for n >= 37, so
-    the tail can never beat n = 9.
-    """
-    best_n, best = 2, low_base_speed_at(g, m, 2)
-    for n in range(3, 37):
-        value = low_base_speed_at(g, m, n)
-        if value < best:
-            best_n, best = n, value
-    return best_n, best
 
 
 def nonhyp_speed(g: int) -> Fraction:

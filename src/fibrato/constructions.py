@@ -4,10 +4,21 @@ Two kinds of construction live here.  The first is a double-cover example
 over a product of curves whose invariants come from closed formulas
 (``beauville``); it attains the lower slope bound 4(g-1)/g when the covered
 curve is rational.  The rest are branch-divisor constructions on ruled
-surfaces: each factory emits a fully populated genus-g datum (germ lists per
-critical fiber), the base-cover branch datum it relies on, and the expected
-invariants, so that the datum pipeline can be checked against the closed
-formulas exactly.
+surfaces, and every one of them is the pull-back of one curve B0_g of class
+(2g+2)C0 + F on P^1 x P^1 along a base cover C -> P^1 (``_pull_back``).
+A factory declares only its cover, by its partitions over (0, 1, inf),
+its ``declared_m`` and its closed-form expectations:
+
+    family              degree     partitions over (0, 1, inf)
+    odd_genus, mod4_0   4          (4), (4), (2, 2)
+    mod4_1, mod6_1      d = 4, 6   (d), unbranched, (d)
+    even_genus          2g + 2     (g+1, g+1), (2g+2), (2g+2)
+    genus3              3          (3), (3), (3), plus the fiber over 0
+    genus2              5          (5), (5), (5), plus the fiber over 0
+
+The datum (germ lists per critical fiber, n, g_C, marker fibers) and
+``Family.branch`` are derived from the cover, so the datum pipeline is
+checked against the closed formulas exactly.
 
 The high-speed families and their speeds:
 
@@ -29,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from . import fibration
 from .bounds import PreconditionViolated
@@ -36,7 +48,7 @@ from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, _fiber_fr
                     invariants)
 from .fibration import FibrationInvariants, noether_delta
 from .germs import DEFAULT_MAX_DEPTH, DepthOverflow, RequiresAlgebraicExtension
-from .hurwitz import BranchDatum
+from .hurwitz import BranchDatum, ramification_genus
 
 
 # ---------------------------------------------------------------------------
@@ -123,44 +135,74 @@ class Family:
         return invariants(self.datum, max_depth)
 
 
-def _quartic_frame(g: int) -> GenusGDatum:
-    """Datum over the degree-4 base cover with branching ((4),(4),(2,2)).
+class _Cover(NamedTuple):
+    """A base cover C -> P^1, given by its partitions over (0, 1, inf): the
+    BranchDatum of its branched points, whose source genus g_C is the
+    Riemann-Hurwitz summation's, then (label, point, e) for each branched
+    preimage and a negligible marker fiber for each unbranched one.  A
+    fiber is labelled b^-1(p) when it is the one preimage of p and
+    b^-1(p)_i otherwise."""
 
-    The base curve has genus 1 and the four critical fibers carry: two germs
-    y^{g+1} - z^4 over the totally ramified point covering 0, g+1 double
-    points y^2 - z^4 over the one covering 1, and g+1 nodes y^2 - z^2 over
-    each of the two points covering infinity.  (The nodes are listed per
-    point of b^-1(inf); they contribute nothing to the invariant sums.)
-    Used by odd_genus and mod4_0; for g = 2 mod 4 the residual singularity
-    of y^{g+1} - z^4 is an E6 point and semi-stability fails.
+    branch: BranchDatum
+    preimages: tuple[tuple[str, int, int], ...]
+    markers: tuple[CriticalFiber, ...]
+
+
+def _cover(*partitions: tuple[int, ...]) -> _Cover:
+    d = sum(partitions[0])
+    preimages, markers = [], []
+    for point, (name, partition) in enumerate(zip(("0", "1", "inf"), partitions)):
+        for i, e in enumerate(partition, 1):
+            label = f"b^-1({name})" if len(partition) == 1 else f"b^-1({name})_{i}"
+            if e == 1:
+                markers.append(CriticalFiber(label, negligible_marker=True))
+            else:
+                preimages.append((label, point, e))
+    branched = tuple(p for p in partitions if len(p) < d)
+    return _Cover(BranchDatum(ramification_genus(0, d, partitions), 0, len(branched), d, branched),
+                  tuple(preimages), tuple(markers))
+
+
+_QUARTIC = _cover((4,), (4,), (2, 2))
+_CYCLIC = {d: _cover((d,), (1,) * d, (d,)) for d in (4, 6)}
+_GENUS3 = _cover((3,), (3,), (3,))
+_GENUS2 = _cover((5,), (5,), (5,))
+
+
+def _pull_back(g: int, cover: _Cover, fiber_over_0: bool = False,
+               declared_m: int = 0) -> GenusGDatum:
+    """The datum of the pull-back of B0_g along the base cover.
+
+    B0_g, of class (2g+2)C0 + F on P^1 x P^1, has two points y^{g+1} - t
+    over t = 0 and g+1 tangencies y^2 - t over each of t = 1 and t = inf.
+    Over a preimage of ramification index e the germ y^a - t becomes
+    y^a - z^e; the cover's marker fibers, one per unbranched preimage,
+    follow the other fibers.  With ``fiber_over_0`` the branch divisor also
+    holds the fiber over 0: each germ there gains the factor z, and n the
+    summand 1.  Every germ list is one run, so the datum costs O(parts),
+    whatever g is.
     """
-    return GenusGDatum(
-        g=g,
-        g_C=1,
-        e=0,
-        n=4,
-        critical_fibers=(
-            _fiber_from_runs("b^-1(0)", [(f"y^{g + 1} - z^4", 2)]),
-            _fiber_from_runs("b^-1(1)", [("y^2 - z^4", g + 1)]),
-            _fiber_from_runs("b^-1(inf_1)", [("y^2 - z^2", g + 1)]),
-            _fiber_from_runs("b^-1(inf_2)", [("y^2 - z^2", g + 1)]),
-        ),
-    )
+    runs = ((g + 1, 2), (2, g + 1), (2, g + 1))
+    fibers = []
+    for label, point, e in cover.preimages:
+        a, count = runs[point]
+        germ = f"y^{a} - z^{e}"
+        if fiber_over_0 and point == 0:
+            germ = f"z*({germ})"
+        fibers.append(_fiber_from_runs(label, [(germ, count)]))
+    return GenusGDatum(g=g, g_C=cover.branch.g_source, e=0, n=cover.branch.d + fiber_over_0,
+                       critical_fibers=(*fibers, *cover.markers), declared_m=declared_m)
 
 
-_QUARTIC_BRANCH = BranchDatum(1, 0, 3, 4, ((4,), (4,), (2, 2)))
-
-
-def _speed_g_minus_k(name: str, k: int, datum: GenusGDatum, branch: BranchDatum, depth: int,
+def _speed_g_minus_k(name: str, k: int, g: int, cover: _Cover, depth: int,
                      notes: str = "") -> Family:
-    """The family of speed g - k on a frame: chi = 2g - 2k, omega^2 = 8g - 8 - 4k."""
-    g = datum.g
+    """The family of speed g - k over a cover: chi = 2g - 2k, omega^2 = 8g - 8 - 4k."""
     chi = Fraction(2 * g - 2 * k)
     omega_sq = Fraction(8 * g - 8 - 4 * k)
     return Family(
         name=name,
-        datum=datum,
-        branch=branch,
+        datum=_pull_back(g, cover),
+        branch=cover.branch,
         expected_chi=chi,
         expected_speed=Fraction(g - k),
         expected_omega_sq=omega_sq,
@@ -171,77 +213,52 @@ def _speed_g_minus_k(name: str, k: int, datum: GenusGDatum, branch: BranchDatum,
 
 
 def odd_genus(g: int) -> Family:
-    """Speed g - floor((g+1)/4) for odd g >= 5, over a genus-1 base."""
+    """Speed g - floor((g+1)/4) for odd g >= 5, over a genus-1 base: the
+    quartic cover with branching ((4), (4), (2, 2))."""
     if g % 2 == 0 or g < 5:
         raise PreconditionViolated(f"odd_genus requires odd g >= 5, got {g}")
     k = (g + 1) // 4
     # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k for g = 1 mod 4,
     # and ends in an ordinary quadruple point at depth k - 1 for g = 3 mod 4
     return _speed_g_minus_k(
-        "odd_genus", k, _quartic_frame(g), _QUARTIC_BRANCH, k + 1 if g % 4 == 1 else k - 1,
+        "odd_genus", k, g, _QUARTIC, k + 1 if g % 4 == 1 else k - 1,
         f"resolves through {k} infinitely-near points of multiplicity 4 per germ")
 
 
 def mod4_0(g: int) -> Family:
-    """Speed g - g/4 for g divisible by 4; same frame as odd_genus, but the
+    """Speed g - g/4 for g divisible by 4; same cover as odd_genus, but the
     quartic germ y^{g+1} - z^4 now resolves completely through g/4 points of
-    multiplicity 4 with a smooth tail."""
+    multiplicity 4 with a smooth tail.  (For g = 2 mod 4 it leaves an E6
+    point, and semi-stability fails.)"""
     if g % 4 != 0 or g < 4:
         raise PreconditionViolated(f"mod4_0 requires g divisible by 4 with g >= 4, got {g}")
     k = g // 4
     # y^{g+1} - z^4 ends at depth k - 1, each A3 at 1
-    return _speed_g_minus_k("mod4_0", k, _quartic_frame(g), _QUARTIC_BRANCH, max(k - 1, 1))
-
-
-def _cyclic_frame(g: int, d: int) -> tuple[GenusGDatum, BranchDatum]:
-    """Datum over the degree-d base cover z -> z^d of a rational curve,
-    totally ramified over 0 and infinity, with its branch datum.
-
-    Two germs y^{g+1} - z^d sit over b^-1(0) and g+1 germs y^2 - z^d over
-    b^-1(inf).  The d fibers over the preimages of 1 are critical with only
-    fiber nodes (the branch divisor is smooth there) and enter as negligible
-    markers; s = 1 + 1 + d.  Used by mod4_1 (d = 4) and mod6_1 (d = 6).
-    """
-    markers = tuple(
-        CriticalFiber(f"b^-1(1)_{i}", (), negligible_marker=True) for i in range(1, d + 1)
-    )
-    datum = GenusGDatum(
-        g=g,
-        g_C=0,
-        e=0,
-        n=d,
-        critical_fibers=(
-            _fiber_from_runs("b^-1(0)", [(f"y^{g + 1} - z^{d}", 2)]),
-            _fiber_from_runs("b^-1(inf)", [(f"y^2 - z^{d}", g + 1)]),
-        )
-        + markers,
-    )
-    return datum, BranchDatum(0, 0, 2, d, ((d,), (d,)))
+    return _speed_g_minus_k("mod4_0", k, g, _QUARTIC, max(k - 1, 1))
 
 
 def mod4_1(g: int) -> Family:
     """Speed g - floor(g/4) for g = 1 mod 4, over a rational base via the
-    degree-4 cover z -> z^4; s = 1 + 1 + 4 = 6."""
+    degree-4 cover z -> z^4, unbranched over 1; s = 1 + 1 + 4 = 6."""
     if g % 4 != 1 or g < 5:
         raise PreconditionViolated(f"mod4_1 requires g = 1 mod 4 with g >= 5, got {g}")
     k = g // 4
     # y^{g+1} - z^4 reaches an A3 point y^2 - z^4 at depth k
-    return _speed_g_minus_k("mod4_1", k, *_cyclic_frame(g, 4), k + 1)
+    return _speed_g_minus_k("mod4_1", k, g, _CYCLIC[4], k + 1)
 
 
 def mod6_1(g: int) -> Family:
     """Speed g - 2*floor(g/6) for g = 1 mod 6 and g >= 7, over a rational
-    base via the degree-6 cover z -> z^6; s = 1 + 1 + 6 = 8."""
+    base via the degree-6 cover z -> z^6, unbranched over 1; s = 1 + 1 + 6 = 8."""
     if g % 6 != 1 or g < 7:
         raise PreconditionViolated(f"mod6_1 requires g = 1 mod 6 with g >= 7, got {g}")
     j = g // 6
     chi = Fraction(3 * g - 6 * j)
     omega_sq = Fraction(12 * g - 12 - 16 * j)
-    datum, branch = _cyclic_frame(g, 6)
     return Family(
         name="mod6_1",
-        datum=datum,
-        branch=branch,
+        datum=_pull_back(g, _CYCLIC[6]),
+        branch=_CYCLIC[6].branch,
         expected_chi=chi,
         expected_speed=Fraction(g - 2 * j),
         expected_omega_sq=omega_sq,
@@ -264,22 +281,11 @@ def even_genus(g: int) -> Family:
         raise PreconditionViolated(f"even_genus requires even g >= 4, got {g}")
     chi = Fraction(g * g, 2) + 2 * g
     omega_sq = Fraction(2 * g * g + 8 * g - 12)
-    datum = GenusGDatum(
-        g=g,
-        g_C=g,
-        e=0,
-        n=2 * g + 2,
-        critical_fibers=(
-            _fiber_from_runs("b^-1(0)_1", [(f"y^{g + 1} - z^{g + 1}", 2)]),
-            _fiber_from_runs("b^-1(0)_2", [(f"y^{g + 1} - z^{g + 1}", 2)]),
-            _fiber_from_runs("b^-1(1)", [(f"y^2 - z^{2 * g + 2}", g + 1)]),
-            _fiber_from_runs("b^-1(inf)", [(f"y^2 - z^{2 * g + 2}", g + 1)]),
-        ),
-    )
+    cover = _cover((g + 1, g + 1), (2 * g + 2,), (2 * g + 2,))
     return Family(
         name="even_genus",
-        datum=datum,
-        branch=BranchDatum(g, 0, 3, 2 * g + 2, ((g + 1, g + 1), (2 * g + 2,), (2 * g + 2,))),
+        datum=_pull_back(g, cover),
+        branch=cover.branch,
         expected_chi=chi,
         expected_speed=Fraction(g * g + 4 * g, 2 * g + 2),
         expected_omega_sq=omega_sq,
@@ -291,30 +297,19 @@ def even_genus(g: int) -> Family:
 def genus3() -> Family:
     """The genus-3 record, speed 8/3 over a genus-1 base with s = 3.
 
-    The branch divisor adds the whole fiber over the point covering 0 to the
-    pullback divisor, producing two multiplicity-4 germs z(y^4 - z^3).  The
-    fiber component of the branch divisor ends with self-intersection -2
-    after the resolution, so its preimage in the double cover is one vertical
-    (-1)-curve: declared_m = 1.  That value is forced: with m = 0 the
+    The base cover has branching ((3), (3), (3)), and the branch divisor adds
+    the whole fiber over the point covering 0 to the pullback divisor,
+    producing two multiplicity-4 germs z(y^4 - z^3).  The fiber component of
+    the branch divisor ends with self-intersection -2 after the resolution,
+    so its preimage in the double cover is one vertical (-1)-curve:
+    declared_m = 1.  That value is forced: with m = 0 the
     canonical-class bound omega^2 < (2g-2)(2g_C-2+s) = 12 would be met with
     equality, and with m >= 2 the slope would drop below 4(g-1)/g.
     """
-    datum = GenusGDatum(
-        g=3,
-        g_C=1,
-        e=0,
-        n=4,
-        declared_m=1,
-        critical_fibers=(
-            _fiber_from_runs("b^-1(0)", [("z*(y^4 - z^3)", 2)]),
-            _fiber_from_runs("b^-1(1)", [("y^2 - z^3", 4)]),
-            _fiber_from_runs("b^-1(inf)", [("y^2 - z^3", 4)]),
-        ),
-    )
     return Family(
         name="genus3",
-        datum=datum,
-        branch=BranchDatum(1, 0, 3, 3, ((3,), (3,), (3,))),
+        datum=_pull_back(3, _GENUS3, fiber_over_0=True, declared_m=1),
+        branch=_GENUS3.branch,
         expected_chi=Fraction(4),
         expected_speed=Fraction(8, 3),
         expected_omega_sq=Fraction(11),
@@ -328,24 +323,14 @@ def genus2() -> Family:
     """The genus-2 record, speed 8/5 over a genus-2 base with s = 3.
 
     Like genus3 the branch divisor contains the fiber over the point covering
-    0, giving two multiplicity-4 germs z(y^3 - z^5).  Here the slope equals
-    the lower bound 4(g-1)/g = 2 exactly, which pins declared_m = 0.
+    0 of its cover, branched ((5), (5), (5)), giving two multiplicity-4 germs
+    z(y^3 - z^5).  Here the slope equals the lower bound 4(g-1)/g = 2
+    exactly, which pins declared_m = 0.
     """
-    datum = GenusGDatum(
-        g=2,
-        g_C=2,
-        e=0,
-        n=6,
-        critical_fibers=(
-            _fiber_from_runs("b^-1(0)", [("z*(y^3 - z^5)", 2)]),
-            _fiber_from_runs("b^-1(1)", [("y^2 - z^5", 3)]),
-            _fiber_from_runs("b^-1(inf)", [("y^2 - z^5", 3)]),
-        ),
-    )
     return Family(
         name="genus2",
-        datum=datum,
-        branch=BranchDatum(2, 0, 3, 5, ((5,), (5,), (5,))),
+        datum=_pull_back(2, _GENUS2, fiber_over_0=True),
+        branch=_GENUS2.branch,
         expected_chi=Fraction(4),
         expected_speed=Fraction(8, 5),
         expected_omega_sq=Fraction(8),

@@ -103,7 +103,6 @@ __all__ = [
     "parse_germ",
     "even_blow_up",
     "even_resolve",
-    "classify",
     "GermSyntaxError",
     "RequiresAlgebraicExtension",
     "DepthOverflow",
@@ -807,17 +806,3 @@ def even_resolve(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> ResolutionTrace
     so hitting the cap signals a suspect input such as a non-reduced divisor.
     """
     return ResolutionTrace(g, _summary(g, max_depth) if g.multiplicity >= 2 else None)
-
-
-def classify(g: Germ, max_depth: int = DEFAULT_MAX_DEPTH) -> str:
-    """Classify a germ: "Smooth", "A<m>", "D<m>", "E6"/"E7"/"E8", or
-    "NonNegligible".
-
-    A germ is negligible when its multiplicity and those of all its
-    infinitely-near points are <= 3; negligible germs are rational double
-    points of the double cover and match an ADE normal form, whose index is
-    the Milnor number mu.  This is the classification of the germ's even
-    resolution, read off its records by the mu rule of the module
-    docstring, and it raises what even_resolve raises.
-    """
-    return even_resolve(g, max_depth).classification

@@ -25,7 +25,8 @@ from fibrato.constructions import (
     mod6_1,
     odd_genus,
     search,
-    _quartic_frame,
+    _QUARTIC,
+    _pull_back,
 )
 from fibrato.datum import invariants, validate
 from fibrato.fibration import FibrationInvariants, audit, slope, speed
@@ -285,9 +286,42 @@ def test_family_dispatcher():
 
 def test_quartic_frame_fails_for_g_2_mod_4():
     # evenness holds but the quartic branch germ leaves an E6 residual
-    rep = invariants(_quartic_frame(6))
+    rep = invariants(_pull_back(6, _QUARTIC))
     assert not rep.semistable.passed
     assert any("E6" in f for f in rep.semistable.failures)
+
+
+# each family's base cover, by its partitions over (0, 1, inf)
+_COVERS = {
+    "genus2": lambda g: ((5,), (5,), (5,)),
+    "genus3": lambda g: ((3,), (3,), (3,)),
+    "odd_genus": lambda g: ((4,), (4,), (2, 2)),
+    "mod4_0": lambda g: ((4,), (4,), (2, 2)),
+    "mod4_1": lambda g: ((4,), (1,) * 4, (4,)),
+    "mod6_1": lambda g: ((6,), (1,) * 6, (6,)),
+    "even_genus": lambda g: ((g + 1, g + 1), (2 * g + 2,), (2 * g + 2,)),
+}
+
+
+def test_every_family_datum_is_read_off_its_cover():
+    for name in FAMILY_NAMES:
+        for g in range(2, 42):
+            try:
+                fam = family(name, g)
+            except PreconditionViolated:
+                continue
+            d, b, cover = fam.datum, fam.branch, _COVERS[name](g)
+            assert b.partitions == tuple(p for p in cover if len(p) < b.d), (name, g)
+            # Riemann-Hurwitz over P^1: 2g_C - 2 = -2 deg + sum of (e - 1)
+            assert 2 * d.g_C - 2 == -2 * b.d + sum(e - 1 for p in b.partitions for e in p)
+            assert d.g_C == b.g_source, (name, g)
+            assert d.n == b.d + (name in ("genus2", "genus3")), (name, g)
+            # one fiber per preimage of 0, 1 and inf; a negligible marker
+            # exactly at each unbranched preimage, the markers listed last
+            fibers = [(f"b^-1({point})" if len(p) == 1 else f"b^-1({point})_{i}", e == 1)
+                      for point, p in zip(("0", "1", "inf"), cover) for i, e in enumerate(p, 1)]
+            assert [(f.label, f.negligible_marker) for f in d.critical_fibers] == sorted(
+                fibers, key=lambda fiber: fiber[1]), (name, g)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from fibrato.germs import (
     GermSyntaxError,
     RequiresAlgebraicExtension,
     ascii_int,
-    classify,
     even_blow_up,
     even_resolve,
     parse_germ,
@@ -36,6 +35,11 @@ from fibrato.datum import CriticalFiber
 from fibrato.bounds import PreconditionViolated
 from fibrato.germs import _factors, _shift_second
 from fibrato.oracle import binomial_oracle
+
+
+def _classify(g, max_depth=DEFAULT_MAX_DEPTH):
+    """The label of g's even resolution; raises what even_resolve raises."""
+    return even_resolve(g, max_depth).classification
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +270,10 @@ def test_conjugate_packets_and_rational_nodes_meet_the_cap_alike(text):
     # 3 + 2v^3 is irreducible: one packet of three conjugate A1 nodes at
     # depth 1; 1 - v^3 gives one rational A1 node and a packet of two
     g = parse_germ(text)
-    for fn in (even_resolve, classify):
+    for fn in (even_resolve, _classify):
         with pytest.raises(DepthOverflow, match="^no smooth model within 0 blow-ups$"):
             fn(g, 0)
-    assert classify(g, 1) == "D4"
+    assert _classify(g, 1) == "D4"
     assert even_resolve(g, 1).multiplicities() == [3, 2, 2, 2]
 
 
@@ -340,12 +344,12 @@ CLASSES = {
 
 @pytest.mark.parametrize("text,label", sorted(CLASSES.items()))
 def test_classify(text, label):
-    assert classify(parse_germ(text)) == label
+    assert _classify(parse_germ(text)) == label
 
 
 def test_classify_a_series():
     for m in range(1, 16):
-        assert classify(parse_germ(f"y^2 - z^{m + 1}")) == f"A{m}"
+        assert _classify(parse_germ(f"y^2 - z^{m + 1}")) == f"A{m}"
 
 
 def test_a_series_trace_length():
@@ -618,7 +622,7 @@ def test_branch_data_milnor_number_of_brieskorn_germs(a):
         g = parse_germ(f"y^{a} - z^{b}")
         mu = (a - 1) * (b - 1)
         assert _strict_mu(g) == mu
-        label = classify(g)
+        label = _classify(g)
         if label[0] in "ADE":
             assert int(label[1:]) == mu, (str(g), label)
 
@@ -647,7 +651,7 @@ def test_milnor_number_of_semi_quasi_homogeneous_germs(abg):
     a, b, g = abg
     mu = (a - 1) * (b - 1)
     assert _strict_mu(g) == mu, g
-    label = classify(g)
+    label = _classify(g)
     if label[0] in "ADE":
         assert int(label[1:]) == mu, (g, label)
 
@@ -678,7 +682,7 @@ def _kernel_view(g):
         trace = even_resolve(g, cap)
         return (str(trace.germ), trace.multiplicities(), trace.sum_k_km1, trace.sum_km1_sq,
                 [_point_view(pt) for pt in trace.points])
-    return [(_outcome(resolved, cap), _outcome(classify, g, cap))
+    return [(_outcome(resolved, cap), _outcome(_classify, g, cap))
             for cap in (DEFAULT_MAX_DEPTH, 3)]
 
 
@@ -716,7 +720,7 @@ def test_kernel_memos_keep_each_depth_cap():
     g = parse_germ("y^2 - z^40")
     _clear_kernel_memos()
     messages = []
-    for fn in (even_resolve, classify):
+    for fn in (even_resolve, _classify):
         for cap, expect in ((19, "A39"), (18, None), (19, "A39"), (18, None)):
             if expect is None:
                 with pytest.raises(DepthOverflow) as info:
@@ -1005,7 +1009,7 @@ def _kernel_route(g, max_depth):
         trace = even_resolve(g, max_depth)
         return (trace.multiplicities(), trace.sum_k_km1, trace.sum_km1_sq,
                 [_point_view(pt) for pt in trace.points])
-    return _failure_or(resolved), _failure_or(classify, g, max_depth)
+    return _failure_or(resolved), _failure_or(_classify, g, max_depth)
 
 
 def _failure_or(fn, *args):
@@ -1109,7 +1113,7 @@ def _flat_matches_tree(g, cap):
     assert heads == _tree_cluster_heads(trace), (str(g), cap)
     assert offences == _tree_offences(g, trace), (str(g), cap)
     try:
-        assert classify(g, cap) == label, (str(g), cap)
+        assert _classify(g, cap) == label, (str(g), cap)
     except (DepthOverflow, RequiresAlgebraicExtension):
         pass
     return heads
@@ -1139,10 +1143,10 @@ def test_trace_classification_and_clusters_match_the_tree_on_random_germs(g, cap
 
 
 # ---------------------------------------------------------------------------
-# classify reads the trace, against the walk-then-label route it replaced
+# the classification reads the trace, against the walk-then-label route it replaced
 
 def _walk_then_label(g, max_depth):
-    """classify as it was before it read the trace: a walk down the even
+    """The classification as it was before it read the trace: a walk down the even
     resolution (the test's own, over even_blow_up), then the root's label
     alone."""
     if g.multiplicity <= 1:
@@ -1157,7 +1161,7 @@ def test_classify_matches_the_walk_then_label_route_on_the_grid():
     for cap in LABEL_CAPS:
         for g in _grid_germs():
             want = _failure_or(_walk_then_label, g, cap)
-            assert _failure_or(classify, g, cap) == want, (str(g), cap)
+            assert _failure_or(_classify, g, cap) == want, (str(g), cap)
             outcomes.add(want if isinstance(want, str) else want[0])
     assert {"Smooth", "NonNegligible", "DepthOverflow"} < outcomes
 
@@ -1168,7 +1172,7 @@ def test_classify_matches_the_walk_then_label_route_on_the_grid():
 @example(parse_germ("y^7 - z^4"), 1)
 @example(parse_germ("z^4 - 4*y^2*z^2 + 4*y^4 + y^5*z^2 - 2*y^7"), 64)
 def test_classify_matches_the_walk_then_label_route_on_random_germs(g, cap):
-    assert _failure_or(classify, g, cap) == _failure_or(_walk_then_label, g, cap)
+    assert _failure_or(_classify, g, cap) == _failure_or(_walk_then_label, g, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -1238,7 +1242,7 @@ def test_milnor_number_matches_the_newton_number(g):
     except RequiresAlgebraicExtension:
         assume(False)  # no rational model: the strict walk gives no mu to check
     assert mu == _newton_number(vertices), (g, vertices)
-    label = classify(g)
+    label = _classify(g)
     if label[0] in "ADE":
         assert int(label[1:]) == mu, (g, label)
 
