@@ -22,9 +22,22 @@ output goes away early (``fibrato ... | head -1``) the command stops quietly
 with 1.
 The environment variable ``FIBRATO_MAX_DEPTH`` overrides the resolution
 depth cap.
+
+A command process starts through ``fibrato.__main__.run``, whichever way it
+is started (the ``fibrato`` console script, ``python -m fibrato`` or
+``python -m fibrato.cli``): it loads this module with the garbage collector
+paused, freezes what the import made and then calls ``main``.  ``main``
+itself, like every library module, leaves the collector alone, so an
+in-process caller collects as usual.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":
+    # ``python -m fibrato.cli`` starts a command through the one process
+    # entry, before this copy of the module imports the engine.
+    from fibrato.__main__ import run
+    run()
 
 import argparse
 import dataclasses
@@ -511,7 +524,3 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_CHECK_FAILED
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import importlib
 import io
 import json
 import operator
@@ -1347,6 +1348,77 @@ def test_closed_pipe_exits_quietly(argv, env, keep):
     assert len(head) == keep
     assert err == b""
     assert code in (0, 1, 2)
+
+
+# Every way of starting a command goes through fibrato.__main__.run; with -c
+# the arguments after the code are sys.argv[1:], as they are for the others.
+_LAUNCHERS = {
+    "python -m fibrato.cli": ["-m", "fibrato.cli"],
+    "python -m fibrato": ["-m", "fibrato"],
+    "run()": ["-c", "from fibrato.__main__ import run; run()"],
+}
+
+
+@pytest.mark.parametrize("argv, stdin, code", [
+    (["tables", "--json"], b"", 0),
+    (["audit", "-"], json.dumps(dict(GOOD_RECORD, delta=40)).encode(), 1),
+    (["resolve", "y^2 - z^132"], b"", 2),
+], ids=["tables", "audit-forged", "resolve-past-cap"])
+def test_every_way_of_starting_a_command_behaves_the_same(argv, stdin, code):
+    outcomes = {}
+    for launcher, args in _LAUNCHERS.items():
+        done = subprocess.run([sys.executable, *args, *argv], input=stdin, capture_output=True,
+                              env=_child_env(), timeout=20)
+        outcomes[launcher] = (done.returncode, done.stdout, done.stderr)
+    first = outcomes["python -m fibrato.cli"]
+    assert all(outcome == first for outcome in outcomes.values()), outcomes
+    assert first[0] == code
+    if code == 2:
+        assert first[1] == b"" and first[2].startswith(b"error: ") and first[2].count(b"\n") == 1
+
+
+def test_every_way_of_starting_a_command_stops_quietly_on_a_closed_pipe():
+    # the reader closes its end before the command writes anything
+    outcomes = {}
+    for launcher, args in _LAUNCHERS.items():
+        child = subprocess.Popen([sys.executable, *args, "example", "even_genus", "--genus", "40",
+                                  "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 env=_child_env())
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        outcomes[launcher] = (child.wait(timeout=120), err)
+    assert set(outcomes.values()) == {(1, b"")}, outcomes
+
+
+def test_the_library_leaves_the_collector_alone():
+    # Only the process entry pauses and freezes the collector.  A library
+    # that paused it around its imports without a freeze would leave that
+    # collection work to whatever in-process caller (a test, a benchmark
+    # worker) allocates next; so a fresh interpreter records every call to
+    # the collector's controls while it loads the engine and runs a command.
+    code = ("import contextlib, gc, io\n"
+            "calls = []\n"
+            "for name in ('disable', 'enable', 'freeze', 'unfreeze', 'set_threshold', 'collect'):\n"
+            "    setattr(gc, name, lambda *args, name=name: calls.append(name))\n"
+            "import fibrato.germs, fibrato.cli, fibrato.__main__\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert fibrato.cli.main(['tables']) == 0\n"
+            "print(calls, gc.isenabled(), gc.get_freeze_count())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[] True 0\n", "")
+
+
+def test_console_script_runs_the_process_entry():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    config = read_configuration(os.path.join(os.path.dirname(__file__), os.pardir,
+                                             "pyproject.toml"))
+    target = config["project"]["scripts"]["fibrato"]
+    assert target == "fibrato.__main__:run"
+    module, name = target.split(":")
+    assert callable(getattr(importlib.import_module(module), name))
 
 
 def test_exit_codes_are_deterministic(capsys, tmp_path):
