@@ -6,8 +6,9 @@ over a product of curves whose invariants come from closed formulas
 curve is rational.  The rest are branch-divisor constructions on ruled
 surfaces, and every one of them is the pull-back of one curve B0_g of class
 (2g+2)C0 + F on P^1 x P^1 along a base cover C -> P^1 (``_pull_back``).
-A factory declares only its cover, by its partitions over (0, 1, inf),
-its ``declared_m`` and its closed-form expectations:
+A factory declares, through one builder ``_family``, its cover (by its
+partitions over (0, 1, inf)), its ``declared_m`` and its closed forms chi,
+omega^2, speed and depth; the expected slope is derived as omega^2/chi:
 
     family              degree     partitions over (0, 1, inf)
     odd_genus, mod4_0   4          (4), (4), (2, 2)
@@ -46,7 +47,7 @@ from . import fibration
 from .bounds import PreconditionViolated
 from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, _fiber_from_runs,
                     invariants)
-from .fibration import FibrationInvariants, noether_delta
+from .fibration import FibrationInvariants, _as_int, noether_delta
 from .germs import DEFAULT_MAX_DEPTH, DepthOverflow, RequiresAlgebraicExtension
 from .hurwitz import BranchDatum, ramification_genus
 
@@ -113,7 +114,9 @@ def beauville_quartic() -> FibrationInvariants:
 @dataclass(frozen=True)
 class Family:
     """A constructed fibration: its datum, base-cover branch datum, and the
-    closed-formula invariants the datum pipeline must reproduce."""
+    closed-formula invariants the datum pipeline must reproduce.  A factory
+    declares its cover, chi, omega^2, speed and depth through one builder,
+    ``_family``; the expected slope is omega^2/chi."""
 
     name: str
     datum: GenusGDatum
@@ -121,9 +124,12 @@ class Family:
     expected_chi: Fraction
     expected_speed: Fraction
     expected_omega_sq: Fraction
-    expected_slope: Fraction
     notes: str = ""
     depth: int = 0
+
+    @property
+    def expected_slope(self) -> Fraction:
+        return self.expected_omega_sq / self.expected_chi
 
     def report(self, max_depth: int = DEFAULT_MAX_DEPTH) -> DatumInvariantsReport:
         """The datum's invariants.  ``depth``, which every factory sets in
@@ -194,27 +200,24 @@ def _pull_back(g: int, cover: _Cover, fiber_over_0: bool = False,
                        critical_fibers=(*fibers, *cover.markers), declared_m=declared_m)
 
 
+def _family(name: str, g: int, cover: _Cover, *, chi, omega_sq, speed, depth: int,
+            notes: str = "", fiber_over_0: bool = False, declared_m: int = 0) -> Family:
+    """The pull-back of B0_g along the cover, with the closed forms it must reproduce."""
+    return Family(name, _pull_back(g, cover, fiber_over_0, declared_m), cover.branch,
+                  Fraction(chi), Fraction(speed), Fraction(omega_sq), notes, depth)
+
+
 def _speed_g_minus_k(name: str, k: int, g: int, cover: _Cover, depth: int,
                      notes: str = "") -> Family:
     """The family of speed g - k over a cover: chi = 2g - 2k, omega^2 = 8g - 8 - 4k."""
-    chi = Fraction(2 * g - 2 * k)
-    omega_sq = Fraction(8 * g - 8 - 4 * k)
-    return Family(
-        name=name,
-        datum=_pull_back(g, cover),
-        branch=cover.branch,
-        expected_chi=chi,
-        expected_speed=Fraction(g - k),
-        expected_omega_sq=omega_sq,
-        expected_slope=omega_sq / chi,
-        notes=notes,
-        depth=depth,
-    )
+    return _family(name, g, cover, chi=2 * g - 2 * k, omega_sq=8 * g - 8 - 4 * k, speed=g - k,
+                   depth=depth, notes=notes)
 
 
 def odd_genus(g: int) -> Family:
     """Speed g - floor((g+1)/4) for odd g >= 5, over a genus-1 base: the
     quartic cover with branching ((4), (4), (2, 2))."""
+    g = _as_int("g", g)
     if g % 2 == 0 or g < 5:
         raise PreconditionViolated(f"odd_genus requires odd g >= 5, got {g}")
     k = (g + 1) // 4
@@ -230,6 +233,7 @@ def mod4_0(g: int) -> Family:
     quartic germ y^{g+1} - z^4 now resolves completely through g/4 points of
     multiplicity 4 with a smooth tail.  (For g = 2 mod 4 it leaves an E6
     point, and semi-stability fails.)"""
+    g = _as_int("g", g)
     if g % 4 != 0 or g < 4:
         raise PreconditionViolated(f"mod4_0 requires g divisible by 4 with g >= 4, got {g}")
     k = g // 4
@@ -240,6 +244,7 @@ def mod4_0(g: int) -> Family:
 def mod4_1(g: int) -> Family:
     """Speed g - floor(g/4) for g = 1 mod 4, over a rational base via the
     degree-4 cover z -> z^4, unbranched over 1; s = 1 + 1 + 4 = 6."""
+    g = _as_int("g", g)
     if g % 4 != 1 or g < 5:
         raise PreconditionViolated(f"mod4_1 requires g = 1 mod 4 with g >= 5, got {g}")
     k = g // 4
@@ -250,21 +255,13 @@ def mod4_1(g: int) -> Family:
 def mod6_1(g: int) -> Family:
     """Speed g - 2*floor(g/6) for g = 1 mod 6 and g >= 7, over a rational
     base via the degree-6 cover z -> z^6, unbranched over 1; s = 1 + 1 + 6 = 8."""
+    g = _as_int("g", g)
     if g % 6 != 1 or g < 7:
         raise PreconditionViolated(f"mod6_1 requires g = 1 mod 6 with g >= 7, got {g}")
     j = g // 6
-    chi = Fraction(3 * g - 6 * j)
-    omega_sq = Fraction(12 * g - 12 - 16 * j)
-    return Family(
-        name="mod6_1",
-        datum=_pull_back(g, _CYCLIC[6]),
-        branch=_CYCLIC[6].branch,
-        expected_chi=chi,
-        expected_speed=Fraction(g - 2 * j),
-        expected_omega_sq=omega_sq,
-        expected_slope=omega_sq / chi,
-        depth=j + 2,  # y^{g+1} - z^6 reaches an A5 point y^2 - z^6 at depth j
-    )
+    # y^{g+1} - z^6 reaches an A5 point y^2 - z^6 at depth j
+    return _family("mod6_1", g, _CYCLIC[6], chi=3 * g - 6 * j, omega_sq=12 * g - 12 - 16 * j,
+                   speed=g - 2 * j, depth=j + 2)
 
 
 def even_genus(g: int) -> Family:
@@ -277,21 +274,12 @@ def even_genus(g: int) -> Family:
     A_{2g+1} each: the chain y^2 - z^{2g+2}, y^2 - z^{2g}, ..., y^2 - z^2
     blows up points down to depth g.
     """
+    g = _as_int("g", g)
     if g % 2 != 0 or g < 4:
         raise PreconditionViolated(f"even_genus requires even g >= 4, got {g}")
-    chi = Fraction(g * g, 2) + 2 * g
-    omega_sq = Fraction(2 * g * g + 8 * g - 12)
-    cover = _cover((g + 1, g + 1), (2 * g + 2,), (2 * g + 2,))
-    return Family(
-        name="even_genus",
-        datum=_pull_back(g, cover),
-        branch=cover.branch,
-        expected_chi=chi,
-        expected_speed=Fraction(g * g + 4 * g, 2 * g + 2),
-        expected_omega_sq=omega_sq,
-        expected_slope=4 - Fraction(24, g * g + 4 * g),
-        depth=g,
-    )
+    return _family("even_genus", g, _cover((g + 1, g + 1), (2 * g + 2,), (2 * g + 2,)),
+                   chi=Fraction(g * g, 2) + 2 * g, omega_sq=2 * g * g + 8 * g - 12,
+                   speed=Fraction(g * g + 4 * g, 2 * g + 2), depth=g)
 
 
 def genus3() -> Family:
@@ -306,17 +294,9 @@ def genus3() -> Family:
     canonical-class bound omega^2 < (2g-2)(2g_C-2+s) = 12 would be met with
     equality, and with m >= 2 the slope would drop below 4(g-1)/g.
     """
-    return Family(
-        name="genus3",
-        datum=_pull_back(3, _GENUS3, fiber_over_0=True, declared_m=1),
-        branch=_GENUS3.branch,
-        expected_chi=Fraction(4),
-        expected_speed=Fraction(8, 3),
-        expected_omega_sq=Fraction(11),
-        expected_slope=Fraction(11, 4),
-        notes="base genus 1 solved from the branch datum; 2g_C-2+s = 3",
-        depth=1,
-    )
+    return _family("genus3", 3, _GENUS3, chi=4, omega_sq=11, speed=Fraction(8, 3), depth=1,
+                   notes="base genus 1 solved from the branch datum; 2g_C-2+s = 3",
+                   fiber_over_0=True, declared_m=1)
 
 
 def genus2() -> Family:
@@ -327,17 +307,8 @@ def genus2() -> Family:
     z(y^3 - z^5).  Here the slope equals the lower bound 4(g-1)/g = 2
     exactly, which pins declared_m = 0.
     """
-    return Family(
-        name="genus2",
-        datum=_pull_back(2, _GENUS2, fiber_over_0=True),
-        branch=_GENUS2.branch,
-        expected_chi=Fraction(4),
-        expected_speed=Fraction(8, 5),
-        expected_omega_sq=Fraction(8),
-        expected_slope=Fraction(2),
-        notes="slope meets the lower bound 4(g-1)/g exactly",
-        depth=1,
-    )
+    return _family("genus2", 2, _GENUS2, chi=4, omega_sq=8, speed=Fraction(8, 5), depth=1,
+                   notes="slope meets the lower bound 4(g-1)/g exactly", fiber_over_0=True)
 
 
 _FIXED_GENUS = {"genus2": 2, "genus3": 3}
@@ -357,12 +328,13 @@ def family(name: str, g: int | None = None) -> Family:
     """Look up a family factory by name and instantiate it at genus g.
 
     genus2 and genus3 have a fixed genus; g may be omitted or must match.
-    All other families require g in their congruence domain.
+    All other families require g in their congruence domain.  A g that is
+    not an integer raises TypeError, as in every factory.
     """
     if name not in _BY_NAME:
         raise PreconditionViolated(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}")
     if name in _FIXED_GENUS:
-        if g is not None and g != _FIXED_GENUS[name]:
+        if g is not None and _as_int("g", g) != _FIXED_GENUS[name]:
             raise PreconditionViolated(f"{name} is the g = {_FIXED_GENUS[name]} construction, got g = {g}")
         return _BY_NAME[name]()
     if g is None:

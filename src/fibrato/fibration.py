@@ -128,18 +128,22 @@ class StableModelNodes:
         object.__setattr__(self, "node_indices", entries)
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int; TypeError unless it is an integer (operator.index),
+    so that 2.5 or "2" is never read as 2."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _index_fields(record, names) -> None:
-    """Store each named field as an int; TypeError unless it is an integer
-    (operator.index), so that 2.5 or "2" is never read as 2.  A plain int,
-    as search and families pass on every operation, is kept at once."""
+    """Store each named field as an int, read by _as_int.  A plain int, as
+    search and families pass on every operation, is kept at once."""
     for name in names:
         value = getattr(record, name)
-        if type(value) is int:
-            continue
-        try:
-            object.__setattr__(record, name, index(value))
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        if type(value) is not int:
+            object.__setattr__(record, name, _as_int(name, value))
 
 
 def _index_entries(name: str, values) -> tuple[int, ...]:

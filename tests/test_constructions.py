@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from fibrato.bounds import PreconditionViolated, low_base_speed, minimal_m, teich_max
+from fibrato.bounds import (PreconditionViolated, low_base_speed, minimal_m, slope_lower,
+                            teich_max)
 from fibrato.constructions import (
     FAMILY_NAMES,
     REJECTION_REASONS,
@@ -282,6 +283,50 @@ def test_family_dispatcher():
         family("bogus", 5)
     assert FAMILY_NAMES == ("genus2", "genus3", "odd_genus", "even_genus",
                             "mod4_0", "mod4_1", "mod6_1")
+
+
+_GENUS_FACTORIES = (odd_genus, even_genus, mod4_0, mod4_1, mod6_1)
+
+
+@pytest.mark.parametrize("bad", [5.0, "5", 2.5])
+def test_a_genus_that_is_not_an_integer_raises_type_error(bad):
+    # read like a record field, before the domain check: 5.0 is never read as 5
+    message = f"^g must be an integer, got {re.escape(repr(bad))}$"
+    for factory in _GENUS_FACTORIES:
+        with pytest.raises(TypeError, match=message):
+            factory(bad)
+    for name in FAMILY_NAMES:
+        with pytest.raises(TypeError, match=message):
+            family(name, bad)
+
+
+# the paper's slope forms, which the factories no longer write: each family's
+# expected slope is derived as omega^2 / chi
+def _paper_slope(name, g):
+    if name == "even_genus":
+        return 4 - Fraction(24, g * g + 4 * g)
+    if name == "mod6_1":
+        j = g // 6
+        return Fraction(12 * g - 12 - 16 * j, 3 * g - 6 * j)
+    if name == "genus2":
+        return slope_lower(2)
+    if name == "genus3":
+        return Fraction(11, 4)
+    k = {"odd_genus": (g + 1) // 4, "mod4_0": g // 4, "mod4_1": g // 4}[name]
+    return Fraction(8 * g - 8 - 4 * k, 2 * g - 2 * k)
+
+
+def test_expected_slope_is_the_paper_form():
+    checked = 0
+    for name in FAMILY_NAMES:
+        for g in range(2, 62):
+            try:
+                fam = family(name, g)
+            except PreconditionViolated:
+                continue
+            assert fam.expected_slope == _paper_slope(name, g), (name, g)
+            checked += 1
+    assert checked == 100
 
 
 def test_quartic_frame_fails_for_g_2_mod_4():

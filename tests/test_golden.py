@@ -8,6 +8,9 @@ exit code fails the group that shows it:
   196 grid germs y^e z^f (y^a - z^b), a, b in 1..14;
 * ``example-<family>``: ``example <family> --json`` at g = 2..41 (invalid
   genera included, they exit 2);
+* ``families``: every field of every ``Family`` that ``family(name, g)``
+  builds at g = 2..61 and g = 80..200 in steps of 10 (120 families), with
+  each fiber's germ runs and marker flag and the derived expected slope;
 * ``example-human``: ``example <family> --genus g`` without ``--json`` for
   every family at g = 2..41;
 * ``kernel-cap3``: ``even_resolve`` and the classification it reports at
@@ -49,7 +52,8 @@ from fractions import Fraction
 import pytest
 
 from fibrato.cli import main
-from fibrato.constructions import FAMILY_NAMES
+from fibrato.bounds import PreconditionViolated
+from fibrato.constructions import FAMILY_NAMES, family
 from fibrato.germs import (
     DepthOverflow,
     RequiresAlgebraicExtension,
@@ -69,6 +73,7 @@ DIGESTS = {
     "example-mod4_0": "930a25ced8d651d29658d7c603633598f35a55cd917917c6b31c9078c8879a80",
     "example-mod4_1": "2b8588cd72619e1952240edee5272140b1e4ef56d5844da8e61d501a232c0adc",
     "example-mod6_1": "5cc8dd5f09d4aa51b491fcdd6ad3ea2a9d3d3bea2ee03974fda3ced47c4565f5",
+    "families": "45ffa78acb4a466800d0a4779dec993985e13007826ce8f735977b69221a4c0a",
     "example-human": "5f9fb20904ac6986aabed78de68c8125699b7f92959a449f69e48d7daccc38a4",
     "kernel-cap3": "759784fa60d10c8867c11ab802d6f494d297f39b2a52adff290b3ce729c6b909",
     "audit-human": "f26ab5519452c1914d9b72165fdb37c9a5ca8b181f602979fe3995e71ad409e2",
@@ -173,6 +178,20 @@ def _example_data():
                 yield out
 
 
+def _families():
+    for g in [*range(2, 62), *range(80, 201, 10)]:
+        for name in FAMILY_NAMES:
+            try:
+                fam = family(name, g)
+            except PreconditionViolated:
+                continue
+            yield (fam.name, fam.datum,
+                   [(fib.label, fib._runs, fib.negligible_marker)
+                    for fib in fam.datum.critical_fibers],
+                   fam.branch, fam.expected_chi, fam.expected_speed, fam.expected_omega_sq,
+                   fam.expected_slope, fam.notes, fam.depth)
+
+
 def _classify(g, max_depth):
     return even_resolve(g, max_depth).classification
 
@@ -193,6 +212,10 @@ def _records(group):
         e, f = int(name[1]), int(name[3])
         return [_cli(["resolve", _grid_text(e, f, a, b), flag])
                 for a in range(1, 15) for b in range(1, 15) for flag in ("--json", "--trace")]
+    if group == "families":
+        families = list(_families())
+        assert len(families) == 120
+        return families
     if group == "example-human":
         return [_cli(["example", family, "--genus", str(g)])
                 for family in FAMILY_NAMES for g in range(2, 42)]
