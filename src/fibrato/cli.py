@@ -496,7 +496,7 @@ def _run(argv) -> int:
             code = args.func(args)
     except (InputError, PreconditionViolated) as exc:
         failure = str(exc)
-    except (RequiresAlgebraicExtension, DepthOverflow, RecursionError) as exc:
+    except (RequiresAlgebraicExtension, DepthOverflow) as exc:
         failure = f"{subject}: {exc}"
     except (MemoryError, OverflowError, ValueError) as exc:
         # past what a list can hold (the germ y^(10^13) - z^(10^13), a family at

@@ -48,7 +48,7 @@ from .bounds import PreconditionViolated
 from .datum import (CriticalFiber, DatumInvariantsReport, GenusGDatum, _fiber_from_runs,
                     invariants)
 from .fibration import FibrationInvariants, _as_int, noether_delta
-from .germs import DEFAULT_MAX_DEPTH, DepthOverflow, RequiresAlgebraicExtension
+from .germs import DEFAULT_MAX_DEPTH, DepthOverflow, Germ, RequiresAlgebraicExtension
 from .hurwitz import BranchDatum, ramification_genus
 
 
@@ -181,21 +181,17 @@ def _pull_back(g: int, cover: _Cover, fiber_over_0: bool = False,
 
     B0_g, of class (2g+2)C0 + F on P^1 x P^1, has two points y^{g+1} - t
     over t = 0 and g+1 tangencies y^2 - t over each of t = 1 and t = inf.
-    Over a preimage of ramification index e the germ y^a - t becomes
-    y^a - z^e; the cover's marker fibers, one per unbranched preimage,
-    follow the other fibers.  With ``fiber_over_0`` the branch divisor also
-    holds the fiber over 0: each germ there gains the factor z, and n the
-    summand 1.  Every germ list is one run, so the datum costs O(parts),
-    whatever g is.
+    Over a preimage of ramification index e the exponent map (i, j) ->
+    (i, e*j) builds the Germ y^a - z^e from y^a - t.  With ``fiber_over_0``
+    the branch divisor also holds the fiber over 0: each germ there gains the
+    factor z, and n the summand 1.  Marker fibers follow the others.  Every
+    germ list is one run, so the datum costs O(parts), whatever g is.
     """
-    runs = ((g + 1, 2), (2, g + 1), (2, g + 1))
+    runs = ((g + 1, 2, int(fiber_over_0)), (2, g + 1, 0), (2, g + 1, 0))  # (a, count, z)
     fibers = []
     for label, point, e in cover.preimages:
-        a, count = runs[point]
-        germ = f"y^{a} - z^{e}"
-        if fiber_over_0 and point == 0:
-            germ = f"z*({germ})"
-        fibers.append(_fiber_from_runs(label, [(germ, count)]))
+        a, count, z = runs[point]
+        fibers.append(_fiber_from_runs(label, [(Germ({(a, z): 1, (0, e + z): -1}), count)]))
     return GenusGDatum(g=g, g_C=cover.branch.g_source, e=0, n=cover.branch.d + fiber_over_0,
                        critical_fibers=(*fibers, *cover.markers), declared_m=declared_m)
 
@@ -361,6 +357,7 @@ def best_known(g: int) -> BestKnown:
     g - g/4 (4 | g).  The mod4_1 clause ties odd_genus on its whole domain
     and mod6_1 never exceeds it, so neither can win.
     """
+    g = _as_int("g", g)
     if g < 2:
         raise PreconditionViolated(f"genus must be >= 2, got {g}")
     if g == 2:
@@ -408,15 +405,17 @@ class SearchResult:
 
 def search(g: int, max_n: int, a_max: int, b_max: int,
            max_depth: int = DEFAULT_MAX_DEPTH) -> SearchResult:
-    """Sweep the germs y^a - z^b (2 <= a <= a_max, 2 <= b <= b_max) at genus g
-    and even n <= max_n over a genus-1 base with e = 0: one candidate fiber
-    carries the germ twice, and three negligible marker fibers make s = 4, so
-    speed = chi/2.  Survivors rank by speed, then smaller n, then germ text."""
+    """Sweep the germs y^a - z^b (2 <= a <= a_max, 2 <= b <= b_max), each
+    built once from its exponents, at genus g and even n <= max_n over a
+    genus-1 base with e = 0: one candidate fiber carries the germ twice, and
+    three negligible marker fibers make s = 4, so speed = chi/2.  Survivors
+    rank by speed, then smaller n, then germ text."""
     markers = tuple(CriticalFiber(f"marker_{i}", negligible_marker=True) for i in range(1, 4))
+    germs = [Germ({(a, 0): 1, (0, b): -1})
+             for a, b in product(range(2, a_max + 1), range(2, b_max + 1))]
     survivors, rejected = [], dict.fromkeys(REJECTION_REASONS, 0)
-    for n, a, b in product(range(2, max_n + 1, 2), range(2, a_max + 1), range(2, b_max + 1)):
-        text = f"y^{a} - z^{b}"
-        fibers = (CriticalFiber("candidate", (text, text)),) + markers
+    for n, germ in product(range(2, max_n + 1, 2), germs):
+        fibers = (CriticalFiber("candidate", (germ, germ)),) + markers
         try:
             report = invariants(GenusGDatum(g, g_C=1, e=0, n=n, critical_fibers=fibers), max_depth)
         except (RequiresAlgebraicExtension, DepthOverflow):
@@ -429,7 +428,7 @@ def search(g: int, max_n: int, a_max: int, b_max: int,
         elif not fibration.audit(report.invariants).passed:
             rejected["audit failure"] += 1
         else:
-            survivors.append(SearchCandidate(report.speed, n, text, report))
+            survivors.append(SearchCandidate(report.speed, n, str(germ), report))
     survivors.sort(key=lambda c: (-c.speed, c.n, c.germ))
     return SearchResult(g, max_n, a_max, b_max, max_depth, best_known(g), tuple(survivors[:10]),
                         tuple(rejected.items()))

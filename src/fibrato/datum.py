@@ -59,6 +59,7 @@ class InvalidDatum(ValueError):
 
 @cache
 def _parsed(text: str) -> Germ:
+    # Only germ text a caller wrote comes here; the engine builds its Germs.
     # parse_germ is looked up at call time, so a rebinding of this module's
     # name is seen on every miss.  Exceptions are not memoized.
     return parse_germ(text)

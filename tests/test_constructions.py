@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from fibrato import datum as datum_mod, germs as germs_mod
 from fibrato.bounds import (PreconditionViolated, low_base_speed, minimal_m, slope_lower,
-                            teich_max)
+                            table, teich_max)
 from fibrato.constructions import (
     FAMILY_NAMES,
     REJECTION_REASONS,
@@ -298,6 +299,8 @@ def test_a_genus_that_is_not_an_integer_raises_type_error(bad):
     for name in FAMILY_NAMES:
         with pytest.raises(TypeError, match=message):
             family(name, bad)
+    with pytest.raises(TypeError, match=message):
+        best_known(bad)
 
 
 # the paper's slope forms, which the factories no longer write: each family's
@@ -511,3 +514,49 @@ def test_search_ranks_and_rejects_without_the_cli():
             chi = Fraction(6 * c.n - 2 * sum(k * (k - 1) for k in ks), 2)
             assert c.report.invariants.chi == chi, c
             assert c.speed == c.report.speed == chi / 2, c
+
+
+# ---------------------------------------------------------------------------
+# The engine builds its own germs from their exponents
+
+
+def _report_the_families_workload():
+    """Build and report every family the benchmark's `families` workload
+    covers: all seven names at each accepted g in 2..61, and even_genus at
+    g = 80, 120, 160 and 200 under the cap 2g + 8."""
+    for g in range(2, 62):
+        for name in FAMILY_NAMES:
+            try:
+                fam = family(name, g)
+            except PreconditionViolated:
+                continue
+            fam.report()
+    for g in (80, 120, 160, 200):
+        even_genus(g).report(2 * g + 8)
+
+
+def test_the_engine_parses_no_germ_text_it_wrote(monkeypatch):
+    # a memo hit left by an earlier test would hide a parse, so start empty
+    datum_mod._parsed.cache_clear()
+
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(datum_mod, "parse_germ", refuse)
+    monkeypatch.setattr(germs_mod, "parse_germ", refuse)
+    _report_the_families_workload()
+    assert search(6, 16, 8, 8).top
+    assert datum_mod._parsed.cache_info().currsize == 0
+
+
+def test_the_families_workload_fills_the_memos_the_readme_names():
+    # README "Memoized per process": chart records / factor lists / parsed
+    # germs / resolutions / records after one pass of `families`
+    memos = (germs_mod._strict_points, germs_mod._factors, datum_mod._parsed,
+             datum_mod._resolved, datum_mod._record)
+    for memo in memos:
+        memo.cache_clear()
+    _report_the_families_workload()
+    for which in (1, 2, 3):
+        table(which)
+    assert [memo.cache_info().currsize for memo in memos] == [295, 40, 0, 127, 104]

@@ -382,8 +382,8 @@ def _family_data():
 
 
 def _search_data():
-    """The data `constructions.search(6, 16, 8, 8)` sweeps, built from germ
-    strings as that function builds them."""
+    """The data `constructions.search(6, 16, 8, 8)` sweeps, given as germ
+    strings, so every run is parsed through the memo."""
     markers = tuple(_marker(f"marker_{i}") for i in range(1, 4))
     return [
         GenusGDatum(g=6, g_C=1, e=0, n=n, critical_fibers=(
