@@ -673,34 +673,31 @@ class TracePoint:
 
 def _summary(g: Germ, max_depth: int) -> _StrictPoints:
     """The chart record of g (multiplicity >= 2) with its resolution summed
-    up, summing up the records below it where missing, children first.
-    Raises DepthOverflow when a point lies deeper than max_depth, and
-    RequiresAlgebraicExtension at a record with an error, whichever a
-    depth-first walk meets first."""
-    done = []  # the records of the subtrees walked, in depth-first order
+    up, summing up the records below it where missing, children first, each
+    from its children's records in the memo.  A negative max_depth raises
+    DepthOverflow at once.  Else each record the depth-first walk meets
+    raises its RequiresAlgebraicExtension verdict, then DepthOverflow when
+    its depth plus its reach passes max_depth: the height of a summed-up
+    record, else 1 if it has points on E and 0 if not."""
+    if max_depth < 0:
+        raise DepthOverflow.past_cap(max_depth)
     stack = [(0, g, None)]
     while stack:
         depth, germ, pts = stack.pop()
         if pts is not None:  # all its children are summed up: sum up germ
-            pts.sum_up(germ, tuple([(d, None if d.germ is None else done.pop())
+            pts.sum_up(germ, tuple([(d, None if d.germ is None else _strict_points(d.germ))
                                     for d in reversed(pts.even)]))
-            done.append(pts)
             continue
-        if depth > max_depth:
-            raise DepthOverflow.past_cap(max_depth)
         pts = _strict_points(germ)
-        if pts.below is not None:
-            if depth + pts.height > max_depth:
-                raise DepthOverflow.past_cap(max_depth)
-            done.append(pts)
-            continue
         if pts.error is not None:
             raise RequiresAlgebraicExtension(pts.error)
-        if pts.even and depth == max_depth:  # its first child lies past the cap
+        fresh = pts.below is None
+        if depth + (bool(pts.even) if fresh else pts.height) > max_depth:
             raise DepthOverflow.past_cap(max_depth)
-        stack.append((depth, germ, pts))
-        stack += [(depth + 1, d.germ, None) for d in reversed(pts.even) if d.germ is not None]
-    return done[0]
+        if fresh:
+            stack.append((depth, germ, pts))
+            stack += [(depth + 1, d.germ, None) for d in reversed(pts.even) if d.germ is not None]
+    return pts  # the root's: the walk pops it last
 
 
 class ResolutionTrace:

@@ -67,7 +67,7 @@ class BranchDatum:
             raise ValueError("target genus must be non-negative")
         if self.d < 2:
             raise ValueError("degree must be at least 2")
-        if self.m != len(self.partitions) or self.m < 0:
+        if self.m != len(self.partitions):
             raise ValueError("need exactly one partition per branch point")
         for p in self.partitions:
             if not p or any(x < 1 for x in p):

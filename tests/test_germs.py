@@ -854,6 +854,64 @@ def test_a_summary_meets_the_depth_cap_like_the_walk():
         even_resolve(g, 0)
 
 
+def _capped_outcome(g, cap):
+    try:
+        return even_resolve(g, cap).points
+    except (DepthOverflow, RequiresAlgebraicExtension) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _in_memo_state(g, state):
+    """Leave the chart-record memo cold, warm from an uncapped resolution of
+    g, or half-warm: cold but for g's first child, resolved."""
+    if state == "warm":
+        _capped_outcome(g, 1000)
+        return
+    kernel._strict_points.cache_clear()
+    if state == "half-warm":
+        first = next((d.germ for d in even_blow_up(g) if d.germ is not None), None)
+        if first is not None:
+            even_resolve(first, 1000)
+
+
+def test_the_depth_cap_is_one_rule_in_every_memo_state():
+    # a germ whose deepest point lies at depth D resolves at cap D as it
+    # does uncapped, and overflows at cap D - 1 and at every negative cap,
+    # whether the walk meets fresh or summed-up chart records
+    checks = 0
+    for g in _grid_germs():
+        if g.multiplicity < 2:
+            continue
+        uncapped = even_resolve(g, 1000).points
+        deepest = max(pt.depth for pt in uncapped)
+        cases = [(deepest, uncapped)] + [
+            (cap, ("DepthOverflow", f"no smooth model within {cap} blow-ups"))
+            for cap in (deepest - 1, -1)]
+        for cap, expected in cases:
+            for state in ("cold", "warm", "half-warm"):
+                _in_memo_state(g, state)
+                assert _capped_outcome(g, cap) == expected, (str(g), cap, state)
+                checks += 1
+    assert checks == 6813
+
+
+def test_a_negative_cap_comes_before_a_verdict():
+    # a germ whose own chart record holds a RequiresAlgebraicExtension
+    # verdict overflows a negative cap first, and raises its verdict at cap 0
+    for text, error in (
+            ("4*y^5 - 4*y^3*z^2 + y*z^4", "multiple irrational direction (-2, 0, 1) on E"),
+            ("4*y^4 - 2*y^7 - 4*y^2*z^2 + z^4 + y^5*z^4",
+             "singular irrational direction (-2, 0, 1)")):
+        g = parse_germ(text)
+        for state in ("cold", "warm"):
+            _in_memo_state(g, state)
+            assert _capped_outcome(g, -1) == ("DepthOverflow",
+                                              "no smooth model within -1 blow-ups")
+            _in_memo_state(g, state)
+            assert _capped_outcome(g, 0) == ("RequiresAlgebraicExtension",
+                                             f"{error} for {text}")
+
+
 def test_even_blow_up_returns_a_fresh_list():
     g = parse_germ("y^3 - z^3")
     first = even_blow_up(g)

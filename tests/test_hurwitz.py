@@ -21,6 +21,8 @@ def test_validation():
         BranchDatum(0, 0, 2, 4, ((4,), (3,)))  # wrong sum
     with pytest.raises(ValueError):
         BranchDatum(0, 0, 1, 4, ((4,), (4,)))  # m mismatch
+    with pytest.raises(ValueError, match="^need exactly one partition per branch point$"):
+        BranchDatum(0, 0, -1, 4, ())  # a negative m matches no partition count
     with pytest.raises(ValueError):
         BranchDatum(0, 0, 1, 1, ((1,),))  # degree too small
     with pytest.raises(ValueError):
